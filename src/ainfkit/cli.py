@@ -36,6 +36,16 @@ def _frac(text, ctx):
         raise DocumentError(f"bad rational {text!r}: {exc}", ctx)
 
 
+def _int(text, ctx):
+    """A JSON integer or a string of one; a float such as 1.5 is refused."""
+    if type(text) is int:
+        return text
+    try:
+        return int(str(text))
+    except ValueError as exc:
+        raise DocumentError(f"bad integer {text!r}: {exc}", ctx)
+
+
 def _frac_str(x) -> str:
     return str(Fraction(x))
 
@@ -91,19 +101,21 @@ def _tables_from_json(data, role, ctx) -> list:
         for fieldname in ("k", "lam", "mu"):
             if fieldname not in tdoc:
                 raise DocumentError(f"table missing {fieldname!r}", tctx)
+        k = _int(tdoc["k"], f"{tctx}.k")
         entries = {}
         for j, e in enumerate(tdoc.get("entries", [])):
             ectx = f"{tctx}.entries[{j}]"
             if "output" not in e or "coeff" not in e:
                 raise DocumentError("entry needs inputs/output/coeff", ectx)
             inputs = tuple(e.get("inputs", []))
-            if len(inputs) != int(tdoc["k"]):
+            if len(inputs) != k:
                 raise DocumentError(
                     f"entry arity {len(inputs)} != k={tdoc['k']}", ectx)
             tgt = entries.setdefault(inputs, {})
             tgt[e["output"]] = tgt.get(e["output"], Fraction(0)) + _frac(e["coeff"], ectx)
-        tables.append(OperationTable(int(tdoc["k"]), _frac(tdoc["lam"], tctx),
-                                     int(tdoc["mu"]), tdoc.get("role", role), entries))
+        tables.append(OperationTable(k, _frac(tdoc["lam"], tctx),
+                                     _int(tdoc["mu"], f"{tctx}.mu"),
+                                     tdoc.get("role", role), entries))
     return tables
 
 
@@ -115,15 +127,16 @@ def _double_points_from_json(data, ctx) -> list:
             if fieldname not in p:
                 raise DocumentError(f"double point missing {fieldname!r}", pctx)
         points.append(DoublePoint(
-            p_minus=str(p["p_minus"]), p_plus=str(p["p_plus"]), eta=int(p["eta"]),
-            eps=int(p["eps"]) if p.get("eps") is not None else None,
+            p_minus=str(p["p_minus"]), p_plus=str(p["p_plus"]),
+            eta=_int(p["eta"], f"{pctx}.eta"),
+            eps=_int(p["eps"], f"{pctx}.eps") if p.get("eps") is not None else None,
             phases_minus=tuple(_frac(x, pctx) for x in p["phases_minus"])
             if p.get("phases_minus") else None,
             phases_plus=tuple(_frac(x, pctx) for x in p["phases_plus"])
             if p.get("phases_plus") else None,
             a_value=_frac(p["a_value"], pctx) if p.get("a_value") is not None else None,
             c_shift=_frac(p.get("c", 0), pctx),
-            regrade=int(p.get("d", 0)),
+            regrade=_int(p.get("d", 0), f"{pctx}.d"),
         ))
     return points
 
@@ -182,7 +195,7 @@ def parse_document(data: dict) -> PresentationDocument:
         raise DocumentError(f"unknown flavor {flavor!r}", "flavor")
     cutoff = _frac(data.get("cutoff", "1"), "cutoff")
     monoid = EnergyMonoid.make([
-        (_frac(g[0], f"monoid[{i}]"), int(g[1]))
+        (_frac(g[0], f"monoid[{i}]"), _int(g[1], f"monoid[{i}]"))
         for i, g in enumerate(data.get("monoid", []))
     ])
     kind = data.get("kind")
@@ -190,8 +203,9 @@ def parse_document(data: dict) -> PresentationDocument:
         kind = "presentation" if ("double_points" in data or "homology_ranks" in data) \
             else ("geometric" if "filtration" in data else "system")
     if kind == "presentation":
-        n = int(data.get("ambient_dim", 0))
-        ranks = {int(k): int(v) for k, v in (data.get("homology_ranks") or {}).items()}
+        n = _int(data.get("ambient_dim", 0), "ambient_dim")
+        ranks = {_int(k, "homology_ranks"): _int(v, f"homology_ranks.{k}")
+                 for k, v in (data.get("homology_ranks") or {}).items()}
         points = _double_points_from_json(data.get("double_points"), "double_points")
         tables = _tables_from_json(data.get("tables"), "algebra", "tables")
         try:
@@ -204,7 +218,7 @@ def parse_document(data: dict) -> PresentationDocument:
         basis = data.get("basis")
         if not isinstance(basis, list):
             raise DocumentError("system document needs a basis", "basis")
-        space = GradedSpace.make([(str(l), int(d)) for l, d in basis])
+        space = GradedSpace.make([(str(l), _int(d, "basis")) for l, d in basis])
         role = data.get("role", "algebra")
         tables = _tables_from_json(data.get("tables"), role, "tables")
         try:
@@ -216,15 +230,17 @@ def parse_document(data: dict) -> PresentationDocument:
         basis = data.get("basis")
         if not isinstance(basis, list):
             raise DocumentError("geometric document needs a basis", "basis")
-        space = GradedSpace.make([(str(l), int(d)) for l, d in basis])
-        filtration = {str(l): int(v) for l, v in (data.get("filtration") or {}).items()}
+        space = GradedSpace.make([(str(l), _int(d, "basis")) for l, d in basis])
+        filtration = {str(l): _int(v, f"filtration.{l}")
+                      for l, v in (data.get("filtration") or {}).items()}
         declared = set()
         entries = {}
         for t in _tables_from_json(data.get("tables"), "algebra", "tables"):
             declared.add(t.key)
             entries[t.key] = t.entries
         for key in data.get("declared", []):
-            declared.add((int(key[0]), _frac(key[1], "declared"), int(key[2])))
+            declared.add((_int(key[0], "declared"), _frac(key[1], "declared"),
+                          _int(key[2], "declared")))
         payload = GeometricData(space, filtration, monoid, cutoff, flavor,
                                 declared, entries)
     else:

@@ -33,6 +33,10 @@ class NotInMonoidError(AinfError):
     pass
 
 
+class MonoidTooLargeError(AinfError):
+    """Enumerating the monoid up to the asked energy exceeds the size limit."""
+
+
 class MalformedMorphismError(AinfError):
     pass
 

@@ -22,8 +22,10 @@ needed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg
 from .errors import (
@@ -32,13 +34,11 @@ from .errors import (
     MissingDataError,
     NotAComplexError,
 )
-from .gapped import EnergyMonoid, monoid_elements, monoid_norm
+from .gapped import ZERO_KEY, EnergyMonoid, monoid_elements, monoid_norm
 from .gradedcore import GradedSpace, OperationSystem, OperationTable
 from .ainfty import is_weak_homotopy_equiv
 from .novikov import NovikovElement, as_fraction
 from .novmat import NovMatrix, strip_e_powers
-
-ZERO_KEY = (Fraction(0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +298,19 @@ def splitting(alg: OperationSystem) -> Splitting:
 # the decorated-tree evaluation engine
 
 class _TreeEngine:
-    def __init__(self, monoid: EnergyMonoid, cutoff, vertex_table, max_arity,
+    def __init__(self, monoid: EnergyMonoid, cutoff, vertex_table, vertex_keys,
                  leaf_table, edge_matrix):
         """vertex_table(m, key) -> sparse Q-table or None (validated lookups);
+        vertex_keys: the (m, key) pairs where vertex_table is probed, the only
+        ones where it may be nonzero or must raise; probed in sorted order;
         leaf_table: {(b_label,): {a_label: coeff}};
         edge_matrix: {a_label: {a_label: coeff}} applied on internal edges."""
-        self.monoid = monoid
-        self.cutoff = as_fraction(cutoff)
+        self.elements = monoid_elements(monoid, cutoff)
+        self.energies = [lam for lam, _ in self.elements]
         self.vertex_table = vertex_table
-        self.max_arity = max_arity
+        # the unary weight is m_1 - m_1^{0,0}, and m_0^{0,0} vanishes
+        self.vertex_keys = sorted((m, kv) for m, kv in vertex_keys
+                                  if m > 1 or kv != ZERO_KEY)
         self.leaf_table = leaf_table
         self.edge_matrix = edge_matrix
         self._memo = {}
@@ -335,18 +339,15 @@ class _TreeEngine:
             return {}
         self._memo[memo_key] = {}  # guard against reentry while building
         result = {}
-        for m in range(0, self.max_arity + 1):
-            for kv in monoid_elements(self.monoid, key[0]):
-                if m <= 1 and kv == ZERO_KEY:
-                    continue
-                rest = (key[0] - kv[0], key[1] - kv[1])
-                if rest[0] < 0:
-                    continue
-                table = self.vertex_table(m, kv)
-                if not table:
-                    continue
-                for child_tables, coeff_one in self._children(k, rest, m):
-                    self._combine(result, table, child_tables)
+        for m, kv in self.vertex_keys:
+            if kv[0] > key[0]:
+                continue
+            table = self.vertex_table(m, kv)
+            if not table:
+                continue
+            rest = (key[0] - kv[0], key[1] - kv[1])
+            for child_tables, coeff_one in self._children(k, rest, m):
+                self._combine(result, table, child_tables)
         result = {i: v for i, v in result.items() if v}
         self._memo[memo_key] = result
         return result
@@ -370,7 +371,7 @@ class _TreeEngine:
                 for tail in go(idx + 1, k_rem - 1, lam_rem, mu_rem):
                     yield [self.leaf_table] + tail
             # subtree child
-            for ck in monoid_elements(self.monoid, lam_rem):
+            for ck in islice(self.elements, bisect_right(self.energies, lam_rem)):
                 for k_child in range(0, k_rem + 1):
                     if ck == ZERO_KEY and k_child < 2:
                         continue
@@ -453,17 +454,15 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     if level is None and kmax is None:
         raise ValueError("need an A_{N,0} level or an arity bound kmax")
     split = split or splitting(alg)
-    max_arity = max((k for k, _, _ in alg.tables), default=0)
     leaf_table = {(b,): dict(vec) for b, vec in split.include.items()}
     edge_matrix = {a: {t: -c for t, c in vec.items()} for a, vec in split.h.items()}
 
     def vertex(m, kv):
-        if m == 1 and kv == ZERO_KEY:
-            return None  # unary weight is m_1 - m_1^{0,0}
         t = alg.table(m, kv[0], kv[1])
         return t.entries if t else None
 
-    engine = _TreeEngine(alg.monoid, alg.cutoff, vertex, max_arity,
+    engine = _TreeEngine(alg.monoid, alg.cutoff, vertex,
+                         [(k, (lam, mu)) for k, lam, mu in alg.tables],
                          leaf_table, edge_matrix)
     n_tables, i_tables = [], []
     for k, key in _admissible_keys(alg.monoid, alg.cutoff, level, kmax):
@@ -846,23 +845,27 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
     sign = Fraction((-1) ** (ambient_parity + 1))
     edge_matrix = {a: {t: sign * c for t, c in vec.items()} for a, vec in split.h.items()}
     leaf_table = {(l,): {l: Fraction(1)} for l, _ in split.b_space.basis}
-    arities = sorted({k for (k, _, _) in geo.declared})
-    max_arity = max(arities, default=0)
+    max_arity = max((k for k, _, _ in geo.declared), default=0)
+    elements = monoid_elements(geo.monoid, geo.cutoff)
+    members = set(elements)
+    # declared tables with entries, and every undeclared key inside the N'
+    # budget, whose lookup raises MissingDataError
+    declared = {(k, (as_fraction(lam), int(mu))) for k, lam, mu in geo.declared}
+    vertex_keys = {(m, kv) for m, kv in declared if kv in members and geo.table(m, kv)}
+    vertex_keys.update(
+        (m, kv) for kv in elements for m in range(max_arity + 1)
+        if monoid_norm(geo.monoid, kv) + m - 1 <= n_prime and geo.table(m, kv) is None)
 
     def vertex(m, kv):
-        if m <= 1 and kv == ZERO_KEY:
-            return None
         t = geo.table(m, kv)
         if t is None:
-            if monoid_norm(geo.monoid, kv) + m - 1 <= n_prime:
-                raise MissingDataError(f"(k={m}, lam={kv[0]}, mu={kv[1]})")
-            return None
+            raise MissingDataError(f"(k={m}, lam={kv[0]}, mu={kv[1]})")
         return t
 
-    engine = _TreeEngine(geo.monoid, geo.cutoff, vertex, max_arity,
+    engine = _TreeEngine(geo.monoid, geo.cutoff, vertex, vertex_keys,
                          leaf_table, edge_matrix)
     out_tables = []
-    for key in monoid_elements(geo.monoid, geo.cutoff):
+    for key in elements:
         n = monoid_norm(geo.monoid, key)
         for k in range(0, max(level + 1 - n, 0) + 1):
             if n + k - 1 > level:

@@ -340,3 +340,46 @@ def test_out_flag_writes_file(tmp_path):
                     "--out", str(target)])
     assert proc.returncode == 0 and proc.stdout == ""
     assert json.loads(target.read_text())["count"] == 3
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, path", [
+    (TWO_GEN_DOC, ("tables", 0, "k")),
+    (TWO_GEN_DOC, ("tables", 0, "mu")),
+    (TWO_GEN_DOC, ("basis", 0, 1)),
+    (PRESENTATION_DOC, ("double_points", 0, "eta")),
+    (PRESENTATION_DOC, ("ambient_dim",)),
+], ids=["k", "mu", "basis-degree", "eta", "ambient_dim"])
+def test_non_integer_field_exits_2(tmp_path, capsys, doc, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with(doc, path, "1.5")))
+    assert ainfkit.cli.main(["check", "--level", "2", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad integer '1.5'" in err
+
+
+def _check_level_2(doc):
+    return subprocess.run([sys.executable, "-m", "ainfkit.cli", "check", "--level", "2"],
+                          input=json.dumps(doc), capture_output=True, text=True, timeout=10)
+
+
+def test_check_on_fine_grained_monoid_is_fast():
+    # 2001 monoid elements up to the cutoff: the norms take one pass
+    out = _check_level_2(dict(TWO_GEN_DOC, monoid=[["1/1000", 0]], cutoff="2"))
+    assert out.returncode == 0, out.stderr
+
+
+def test_oversized_monoid_exits_2():
+    out = _check_level_2(dict(TWO_GEN_DOC, monoid=[["1/1000", 0], ["1/997", 1]],
+                              cutoff="10"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: the monoid has more than")

@@ -1,11 +1,29 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ainfkit import EnergyMonoid, monoid_elements, monoid_norm, truncate_level, validate_gapped
-from ainfkit.errors import GappedViolationError, NotInMonoidError
+from ainfkit import (
+    EnergyMonoid,
+    NovikovElement,
+    monoid_elements,
+    monoid_norm,
+    truncate_level,
+    twist,
+    validate_gapped,
+)
+from ainfkit import gapped
+from ainfkit.errors import (
+    AinfError,
+    GappedViolationError,
+    MonoidTooLargeError,
+    NotInMonoidError,
+)
 from ainfkit.gapped import budget_admits
 from conftest import two_generator_algebra
 
@@ -164,3 +182,91 @@ def test_norm_monotone_in_energy_for_mu_free_monoids():
         for (l1, n1), (l2, n2) in zip(norms, norms[1:]):
             if l1 < l2:
                 assert n1 <= n2, (gens, l1, l2)
+
+
+# ---------------------------------------------------------------------------
+# the norm-and-membership table against the paper's definitions
+
+def bfs_elements(generators, bound):
+    """Plain breadth-first closure of {(0, 0)} under adding generators."""
+    seen = {(F(0), 0)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [(lam + gl, mu + gm) for lam, mu in frontier for gl, gm in generators
+                    if lam + gl <= bound and (lam + gl, mu + gm) not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def definition_norms(elements):
+    """norm(x) = max #nonzero monoid elements summing to x, plus floor(lam),
+    by splitting off every nonzero element in turn (shared memo)."""
+    nonzero = sorted(elements - {(F(0), 0)})
+    longest = {}
+    for x in nonzero:
+        longest[x] = max([1] + [1 + longest[(x[0] - e[0], x[1] - e[1])] for e in nonzero
+                                if e[0] < x[0] and (x[0] - e[0], x[1] - e[1]) in longest])
+    norms = {x: d + math.floor(x[0]) for x, d in longest.items()}
+    norms[(F(0), 0)] = 0
+    return norms
+
+
+small_generators = st.lists(
+    st.tuples(st.builds(F, st.integers(1, 4), st.integers(1, 2)), st.integers(-2, 2)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_generators, st.integers(0, 8), st.integers(0, 8),
+       st.tuples(st.builds(F, st.integers(0, 12), st.integers(1, 3)), st.integers(-3, 3)))
+def test_norm_and_membership_match_definition(gens, half_cutoff, half_first, probe):
+    G = EnergyMonoid.make(gens)
+    cutoff = F(half_cutoff, 2)
+    first = min(F(half_first, 2), cutoff)
+    generators = [(F(l), m) for l, m in gens]
+    # ask a smaller bound first, so the larger one grows the table
+    assert monoid_elements(G, first) == tuple(sorted(bfs_elements(generators, first)))
+    elements = bfs_elements(generators, cutoff)
+    assert monoid_elements(G, cutoff) == tuple(sorted(elements))
+    norms = definition_norms(elements)
+    for key in elements:
+        assert G.contains(key)
+        assert monoid_norm(G, key) == norms[key], (gens, key)
+    outsiders = {(lam, mu + 1) for lam, mu in elements} | {probe}
+    for key in outsiders - elements:
+        if key[0] > cutoff:
+            continue
+        assert not G.contains(key)
+        with pytest.raises(NotInMonoidError):
+            monoid_norm(G, key)
+
+
+def test_oversized_monoid_is_refused_quickly():
+    # about 5 * 10^7 elements below energy 10
+    G = EnergyMonoid.make([(F(1, 1000), 0), (F(1, 997), 1)])
+    assert issubclass(MonoidTooLargeError, AinfError)
+    start = time.perf_counter()
+    with pytest.raises(MonoidTooLargeError):
+        monoid_elements(G, 10)
+    with pytest.raises(MonoidTooLargeError):
+        monoid_norm(G, (10, 0))
+    assert time.perf_counter() - start < 1
+    # a refused request leaves smaller bounds usable
+    assert monoid_elements(G, F(1, 500)) == (
+        (F(0), 0), (F(1, 1000), 0), (F(1, 997), 1), (F(1, 500), 0))
+
+
+def test_gapped_caches_stay_bounded():
+    base = two_generator_algebra()
+    for i in range(200):
+        lam = 1 + F(i + 1, 401)
+        b = {"x": NovikovElement.make([(F(1), lam, 0)], base.flavor, base.cutoff)}
+        twisted = twist(base, b)
+        assert monoid_norm(twisted.monoid, (lam, 0)) == 2
+        assert len(monoid_elements(twisted.monoid, twisted.cutoff)) > 4
+    assert gapped._table.cache_info().currsize == gapped.CACHED_MONOIDS
+    info = monoid_elements.cache_info()
+    assert info.currsize <= info.maxsize
+    # equal monoids share one table
+    assert gapped._table(EnergyMonoid.make([(1, 0), (F(1, 2), 1)])) is \
+        gapped._table(EnergyMonoid.make([(F(1, 2), 1), (1, 0)]))

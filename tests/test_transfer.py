@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -523,3 +524,35 @@ def test_minimal_model_of_already_minimal_filtered_algebra(rng):
         }
         assert mapped == orig.entries, (k, lam, mu)
     assert set(again.tables) == set(alg.tables)
+
+
+def test_tree_engine_work_follows_stored_tables(monkeypatch):
+    # 8-label twisted complex over {(1,0), (1/2,1)} at cutoff 12: a grid
+    # probe makes about 118k vertex lookups here, for three stored tables
+    from ainfkit import NovikovElement, transfer, twist
+    rng = random.Random(1)
+    base = random_complex(rng, n_labels=8, degree_span=(-2, 1), cutoff=F(12),
+                          generators=((1, 0), (F(1, 2), 1)))
+    degree0 = next(l for l, d in base.source.basis if d == 0)
+    degree_minus2 = next(l for l, d in base.source.basis if d == -2)
+    alg = twist(base, {
+        degree0: NovikovElement.make([(F(1), F(1), 0)], "nov0", F(12)),
+        degree_minus2: NovikovElement.make([(F(-1), F(3, 2), 1)], "nov0", F(12)),
+    })
+    engines, lookups = [], []
+
+    class Recorded(transfer._TreeEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    table = OperationSystem.table
+
+    def counted(self, k, lam, mu):
+        lookups.append((k, lam, mu))
+        return table(self, k, lam, mu)
+
+    monkeypatch.setattr(transfer, "_TreeEngine", Recorded)
+    monkeypatch.setattr(OperationSystem, "table", counted)
+    minimal_model(alg, kmax=3)
+    assert len(lookups) <= len(alg.tables) * len(engines[0]._memo)
