@@ -35,6 +35,7 @@ from .gradedcore import (
     GradedSpace,
     OperationSystem,
     OperationTable,
+    _insertion_sum,
     prefix_degree_sign,
     relation_defect,
 )
@@ -77,45 +78,6 @@ def _budgeted_keys(alg_or_sys, level):
 
 # ---------------------------------------------------------------------------
 # generic stitching helpers
-
-def _insertion_sum(outer: OperationSystem, inner: OperationSystem, k, key):
-    """sum_{i, splits} (-1)^(deg prefix) outer_{k1}(..., inner_{k2}(block), ...)
-
-    as a sparse table over the inner system's source basis.  This is the left
-    side of the algebra/morphism relations and the second sum of the homotopy
-    relation, depending on which families are passed.
-    """
-    lam, mu = key
-    space = inner.source
-    defect = {}
-    for (k2, lam2, mu2), inner_t in inner.tables.items():
-        lam1, mu1 = lam - lam2, mu - mu2
-        if lam1 < 0 or not outer.monoid.contains((lam1, mu1)):
-            continue
-        k1 = k - k2 + 1
-        if k1 < 1:
-            continue
-        outer_t = outer.table(k1, lam1, mu1)
-        if outer_t is None:
-            continue
-        for in_outer, out_outer in outer_t.entries.items():
-            for i in range(1, k1 + 1):
-                slot_label = in_outer[i - 1]
-                sign = prefix_degree_sign(space, in_outer[: i - 1])
-                for in_inner, out_inner in inner_t.entries.items():
-                    q_in = out_inner.get(slot_label)
-                    if not q_in:
-                        continue
-                    full = in_outer[: i - 1] + in_inner + in_outer[i:]
-                    for out_label, q_out in out_outer.items():
-                        dkey = (full, out_label)
-                        c = defect.get(dkey, Fraction(0)) + sign * q_in * q_out
-                        if c:
-                            defect[dkey] = c
-                        else:
-                            defect.pop(dkey, None)
-    return defect
-
 
 def _producers(fam: OperationSystem):
     """Index the family's entries by output label.
@@ -327,7 +289,7 @@ def _require_morphism(f: OperationSystem):
 def morphism_defect(f: OperationSystem, A: OperationSystem, B: OperationSystem,
                     k, lam, mu) -> dict:
     """LHS - RHS of the filtered morphism relation at one key."""
-    lhs = _insertion_sum(f, A, k, (lam, mu))
+    lhs = _insertion_sum(f, A, k, lam, mu)
     producers = _producers(f)
 
     def families(r):
@@ -433,7 +395,7 @@ def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
             yield ([f_prod] * t + [h_prod] + [g_prod] * (r - 1 - t), 1)
 
     sum1 = _block_sum(B, families, k, key)
-    sum2 = _insertion_sum(H, A, k, key)
+    sum2 = _insertion_sum(H, A, k, *key)
     return _table_sub(_table_sub(target, sum1), sum2)
 
 

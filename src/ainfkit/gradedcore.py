@@ -33,9 +33,10 @@ class GradedSpace:
     basis: tuple  # of (label, degree)
 
     def __post_init__(self):
-        labels = [l for l, _ in self.basis]
-        if len(set(labels)) != len(labels):
+        degree_of = dict(self.basis)
+        if len(degree_of) != len(self.basis):
             raise ValueError("duplicate basis labels")
+        object.__setattr__(self, "_degree_of", degree_of)
 
     @staticmethod
     def make(pairs) -> "GradedSpace":
@@ -46,13 +47,12 @@ class GradedSpace:
         return tuple(l for l, _ in self.basis)
 
     def degree(self, label) -> int:
-        for l, d in self.basis:
-            if l == label:
-                return d
-        raise UnknownBasisError(label)
+        if label not in self._degree_of:
+            raise UnknownBasisError(label)
+        return self._degree_of[label]
 
     def has(self, label) -> bool:
-        return any(l == label for l, _ in self.basis)
+        return label in self._degree_of
 
     def labels_of_degree(self, d):
         return [l for l, dd in self.basis if dd == d]
@@ -282,45 +282,60 @@ def prefix_degree_sign(space: GradedSpace, labels) -> int:
     return -1 if sum(space.degree(l) for l in labels) % 2 else 1
 
 
+def _insertion_sum(outer: OperationSystem, inner: OperationSystem, k: int, lam, mu) -> dict:
+    """sum_{i, splits} (-1)^(deg prefix) outer_{k1}(..., inner_{k2}(block), ...)
+
+    at the key (k, lam, mu), as a sparse table {(input tuple, output label):
+    coeff} over the inner system's source basis.  This is the left side of
+    the algebra and morphism relations and the second sum of the homotopy
+    relation, depending on which families are passed.  Each inner table is
+    indexed by output label once, so an outer slot costs one dict hit plus
+    the inner entries that produce its label.
+    """
+    lam = as_fraction(lam)
+    space = inner.source
+    out = {}
+    for (k2, lam2, mu2), inner_t in inner.tables.items():
+        lam1, mu1 = lam - lam2, mu - mu2
+        k1 = k - k2 + 1
+        if lam1 < 0 or k1 < 1 or not outer.monoid.contains((lam1, mu1)):
+            continue
+        outer_t = outer.table(k1, lam1, mu1)
+        if outer_t is None:
+            continue
+        producers = {}
+        for in_inner, out_inner in inner_t.entries.items():
+            for label, q_in in out_inner.items():
+                producers.setdefault(label, []).append((in_inner, q_in))
+        for in_outer, out_outer in outer_t.entries.items():
+            for i, slot_label in enumerate(in_outer):
+                blocks = producers.get(slot_label)
+                if blocks is None:
+                    continue
+                sign = prefix_degree_sign(space, in_outer[:i])
+                for in_inner, q_in in blocks:
+                    full = in_outer[:i] + in_inner + in_outer[i + 1:]
+                    for out_label, q_out in out_outer.items():
+                        key = (full, out_label)
+                        c = out.get(key, 0) + sign * q_in * q_out
+                        if c:
+                            out[key] = c
+                        else:
+                            out.pop(key, None)
+    return out
+
+
 def relation_defect(alg: OperationSystem, k: int, lam, mu) -> dict:
     """Left side of the filtered A-infinity relation at (k, lam, mu).
 
     Returns the sparse defect table {(input tuple, output label): coeff}; the
     relation at this key holds iff the table is empty.  Assembled by stitching
-    pairs of stored table entries, so cost is (entries x entries), not
-    (basis^k).
+    pairs of stored table entries through an output-label index, so the cost
+    follows the pairs of entries that actually compose, not (basis^k).
     """
     if alg.role != "algebra":
         raise ValueError("relation_defect needs an algebra")
-    lam = as_fraction(lam)
-    defect = {}
-    for (k2, lam2, mu2), inner in alg.tables.items():
-        lam1, mu1 = lam - lam2, mu - mu2
-        if lam1 < 0 or not alg.monoid.contains((lam1, mu1)):
-            continue
-        k1 = k - k2 + 1
-        if k1 < 1:
-            continue
-        outer = alg.table(k1, lam1, mu1)
-        if outer is None:
-            continue
-        for in_outer, out_outer in outer.entries.items():
-            for i in range(1, k1 + 1):
-                slot_label = in_outer[i - 1]
-                sign = prefix_degree_sign(alg.source, in_outer[: i - 1])
-                for in_inner, out_inner in inner.entries.items():
-                    q_in = out_inner.get(slot_label)
-                    if not q_in:
-                        continue
-                    full_inputs = in_outer[: i - 1] + in_inner + in_outer[i:]
-                    for out_label, q_out in out_outer.items():
-                        key = (full_inputs, out_label)
-                        c = defect.get(key, Fraction(0)) + sign * q_in * q_out
-                        if c:
-                            defect[key] = c
-                        else:
-                            defect.pop(key, None)
-    return defect
+    return _insertion_sum(alg, alg, k, lam, mu)
 
 
 def cohomology_ranks(space: GradedSpace, d_table: OperationTable) -> dict:

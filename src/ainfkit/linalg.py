@@ -1,8 +1,9 @@
 """Small exact linear algebra over Q with deterministic leftmost pivoting.
 
 Matrices are lists of rows, rows are lists of Fractions.  Everything here is
-row reduction; sizes stay small (graded pieces of finite bases), so no effort
-is spent on asymptotics.
+row reduction, done on sparse rows {column: nonzero entry}: a pivot row is
+normalised, and eliminated with, over its nonzero columns only, so the cost
+follows the nonzeros of the matrix rather than its shape.
 """
 
 from fractions import Fraction
@@ -19,48 +20,53 @@ def identity(n):
     return out
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    m, n, p = len(a), len(b), len(b[0])
-    out = zeros(m, p)
-    for i in range(m):
-        for k in range(n):
-            if a[i][k]:
-                aik = a[i][k]
-                for j in range(p):
-                    if b[k][j]:
-                        out[i][j] += aik * b[k][j]
-    return out
-
-
 def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nonzero), Fraction(0)) for row in a]
+
+
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _eliminate(row, pivot_row, c):
+    """row -= row[c] * pivot_row, over the pivot row's nonzero columns only."""
+    f = row[c]
+    for j, y in pivot_row.items():
+        x = row.get(j, 0) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _normalised(row, c):
+    inv = Fraction(1, 1) / row[c]
+    return {j: x * inv for j, x in row.items()}
 
 
 def row_reduce(mat):
     """Reduced row echelon form; returns (rref, pivot column list)."""
-    a = [list(row) for row in mat]
+    a = [_sparse(row) for row in mat]
     rows = len(a)
-    cols = len(a[0]) if rows else 0
+    cols = len(mat[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if c in a[i]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1, 1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        a[r] = _normalised(a[r], c)
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i != r and c in a[i]:
+                _eliminate(a[i], a[r], c)
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return a, pivots
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(cols)] for row in a], pivots
 
 
 def rank(mat):
@@ -113,27 +119,35 @@ def extend_to_complement(inside, ambient_dim, candidates=None):
 
     Returns the list of candidate vectors (default: standard basis, leftmost
     first) that enlarge the span; their span is a complement of span(inside)
-    inside span(inside + chosen candidates).
+    inside span(inside + chosen candidates).  One echelon basis
+    {leading column: row} is kept, and each candidate is reduced against it
+    once: it enlarges the span iff a nonzero remainder is left.
     """
     if candidates is None:
-        candidates = [[Fraction(1) if j == i else Fraction(0) for j in range(ambient_dim)]
-                      for i in range(ambient_dim)]
-    rows = [list(v) for v in inside]
-    chosen = []
-    current = rank(rows) if rows else 0
-    for cand in candidates:
-        trial = rows + [list(cand)]
-        r = rank(trial)
-        if r > current:
-            rows = trial
-            current = r
-            chosen.append(list(cand))
-    return chosen
+        candidates = identity(ambient_dim)
+    echelon = {}
+
+    def enlarges(vec):
+        row = _sparse(vec)
+        while row:
+            c = min(row)
+            if c not in echelon:
+                echelon[c] = _normalised(row, c)
+                return True
+            _eliminate(row, echelon[c], c)
+        return False
+
+    for v in inside:
+        enlarges(v)
+    return [list(cand) for cand in candidates if enlarges(cand)]
 
 
 def invert(mat):
+    """Inverse of a square matrix, or None if it is singular or not square."""
     n = len(mat)
-    aug = [list(mat[i]) + identity(n)[i] for i in range(n)]
+    if any(len(row) != n for row in mat):
+        return None
+    aug = [list(row) + unit for row, unit in zip(mat, identity(n))]
     rref, pivots = row_reduce(aug)
     if pivots != list(range(n)):
         return None

@@ -206,11 +206,11 @@ def _assemble_splitting(space: GradedSpace, b_named, c_vecs, dc_vecs) -> Splitti
             + [(("dc", i), v) for i, v in enumerate(dc_vecs.get(dd, []))]
         )
         m = [[col[1][i] for col in cols] for i in range(len(dom))]
-        minv = linalg.invert(m) if m else None
-        if cols and minv is None:
+        minv = linalg.invert(m)
+        if minv is None:
             raise AinfError("splitting decomposition is not a direct sum")
         for i, a_label in enumerate(dom):
-            coords = [minv[r][i] for r in range(len(cols))] if cols else []
+            coords = [minv[r][i] for r in range(len(cols))]
             pr, hv = {}, {}
             for (tag_kind, tag), coord in zip((c[0] for c in cols), coords):
                 if not coord:

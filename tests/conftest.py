@@ -74,6 +74,47 @@ def heisenberg_algebra(flavor="nov0", cutoff=F(2)):
     return OperationSystem.algebra(space, G, flavor, cutoff, tables)
 
 
+def truncated_free_dga(r, L, flavor="nov0", cutoff=F(3)):
+    """T(a0..a_{r-1}) / (length > L): every letter in shifted degree 0, the
+    empty word "u" is the unit, d a_{r-1} = a0 a1 extended as a derivation,
+    and m_2 is concatenation with sign (-1)^{deg' w1}.  Needs r >= 3."""
+    import itertools
+
+    words = [w for n in range(L + 1) for w in itertools.product(range(r), repeat=n)]
+
+    def label(w):
+        return "u" if not w else "a" + ".".join(map(str, w))
+
+    m1, m2 = {}, {}
+    for w in words:
+        sign = 1
+        for pos, letter in enumerate(w):
+            if letter == r - 1 and len(w) < L:
+                out = m1.setdefault((label(w),), {})
+                image = label(w[:pos] + (0, 1) + w[pos + 1:])
+                out[image] = out.get(image, F(0)) + sign
+            sign = -sign
+        for w2 in words:
+            if len(w) + len(w2) <= L:
+                m2[(label(w), label(w2))] = {label(w + w2): F(1 if len(w) % 2 else -1)}
+    space = GradedSpace.make([(label(w), len(w) - 1) for w in words])
+    tables = [OperationTable(1, F(0), 0, "algebra", m1),
+              OperationTable(2, F(0), 0, "algebra", m2)]
+    return OperationSystem.algebra(space, EnergyMonoid.make([(1, 0)]), flavor,
+                                   cutoff, tables)
+
+
+def twisted_free_dga(r, L, seed):
+    """``truncated_free_dga`` twisted by a degree-0 element with terms
+    T^1, T^2, T^3 on every letter."""
+    rng = random.Random(seed)
+    alg = truncated_free_dga(r, L)
+    b = {f"a{i}": NovikovElement.make(
+        [(rng.choice([1, -1, 2, -2, 3]), e, 0) for e in (1, 2, 3)], "nov0", F(3))
+        for i in range(r)}
+    return twist(alg, b)
+
+
 def random_complex(rng, n_labels=5, degree_span=(-1, 3), flavor="nov0",
                    cutoff=F(2), generators=((1, 0),)):
     """Random square-zero differential: d is built from a random strictly

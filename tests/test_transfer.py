@@ -31,6 +31,7 @@ from conftest import (
     random_curved_algebra,
     random_element,
     three_generator_algebra,
+    truncated_free_dga,
     two_generator_algebra,
 )
 
@@ -556,3 +557,34 @@ def test_tree_engine_work_follows_stored_tables(monkeypatch):
     monkeypatch.setattr(OperationSystem, "table", counted)
     minimal_model(alg, kmax=3)
     assert len(lookups) <= len(alg.tables) * len(engines[0]._memo)
+
+
+def test_splitting_eliminations_follow_degrees(monkeypatch):
+    # 85-vector basis of T(a0..a3)/(length > 3) in four degrees; re-ranking
+    # the whole matrix for every complement candidate makes 90 reductions
+    from ainfkit import linalg
+    alg = truncated_free_dga(4, 3)
+    calls = []
+    row_reduce = linalg.row_reduce
+
+    def counted(mat):
+        calls.append(len(mat))
+        return row_reduce(mat)
+
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    split = splitting(alg)
+    assert alg.source.dim() == 85
+    assert split.b_space.dim() == 69
+    assert len(calls) <= 3 * len(alg.source.degrees())
+
+
+@pytest.mark.parametrize("c_vecs, dc_vecs", [
+    ({0: []}, {}),                                  # no columns for x
+    ({0: [[F(1)], [F(1)]]}, {}),                    # two columns, one label
+], ids=["too-few", "too-many"])
+def test_splitting_that_is_not_a_direct_sum_is_refused(c_vecs, dc_vecs):
+    from ainfkit.errors import AinfError
+    from ainfkit.transfer import _assemble_splitting
+    space = GradedSpace.make([("x", 0)])
+    with pytest.raises(AinfError, match="not a direct sum"):
+        _assemble_splitting(space, {}, c_vecs, dc_vecs)
