@@ -35,7 +35,12 @@ from .gradedcore import (
     GradedSpace,
     OperationSystem,
     OperationTable,
+    _add_scaled,
+    _apply,
+    _apply_each,
     _insertion_sum,
+    _linear,
+    _q_matrix,
     prefix_degree_sign,
     relation_defect,
 )
@@ -147,14 +152,7 @@ def _block_sum(n_alg: OperationSystem, families_for_slot, k, key):
 
 
 def _table_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        v = out.get(key, Fraction(0)) - c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
+    return _add_scaled(dict(a), b, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +333,7 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
                 continue
             for k_total, lam_total, mu_total, inputs, coeff in _assignments_free(slot_specs, budget):
                 key = (k_total, lam0 + lam_total, mu0 + mu_total)
-                tgt = acc[key].setdefault(inputs, {})
-                for out_label, q in outs.items():
-                    c = tgt.get(out_label, Fraction(0)) + coeff * q
-                    if c:
-                        tgt[out_label] = c
-                    else:
-                        tgt.pop(out_label, None)
+                _add_scaled(acc[key].setdefault(inputs, {}), outs, coeff)
     tables = [
         OperationTable(k, lam, mu, "morphism",
                        {i: o for i, o in entries.items() if o})
@@ -381,13 +373,7 @@ def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
         if t is None:
             continue
         for inputs, outs in t.entries.items():
-            for out_label, q in outs.items():
-                dkey = (inputs, out_label)
-                c = target.get(dkey, Fraction(0)) + sign * q
-                if c:
-                    target[dkey] = c
-                else:
-                    target.pop(dkey, None)
+            _add_scaled(target, {(inputs, o): q for o, q in outs.items()}, sign)
     f_prod, g_prod, h_prod = _producers(f), _producers(g), _producers(H)
 
     def families(r):
@@ -416,20 +402,12 @@ def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
 
 def whisker_strict(h: OperationSystem, H: OperationSystem) -> OperationSystem:
     """(h o H)_k = h_1 o H_k for a strict morphism h; a homotopy h∘f => h∘g."""
-    h1 = {(kk, lam, mu): t for (kk, lam, mu), t in h.tables.items() if kk == 1}
+    h1 = {(lam, mu): _linear(t) for (kk, lam, mu), t in h.tables.items() if kk == 1}
     out = defaultdict(dict)
     for (k, lam, mu), table in H.tables.items():
-        for (kk, lam1, mu1), h_t in h1.items():
-            for inputs, outs in table.entries.items():
-                acc = {}
-                for mid, q in outs.items():
-                    for out_label, q2 in h_t.entries.get((mid,), {}).items():
-                        acc[out_label] = acc.get(out_label, Fraction(0)) + q * q2
-                acc = {o: c for o, c in acc.items() if c}
-                if acc:
-                    tgt = out[(k, lam + lam1, mu + mu1)].setdefault(inputs, {})
-                    for o, c in acc.items():
-                        tgt[o] = tgt.get(o, Fraction(0)) + c
+        for (lam1, mu1), h_map in h1.items():
+            for inputs, image in _apply_each(h_map, table.entries).items():
+                _add_scaled(out[(k, lam + lam1, mu + mu1)].setdefault(inputs, {}), image)
     tables = [OperationTable(k, lam, mu, "homotopy", e)
               for (k, lam, mu), e in out.items()]
     return OperationSystem.homotopy(H.source, h.target, H.monoid, H.flavor,
@@ -439,13 +417,6 @@ def whisker_strict(h: OperationSystem, H: OperationSystem) -> OperationSystem:
 # ---------------------------------------------------------------------------
 # weak homotopy equivalence
 
-def _q_matrix(table, dom_labels, cod_labels):
-    return [
-        [table.get((l,), {}).get(out, Fraction(0)) for l in dom_labels]
-        for out in cod_labels
-    ]
-
-
 def is_weak_homotopy_equiv(f: OperationSystem, A: OperationSystem,
                            B: OperationSystem):
     """Does f_1^{0,0} induce an isomorphism on Q-cohomology in every degree?
@@ -453,12 +424,9 @@ def is_weak_homotopy_equiv(f: OperationSystem, A: OperationSystem,
     Returns (bool, certificate) with certificate a per-degree list of
     (degree, dim H(A), dim H(B), rank of the induced map).
     """
-    dA = A.table(1, Fraction(0), 0)
-    dB = B.table(1, Fraction(0), 0)
-    f1 = f.table(1, Fraction(0), 0)
-    dA_e = dA.entries if dA else {}
-    dB_e = dB.entries if dB else {}
-    f1_e = f1.entries if f1 else {}
+    dA = _linear(A.table(1, Fraction(0), 0))
+    dB = _linear(B.table(1, Fraction(0), 0))
+    f1 = _linear(f.table(1, Fraction(0), 0))
     degrees = sorted(set(A.source.degrees()) | set(B.target.degrees()))
     cert = []
     ok = True
@@ -470,26 +438,17 @@ def is_weak_homotopy_equiv(f: OperationSystem, A: OperationSystem,
         codB = B.target.labels_of_degree(d + 1)
         prevB = B.target.labels_of_degree(d - 1)
 
-        zA = linalg.kernel_basis(_q_matrix(dA_e, domA, codA), len(domA)) if domA else []
-        imA = [[dA_e.get((l,), {}).get(out, Fraction(0)) for out in domA] for l in prevA]
-        hA = len(zA) - linalg.rank(imA)
-        zB = linalg.kernel_basis(_q_matrix(dB_e, domB, codB), len(domB)) if domB else []
-        imB = [[dB_e.get((l,), {}).get(out, Fraction(0)) for out in domB] for l in prevB]
+        zA = linalg.kernel_basis(_q_matrix(dA, domA, codA), len(domA))
+        hA = len(zA) - linalg.rank(_q_matrix(dA, prevA, domA))
+        zB = linalg.kernel_basis(_q_matrix(dB, domB, codB), len(domB))
+        imB = _q_matrix(dB, prevB, domB)
         rB = linalg.rank(imB)
         hB = len(zB) - rB
 
         # induced map: images of cycle basis vectors, modulo boundaries of B
-        img_rows = [list(r) for r in imB if any(r)]
-        fz_rows = []
-        for z in zA:
-            v = {out: Fraction(0) for out in domB}
-            for j, l in enumerate(domA):
-                if z[j]:
-                    for out, q in f1_e.get((l,), {}).items():
-                        v[out] += z[j] * q
-            fz_rows.append([v[out] for out in domB])
-        base = linalg.rank(img_rows)
-        rk = linalg.rank(img_rows + fz_rows) - base
+        fz = [_apply(f1, dict(zip(domA, z))) for z in zA]
+        rk = linalg.rank([row + [v.get(out, Fraction(0)) for v in fz]
+                          for row, out in zip(imB, domB)]) - rB
         cert.append((d, hA, hB, rk))
         if hA != hB or rk != hA:
             ok = False

@@ -22,12 +22,15 @@ from .gradedcore import (
     GradedSpace,
     OperationSystem,
     OperationTable,
+    _add_scaled,
+    _linear,
+    _q_matrix,
     apply_operation,
     vec_add,
     vec_is_zero,
 )
 from .geomsign import eta_from_phases
-from .novikov import NovikovElement, as_fraction, nov_add, nov_valuation
+from .novikov import NovikovElement, as_fraction, nov_valuation
 from .novmat import NovMatrix, smith_valuations
 
 ZERO = Fraction(0)
@@ -103,12 +106,6 @@ class LagrangianPresentation:
     def space(self):
         return self.algebra.source
 
-    def double_point(self, pair):
-        for dp in self.double_points:
-            if dp.pair == tuple(pair):
-                return dp
-        raise KeyError(pair)
-
 
 def presentation_space(n, homology_ranks, double_points, prefix="") -> GradedSpace:
     basis = []
@@ -162,10 +159,6 @@ class BoundingCochain:
     element: dict  # label -> NovikovElement, degree 0, valuation > 0
     certified: bool = False
 
-    def valuation(self):
-        vals = [nov_valuation(v) for v in self.element.values() if not v.is_zero()]
-        return min(vals) if vals else math.inf
-
 
 def _element_of(b):
     return b.element if isinstance(b, BoundingCochain) else dict(b)
@@ -193,29 +186,29 @@ def _check_twistable(alg, b):
     return min_val
 
 
-def _twist_tables(alg, b):
-    """Insertion expansion: acc[(k, lam, mu)] sparse tables of m^b."""
+def _twist_tables(sys, b, max_ext=None):
+    """Every insertion of b into the stored tables of ``sys``.
+
+    Each slot of a stored entry takes either b or an external input, with at
+    most ``max_ext`` external slots (no bound for None); a branch stops once
+    its energy passes the cutoff.  Returns {(k, lam, mu): {external inputs:
+    {out: q}}} with k the number of external slots.
+    """
     acc = {}
-    for (big_k, lam0, mu0), table in alg.tables.items():
+    for (big_k, lam0, mu0), table in sys.tables.items():
         for in_labels, outs in table.entries.items():
 
             def go(idx, ext, lam, mu, coeff):
-                if lam0 + lam > alg.cutoff:
+                if lam0 + lam > sys.cutoff:
                     return
                 if idx == big_k:
                     key = (len(ext), lam0 + lam, mu0 + mu)
-                    tgt = acc.setdefault(key, {}).setdefault(tuple(ext), {})
-                    for out_label, q in outs.items():
-                        c = tgt.get(out_label, ZERO) + coeff * q
-                        if c:
-                            tgt[out_label] = c
-                        else:
-                            tgt.pop(out_label, None)
+                    _add_scaled(acc.setdefault(key, {}).setdefault(tuple(ext), {}),
+                                outs, coeff)
                     return
                 label = in_labels[idx]
-                # external slot
-                go(idx + 1, ext + [label], lam, mu, coeff)
-                # b slot
+                if max_ext is None or len(ext) < max_ext:
+                    go(idx + 1, ext + [label], lam, mu, coeff)
                 bv = b.get(label)
                 if bv is not None:
                     for c, l, m in bv.terms:
@@ -223,6 +216,23 @@ def _twist_tables(alg, b):
 
             go(0, [], ZERO, 0, Fraction(1))
     return acc
+
+
+def _fold(tables, k, flavor, cutoff):
+    """The arity-k part of ``_twist_tables`` as {external inputs: vector},
+    one Novikov element per output."""
+    terms = {}
+    for (kk, lam, mu), entries in tables.items():
+        if kk != k:
+            continue
+        for ext, outs in entries.items():
+            for out_label, q in outs.items():
+                terms.setdefault(ext, {}).setdefault(out_label, []).append((q, lam, mu))
+    folded = {}
+    for ext, by_out in terms.items():
+        vec = {l: NovikovElement.make(t, flavor, cutoff) for l, t in by_out.items()}
+        folded[ext] = {l: v for l, v in vec.items() if not v.is_zero()}
+    return folded
 
 
 def _twist_monoid(alg, b):
@@ -260,32 +270,7 @@ def mc_residual(alg: OperationSystem, b):
     """(sum_k m_k(b, ..., b), verified-zero flag), truncated at the cutoff."""
     b = _element_of(b)
     _check_twistable(alg, b)
-    out = {}
-    for (big_k, lam0, mu0), table in alg.tables.items():
-        for in_labels, outs in table.entries.items():
-
-            def go(idx, lam, mu, coeff):
-                if lam0 + lam > alg.cutoff:
-                    return
-                if idx == big_k:
-                    for out_label, q in outs.items():
-                        term = NovikovElement.monomial(
-                            coeff * q, lam0 + lam, mu0 + mu, alg.flavor, alg.cutoff
-                        )
-                        if term.is_zero():
-                            continue
-                        out[out_label] = (
-                            nov_add(out[out_label], term) if out_label in out else term
-                        )
-                    return
-                bv = b.get(in_labels[idx])
-                if bv is None:
-                    return
-                for c, l, m in bv.terms:
-                    go(idx + 1, lam + l, mu + m, coeff * c)
-
-            go(0, ZERO, 0, Fraction(1))
-    residual = {l: v for l, v in out.items() if not v.is_zero()}
+    residual = _fold(_twist_tables(alg, b, 0), 0, alg.flavor, alg.cutoff).get((), {})
     return residual, vec_is_zero(residual)
 
 
@@ -312,8 +297,7 @@ def mc_solve(alg: OperationSystem):
     cohomology).
     """
     space = alg.source
-    d = alg.table(1, ZERO, 0)
-    d_entries = d.entries if d else {}
+    d = _linear(alg.table(1, ZERO, 0))
     b = {}
     for level in alg.monoid.positive_energies(alg.cutoff):
         residual, _ = mc_residual(alg, b)
@@ -326,11 +310,10 @@ def mc_solve(alg: OperationSystem):
             target = by_mu[mu]
             dom = space.labels_of_degree(-2 * mu)
             cod = space.labels_of_degree(1 - 2 * mu)
-            mat = [[d_entries.get((l,), {}).get(out, ZERO) for l in dom] for out in cod]
             rhs = [-target.get(out, ZERO) for out in cod]
-            sol = linalg.solve(mat, rhs) if dom else (None if any(rhs) else [])
+            sol = linalg.solve(_q_matrix(d, dom, cod), rhs, len(dom))
             if sol is None:
-                cls = _cohomology_class(target, space, d_entries, 1 - 2 * mu)
+                cls = _cohomology_class(target, space, d, 1 - 2 * mu)
                 return Obstruction(level, mu, cls)
             delta = {}
             for j, l in enumerate(dom):
@@ -343,20 +326,17 @@ def mc_solve(alg: OperationSystem):
         # leftover residual above every solvable level within the cutoff
         for label, val in sorted(residual.items()):
             coeff, lam, mu = val.terms[0]
-            cls = _cohomology_class({label: coeff}, space, d_entries, 1 - 2 * mu)
+            cls = _cohomology_class({label: coeff}, space, d, 1 - 2 * mu)
             return Obstruction(lam, mu, cls)
     return BoundingCochain(b, certified=True)
 
 
-def _cohomology_class(target, space, d_entries, out_degree):
+def _cohomology_class(target, space, d, out_degree):
     """Reduce a degree-``out_degree`` vector modulo Im m_1^{0,0}."""
     prev = space.labels_of_degree(out_degree - 1)
     cod = space.labels_of_degree(out_degree)
-    image_rows = []
-    for l in prev:
-        row = [d_entries.get((l,), {}).get(out, ZERO) for out in cod]
-        if any(row):
-            image_rows.append(row)
+    # one row per image vector d(l), in the coordinates of cod
+    image_rows = [row for row in zip(*_q_matrix(d, prev, cod)) if any(row)]
     vec = [target.get(out, ZERO) for out in cod]
     if image_rows:
         rref, pivots = linalg.row_reduce(image_rows)
@@ -440,39 +420,12 @@ def gauge_act(j: OperationSystem, b, target_alg: OperationSystem = None):
     bc = b if isinstance(b, BoundingCochain) else BoundingCochain(_element_of(b))
     b = _element_of(b)
     _check_twistable(j, b)
-    jb = {}
+    tables = _twist_tables(j, b, 1)
+    jb = _fold(tables, 0, j.flavor, j.cutoff).get((), {})
     transport = NovMatrix(j.target.labels, j.source.labels, j.flavor, j.cutoff)
-    for (big_k, lam0, mu0), table in j.tables.items():
-        for in_labels, outs in table.entries.items():
-
-            def go(idx, slot, lam, mu, coeff):
-                if lam0 + lam > j.cutoff:
-                    return
-                if idx == big_k:
-                    for out_label, q in outs.items():
-                        term = NovikovElement.monomial(
-                            coeff * q, lam0 + lam, mu0 + mu, j.flavor, j.cutoff
-                        )
-                        if term.is_zero():
-                            continue
-                        if slot is None:
-                            jb[out_label] = (
-                                nov_add(jb[out_label], term) if out_label in jb else term
-                            )
-                        else:
-                            transport.set(out_label, slot,
-                                          nov_add(transport.get(out_label, slot), term))
-                    return
-                label = in_labels[idx]
-                if slot is None:
-                    go(idx + 1, label, lam, mu, coeff)  # this slot is the argument
-                bv = b.get(label)
-                if bv is not None:
-                    for c, l, m in bv.terms:
-                        go(idx + 1, slot, lam + l, mu + m, coeff * c)
-
-            go(0, None, ZERO, 0, Fraction(1))
-    jb = {l: v for l, v in jb.items() if not v.is_zero()}
+    for (arg,), column in _fold(tables, 1, j.flavor, j.cutoff).items():
+        for out_label, v in column.items():
+            transport.data[(out_label, arg)] = v
     vals = [nov_valuation(v) for v in jb.values()]
     if vals and min(vals) <= 0:
         raise AinfError("transported cochain has valuation 0")
@@ -504,20 +457,6 @@ class HFReport:
             lines.append(f"  HF^{k}: free rank {g['free']}"
                          + (f", torsion [{tor}]" if g["torsion"] else ""))
         return "\n".join(lines)
-
-
-def _differential_matrix(alg: OperationSystem) -> NovMatrix:
-    lin = OperationSystem.morphism(alg.source, alg.target, alg.monoid,
-                                   alg.flavor, alg.cutoff, [])
-    m = NovMatrix(alg.target.labels, alg.source.labels, alg.flavor, alg.cutoff)
-    for (k, lam, mu), table in alg.tables.items():
-        if k != 1:
-            continue
-        for (src,), outs in table.entries.items():
-            for dst, q in outs.items():
-                term = NovikovElement.monomial(q, lam, mu, alg.flavor, alg.cutoff)
-                m.set(dst, src, nov_add(m.get(dst, src), term))
-    return m
 
 
 def _truncate_matrix(m: NovMatrix, cutoff) -> NovMatrix:
@@ -579,7 +518,7 @@ def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
             raise AinfError("bounding cochain is not certified and fails the "
                             "Maurer-Cartan equation")
     twisted = twist(pres.algebra, bc.element)
-    dmat = _differential_matrix(twisted)
+    dmat = NovMatrix.from_linear_tables(twisted)
     square = dmat.matmul(dmat)
     if any(not v.is_zero() for v in square.data.values()):
         raise NotAComplexError("twisted differential does not square to zero "
@@ -613,7 +552,7 @@ def hf_product(pres: LagrangianPresentation, b, x: dict, y: dict):
     with a cycle certificate for the output.  k, l are the HF-degrees
     (element degree + 1)."""
     twisted = twist(pres.algebra, _element_of(b))
-    dmat = _differential_matrix(twisted)
+    dmat = NovMatrix.from_linear_tables(twisted)
     for name, vec in (("x", x), ("y", y)):
         img = dmat.apply(vec)
         if not vec_is_zero(img):
@@ -647,6 +586,8 @@ def union_sectors(presA: LagrangianPresentation, presB: LagrangianPresentation,
     labels_b = set(presB.space.labels)
     if labels_a & labels_b:
         raise AinfError(f"label collision: {sorted(labels_a & labels_b)}")
+    if any(t.role != "algebra" for t in cross_tables):
+        raise AinfError("cross tables must be algebra tables")
     cross_points = list(cross_points)
     _validate_double_points(presA.n, cross_points)
     sector = {l: "AA" for l in labels_a}
@@ -666,27 +607,16 @@ def union_sectors(presA: LagrangianPresentation, presB: LagrangianPresentation,
         list(presA.algebra.monoid.generators) + list(presB.algebra.monoid.generators)
         + [g for t in cross_tables for g in [(t.lam, t.mu)] if t.lam > 0]
     )
-    tables = {}
-    for sys in (presA.algebra, presB.algebra):
-        for key, t in sys.tables.items():
-            if key in tables:
-                merged = dict(tables[key].entries)
-                merged.update(t.entries)
-                tables[key] = OperationTable(t.k, t.lam, t.mu, "algebra", merged)
-            else:
-                tables[key] = t
-    for t in cross_tables:
-        if t.key in tables:
-            merged = dict(tables[t.key].entries)
-            for i, o in t.entries.items():
-                tgt = merged.setdefault(i, {})
-                for lbl, c in o.items():
-                    tgt[lbl] = tgt.get(lbl, ZERO) + c
-            tables[t.key] = OperationTable(t.k, t.lam, t.mu, "algebra", merged)
-        else:
-            tables[t.key] = t
+    entries = {}
+    for t in [*presA.algebra.tables.values(), *presB.algebra.tables.values(),
+              *cross_tables]:
+        merged = entries.setdefault(t.key, {})
+        for i, o in t.entries.items():
+            _add_scaled(merged.setdefault(i, {}), o)
     alg = OperationSystem.algebra(space, monoid, presA.algebra.flavor,
-                                  presA.algebra.cutoff, tables.values())
+                                  presA.algebra.cutoff,
+                                  [OperationTable(k, lam, mu, "algebra", e)
+                                   for (k, lam, mu), e in entries.items()])
     ranks = dict(presA.homology_ranks)
     for d, r in presB.homology_ranks.items():
         ranks[d] = ranks.get(d, 0) + r
@@ -782,8 +712,8 @@ def rescale_regrade(pres: LagrangianPresentation, assignments: dict,
                 if lam2 < 0:
                     algebra_wall = True
                     continue
-                tgt = new_tables.setdefault((k, lam2, mu2), {}).setdefault(inputs, {})
-                tgt[out_label] = tgt.get(out_label, ZERO) + q
+                entry = new_tables.setdefault((k, lam2, mu2), {}).setdefault(inputs, {})
+                _add_scaled(entry, {out_label: q})
 
     transported = None
     t_val = None
@@ -841,8 +771,8 @@ def _check_intertwining(pres, pres2, label_shift):
                     oc, od = label_shift.get(out_label, (ZERO, 0))
                     key = (k, lam + sign * (dc - oc), mu + sign * (dd - od),
                            inputs, out_label)
-                    out[key] = out.get(key, ZERO) + q
-        return {k: v for k, v in out.items() if v}
+                    _add_scaled(out, {key: q})
+        return out
 
     forward = shifted_entries(pres.algebra, +1)
     plain = shifted_entries(pres2.algebra, 0)

@@ -52,11 +52,6 @@ class EnergyMonoid:
             gens.append((lam, mu))
         return EnergyMonoid(tuple(sorted(set(gens))))
 
-    @property
-    def lambda0(self):
-        """Minimal positive generator energy; +inf for the trivial monoid."""
-        return min((l for l, _ in self.generators), default=math.inf)
-
     def contains(self, key) -> bool:
         lam, mu = as_fraction(key[0]), int(key[1])
         if lam <= 0:

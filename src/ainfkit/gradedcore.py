@@ -67,18 +67,56 @@ class GradedSpace:
         return not self.basis
 
 
-# A sparse Q-multilinear table: {input label tuple: {output label: coeff}}
-def table_entries(pairs):
+# A sparse Q-multilinear table: {input label tuple: {output label: coeff}}.
+# A linear map is {label: {output label: coeff}}, a Q-vector {label: coeff}.
+
+def _add_scaled(target: dict, outs: dict, coeff=1) -> dict:
+    """target += coeff * outs entrywise; entries that cancel are removed."""
+    for label, q in outs.items():
+        c = target.get(label, 0) + coeff * q
+        if c:
+            target[label] = c
+        else:
+            target.pop(label, None)
+    return target
+
+
+def _apply(matrix: dict, vec: dict) -> dict:
+    """The linear map ``matrix`` applied to the Q-vector ``vec``."""
     out = {}
-    for inputs, outputs in pairs:
-        tgt = out.setdefault(tuple(inputs), {})
-        for label, coeff in outputs.items():
-            c = tgt.get(label, Fraction(0)) + as_fraction(coeff)
-            if c:
-                tgt[label] = c
-            else:
-                tgt.pop(label, None)
-    return {k: v for k, v in out.items() if v}
+    for label, c in vec.items():
+        row = matrix.get(label)
+        if row:
+            _add_scaled(out, row, c)
+    return out
+
+
+def _apply_each(matrix: dict, table: dict) -> dict:
+    """``matrix`` applied to every output of ``table``; empty outputs dropped."""
+    out = {}
+    for inputs, vec in table.items():
+        image = _apply(matrix, vec)
+        if image:
+            out[inputs] = image
+    return out
+
+
+def _linear(table) -> dict:
+    """A unary OperationTable (or None) as the linear map {label: outputs}."""
+    return {l: outs for (l,), outs in table.entries.items()} if table else {}
+
+
+def _q_matrix(matrix: dict, dom, cod):
+    """Dense rows, one per ``cod`` label, of ``matrix`` on the ``dom`` labels."""
+    zero = Fraction(0)
+    return [[matrix.get(l, {}).get(out, zero) for l in dom] for out in cod]
+
+
+def _check_square_zero(d: dict):
+    """Raise NotAComplexError unless the linear map d squares to zero."""
+    for label, outs in d.items():
+        if _apply(d, outs):
+            raise NotAComplexError(f"differential squared is nonzero on {label}")
 
 
 @dataclass
@@ -175,12 +213,6 @@ class OperationSystem:
     def table(self, k, lam, mu) -> OperationTable | None:
         return self.tables.get((k, as_fraction(lam), mu))
 
-    def arities(self):
-        return sorted({k for k, _, _ in self.tables})
-
-    def keys_of_arity(self, k):
-        return sorted(((lam, mu) for kk, lam, mu in self.tables if kk == k))
-
     def q_apply(self, k, lam, mu, labels) -> dict:
         """Single-table application to a basis tuple; {} if table absent."""
         t = self.table(k, lam, mu)
@@ -191,17 +223,6 @@ class OperationSystem:
     def with_tables(self, tables):
         return OperationSystem(self.source, self.target, self.monoid, self.flavor,
                                self.cutoff, self.role, {t.key: t for t in tables})
-
-    def zero_vector(self):
-        return {}
-
-    def describe(self):
-        return {
-            "role": self.role,
-            "flavor": self.flavor,
-            "cutoff": str(self.cutoff),
-            "keys": [(k, str(l), m) for k, l, m in sorted(self.tables)],
-        }
 
 
 # -- vectors over the Novikov ring ------------------------------------------
@@ -214,24 +235,8 @@ def vec_add(u: dict, v: dict) -> dict:
     return {l: x for l, x in out.items() if not x.is_zero()}
 
 
-def vec_scale(v: dict, scalar: NovikovElement) -> dict:
-    out = {}
-    for label, val in v.items():
-        prod = nov_mul(val, scalar)
-        if not prod.is_zero():
-            out[label] = prod
-    return out
-
-
 def vec_is_zero(v: dict) -> bool:
     return all(x.is_zero() for x in v.values())
-
-
-def vec_from_q(qvec: dict, flavor, cutoff, lam=0, mu=0) -> dict:
-    return {
-        label: NovikovElement.monomial(c, lam, mu, flavor, cutoff)
-        for label, c in qvec.items() if c
-    }
 
 
 def apply_operation(sys: OperationSystem, k: int, inputs) -> dict:
@@ -342,28 +347,15 @@ def cohomology_ranks(space: GradedSpace, d_table: OperationTable) -> dict:
     """Per-degree Betti numbers of (space, d) over Q by exact row reduction."""
     if d_table.k != 1 or d_table.lam != 0 or d_table.mu != 0:
         raise ValueError("differential must be the (1, 0, 0) table")
-    # check d*d = 0
-    for inputs, outputs in d_table.entries.items():
-        acc = {}
-        for mid, c1 in outputs.items():
-            for out, c2 in d_table.entries.get((mid,), {}).items():
-                acc[out] = acc.get(out, Fraction(0)) + c1 * c2
-        if any(acc.values()):
-            raise NotAComplexError(f"d(d({inputs[0]})) != 0")
+    dmap = _linear(d_table)
+    _check_square_zero(dmap)
     ranks = {}
     degs = space.degrees()
-    rank_at = {}
+    rank_at = {d: linalg.rank(_q_matrix(dmap, space.labels_of_degree(d),
+                                        space.labels_of_degree(d + 1)))
+               for d in degs}
     for d in degs:
-        dom = space.labels_of_degree(d)
-        cod = space.labels_of_degree(d + 1)
-        mat = [
-            [d_table.entries.get((l,), {}).get(out, Fraction(0)) for l in dom]
-            for out in cod
-        ]
-        rank_at[d] = linalg.rank(mat) if dom and cod else 0
-    for d in degs:
-        dim_d = len(space.labels_of_degree(d))
-        b = dim_d - rank_at.get(d, 0) - rank_at.get(d - 1, 0)
+        b = len(space.labels_of_degree(d)) - rank_at[d] - rank_at.get(d - 1, 0)
         if b:
             ranks[d] = b
     return ranks

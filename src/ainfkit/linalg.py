@@ -95,22 +95,24 @@ def kernel_basis(mat, n_cols):
     return basis
 
 
-def solve(mat, rhs):
-    """One solution x of mat @ x = rhs, or None.  Deterministic (free vars 0)."""
-    rows = len(mat)
-    if rows == 0:
-        return []
-    cols = len(mat[0])
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
+def solve(mat, rhs, n_cols):
+    """One solution x of mat @ x = rhs, or None.  Deterministic (free vars 0).
+
+    ``n_cols`` is the number of unknowns, which a matrix without rows does
+    not carry; the zero vector solves that case.
+    """
+    if not mat:
+        return [Fraction(0)] * n_cols
+    aug = [list(row) + [c] for row, c in zip(mat, rhs)]
     rref, pivots = row_reduce(aug)
     for r in range(len(rref)):
-        if all(rref[r][c] == 0 for c in range(cols)) and rref[r][cols] != 0:
+        if all(rref[r][c] == 0 for c in range(n_cols)) and rref[r][n_cols] != 0:
             return None
-    x = [Fraction(0)] * cols
+    x = [Fraction(0)] * n_cols
     for r, pc in enumerate(pivots):
-        if pc == cols:
+        if pc == n_cols:
             return None
-        x[pc] = rref[r][cols]
+        x[pc] = rref[r][n_cols]
     return x
 
 

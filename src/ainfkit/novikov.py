@@ -100,10 +100,6 @@ class NovikovElement:
     def monomial(coeff, lam, mu, flavor, cutoff) -> "NovikovElement":
         return NovikovElement.make([(coeff, lam, mu)], flavor, cutoff)
 
-    @staticmethod
-    def from_rational(q, flavor, cutoff) -> "NovikovElement":
-        return NovikovElement.make([(q, 0, 0)], flavor, cutoff)
-
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -127,13 +123,6 @@ class NovikovElement:
         return NovikovElement.make(
             ((c, l + lam, m + mu) for c, l, m in self.terms), self.flavor, self.cutoff
         )
-
-    def coefficient(self, lam, mu) -> Fraction:
-        lam = as_fraction(lam)
-        for c, l, m in self.terms:
-            if l == lam and m == mu:
-                return c
-        return Fraction(0)
 
     def retag(self, flavor=None, cutoff=None) -> "NovikovElement":
         return NovikovElement.make(

@@ -28,16 +28,21 @@ from fractions import Fraction
 from itertools import islice
 
 from . import linalg
-from .errors import (
-    AinfError,
-    MalformedMorphismError,
-    MissingDataError,
-    NotAComplexError,
-)
+from .errors import AinfError, MalformedMorphismError, MissingDataError
 from .gapped import ZERO_KEY, EnergyMonoid, monoid_elements, monoid_norm
-from .gradedcore import GradedSpace, OperationSystem, OperationTable
+from .gradedcore import (
+    GradedSpace,
+    OperationSystem,
+    OperationTable,
+    _add_scaled,
+    _apply,
+    _apply_each,
+    _check_square_zero,
+    _linear,
+    _q_matrix,
+)
 from .ainfty import is_weak_homotopy_equiv
-from .novikov import NovikovElement, as_fraction
+from .novikov import NovikovElement, as_fraction, nov_add
 from .novmat import NovMatrix, strip_e_powers
 
 
@@ -166,21 +171,6 @@ class Splitting:
     c_labels: list = field(default_factory=list)  # informational
 
 
-def _d_matrix(alg, dom, cod):
-    d = alg.table(1, Fraction(0), 0)
-    entries = d.entries if d else {}
-    return [[entries.get((l,), {}).get(out, Fraction(0)) for l in dom] for out in cod]
-
-
-def _apply_entries(entries, vec):
-    """Apply a {(l,): {out: q}} unary table to a coordinate dict."""
-    out = {}
-    for l, c in vec.items():
-        for target, q in entries.get((l,), {}).items():
-            out[target] = out.get(target, Fraction(0)) + c * q
-    return {t: c for t, c in out.items() if c}
-
-
 def _assemble_splitting(space: GradedSpace, b_named, c_vecs, dc_vecs) -> Splitting:
     """Build include / project / h from per-degree column data.
 
@@ -219,27 +209,13 @@ def _assemble_splitting(space: GradedSpace, b_named, c_vecs, dc_vecs) -> Splitti
                     pr[tag] = coord
                 elif tag_kind == "dc":
                     # H(d c_i) = c_i, one degree down
-                    cvec = c_vecs[dd - 1][tag]
-                    below = by_deg.get(dd - 1, [])
-                    for j, val in enumerate(cvec):
-                        if val:
-                            hv[below[j]] = hv.get(below[j], Fraction(0)) + coord * val
+                    _add_scaled(hv, dict(zip(by_deg[dd - 1], c_vecs[dd - 1][tag])), coord)
             if pr:
                 project[a_label] = pr
             if hv:
                 h[a_label] = hv
     c_labels = [f"c{dd}:{i}" for dd in degrees for i in range(len(c_vecs.get(dd, [])))]
     return Splitting(space, GradedSpace.make(b_basis), include, project, h, c_labels)
-
-
-def _check_square_zero(entries):
-    for (l,), outs in entries.items():
-        acc = {}
-        for mid, c in outs.items():
-            for out, c2 in entries.get((mid,), {}).items():
-                acc[out] = acc.get(out, Fraction(0)) + c * c2
-        if any(acc.values()):
-            raise NotAComplexError(f"differential squared is nonzero on {l}")
 
 
 def splitting(alg: OperationSystem) -> Splitting:
@@ -250,41 +226,26 @@ def splitting(alg: OperationSystem) -> Splitting:
     differential, B extends the image inside the kernel using the kernel
     basis, leftmost pivots first, so the output is reproducible run-to-run.
     """
-    d = alg.table(1, Fraction(0), 0)
-    entries = d.entries if d else {}
-    _check_square_zero(entries)
+    d = _linear(alg.table(1, Fraction(0), 0))
+    _check_square_zero(d)
     space = alg.source
     degrees = space.degrees()
     by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
-
-    def dmat(dd):
-        dom = by_deg.get(dd, [])
-        cod = by_deg.get(dd + 1, [])
-        return [[entries.get((l,), {}).get(out, Fraction(0)) for l in dom] for out in cod]
-
+    mats = {dd: _q_matrix(d, by_deg[dd], space.labels_of_degree(dd + 1))
+            for dd in degrees}
     c_vecs, dc_vecs, b_named = {}, {}, {}
-    counter = 0
     for dd in degrees:
-        dom = by_deg.get(dd, [])
-        if not dom:
-            continue
-        mat = dmat(dd)
-        _, pivots = linalg.row_reduce(mat) if mat else ([], [])
+        _, pivots = linalg.row_reduce(mats[dd])
         c_vecs[dd] = [
-            [Fraction(1) if j == p else Fraction(0) for j in range(len(dom))]
+            [Fraction(1) if j == p else Fraction(0) for j in range(len(by_deg[dd]))]
             for p in pivots
         ]
+        dc_vecs[dd + 1] = [linalg.mat_vec(mats[dd], v) for v in c_vecs[dd]]
+    counter = 0
     for dd in degrees:
-        mat = dmat(dd)
-        below = c_vecs.get(dd, [])
-        dc_vecs[dd + 1] = [linalg.mat_vec(mat, v) for v in below] if below and mat else []
-    for dd in degrees:
-        dom = by_deg.get(dd, [])
-        if not dom:
-            continue
-        inside = [list(v) for v in c_vecs.get(dd, [])] + [list(v) for v in dc_vecs.get(dd, [])]
-        mat = dmat(dd)
-        kb = linalg.kernel_basis(mat, len(dom)) if mat else linalg.identity(len(dom))
+        dom = by_deg[dd]
+        inside = c_vecs[dd] + dc_vecs.get(dd, [])
+        kb = linalg.kernel_basis(mats[dd], len(dom))
         chosen = linalg.extend_to_complement(inside, len(dom), kb)
         named = []
         for v in chosen:
@@ -316,16 +277,7 @@ class _TreeEngine:
         self._memo = {}
 
     def edge_applied(self, table):
-        out = {}
-        for inputs, vec in table.items():
-            acc = {}
-            for a_label, c in vec.items():
-                for target, ec in self.edge_matrix.get(a_label, {}).items():
-                    acc[target] = acc.get(target, Fraction(0)) + c * ec
-            acc = {t: c for t, c in acc.items() if c}
-            if acc:
-                out[inputs] = acc
-        return out
+        return _apply_each(self.edge_matrix, table)
 
     def S(self, k: int, key) -> dict:
         """Root-vertex evaluation sum over all decorated trees with k leaves
@@ -406,13 +358,7 @@ class _TreeEngine:
                     yield from assign(idx + 1, acc_inputs + c_inputs, acc_coeff * c)
 
             for inputs, coeff in assign(0, (), Fraction(1)):
-                for out_label, q in v_outs.items():
-                    tgt = result.setdefault(inputs, {})
-                    c = tgt.get(out_label, Fraction(0)) + coeff * q
-                    if c:
-                        tgt[out_label] = c
-                    else:
-                        tgt.pop(out_label, None)
+                _add_scaled(result.setdefault(inputs, {}), v_outs, coeff)
 
 
 def _admissible_keys(monoid, cutoff, level=None, kmax=None):
@@ -426,19 +372,6 @@ def _admissible_keys(monoid, cutoff, level=None, kmax=None):
         else:
             for k in range(0, kmax + 1):
                 out.append((k, key))
-    return out
-
-
-def _project_table(table, project):
-    out = {}
-    for inputs, vec in table.items():
-        acc = {}
-        for a_label, c in vec.items():
-            for b_label, pc in project.get(a_label, {}).items():
-                acc[b_label] = acc.get(b_label, Fraction(0)) + c * pc
-        acc = {b: c for b, c in acc.items() if c}
-        if acc:
-            out[inputs] = acc
     return out
 
 
@@ -467,37 +400,15 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     n_tables, i_tables = [], []
     for k, key in _admissible_keys(alg.monoid, alg.cutoff, level, kmax):
         s = engine.S(k, key)
-        n_entries = _project_table(s, split.project)
+        n_entries = _apply_each(split.project, s)
         i_entries = engine.edge_applied(s)
         if (k, key) == (1, ZERO_KEY):
             # n_1^{0,0} = Pi m_1^{0,0} i ; i_1^{0,0} = the plain inclusion
-            d = alg.table(1, Fraction(0), 0)
-            d_entries = d.entries if d else {}
+            d = _linear(alg.table(1, Fraction(0), 0))
             for b_label, vec in split.include.items():
-                img = {}
-                for a_label, c in vec.items():
-                    for out, q in d_entries.get((a_label,), {}).items():
-                        img[out] = img.get(out, Fraction(0)) + c * q
-                acc = {}
-                for a_label, c in img.items():
-                    for bl, pc in split.project.get(a_label, {}).items():
-                        acc[bl] = acc.get(bl, Fraction(0)) + c * pc
-                acc = {b: c for b, c in acc.items() if c}
-                if acc:
-                    tgt = n_entries.setdefault((b_label,), {})
-                    for b2, c in acc.items():
-                        v = tgt.get(b2, Fraction(0)) + c
-                        if v:
-                            tgt[b2] = v
-                        else:
-                            tgt.pop(b2, None)
-                tgt = i_entries.setdefault((b_label,), {})
-                for a_label, c in vec.items():
-                    v = tgt.get(a_label, Fraction(0)) + c
-                    if v:
-                        tgt[a_label] = v
-                    else:
-                        tgt.pop(a_label, None)
+                _add_scaled(n_entries.setdefault((b_label,), {}),
+                            _apply(split.project, _apply(d, vec)))
+                _add_scaled(i_entries.setdefault((b_label,), {}), vec)
         n_entries = {i: o for i, o in n_entries.items() if o}
         i_entries = {i: o for i, o in i_entries.items() if o}
         if n_entries:
@@ -525,111 +436,71 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
     chain map (H_K is the contraction of the acyclic kernel subcomplex), and
     B = s(D) works.
     """
-    p1 = p.table(1, Fraction(0), 0)
-    p1_e = p1.entries if p1 else {}
+    p1 = _linear(p.table(1, Fraction(0), 0))
+    d = _linear(alg.table(1, Fraction(0), 0))
+    dD = _linear(D.table(1, Fraction(0), 0))
     space = alg.source
-    d = alg.table(1, Fraction(0), 0)
-    d_entries = d.entries if d else {}
-    dD = D.table(1, Fraction(0), 0)
-    dD_e = dD.entries if dD else {}
     degrees = sorted(set(space.degrees()) | set(D.source.degrees()))
     by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
-
-    def dmat(dd):
-        dom = by_deg.get(dd, [])
-        cod = by_deg.get(dd + 1, [])
-        return [[d_entries.get((l,), {}).get(out, Fraction(0)) for l in dom] for out in cod]
+    mats = {dd: _q_matrix(d, by_deg[dd], space.labels_of_degree(dd + 1))
+            for dd in degrees}
 
     # kernel of p_1^{0,0} per degree, then C inside it via pivots of d|_K
-    kernel_rows, c_vecs, dc_vecs = {}, {}, {}
+    c_vecs, dc_vecs = {}, {}
     for dd in degrees:
-        dom = by_deg.get(dd, [])
-        cod = p.target.labels_of_degree(dd)
-        mat = [[p1_e.get((l,), {}).get(out, Fraction(0)) for l in dom] for out in cod]
-        kernel_rows[dd] = linalg.kernel_basis(mat, len(dom)) if dom else []
-    for dd in degrees:
-        rows = kernel_rows.get(dd, [])
-        mat = dmat(dd)
-        if not rows or not mat:
-            c_vecs[dd] = []
-            continue
-        dK = [linalg.mat_vec(mat, v) for v in rows]
+        dom = by_deg[dd]
+        rows = linalg.kernel_basis(
+            _q_matrix(p1, dom, p.target.labels_of_degree(dd)), len(dom))
+        dK = [linalg.mat_vec(mats[dd], v) for v in rows]
         cols = [list(col) for col in zip(*dK)]
-        _, pivots = linalg.row_reduce(cols) if cols else ([], [])
+        _, pivots = linalg.row_reduce(cols)
         c_vecs[dd] = [rows[p_] for p_ in pivots]
-    for dd in degrees:
-        mat = dmat(dd)
-        below = c_vecs.get(dd, [])
-        dc_vecs[dd + 1] = [linalg.mat_vec(mat, v) for v in below] if below and mat else []
+        dc_vecs[dd + 1] = [linalg.mat_vec(mats[dd], v) for v in c_vecs[dd]]
 
     # contraction H_K of the kernel subcomplex: solve coords in [C | dC]
     def h_kernel(dd, vec_dict):
         dom = by_deg.get(dd, [])
-        cols = [list(v) for v in c_vecs.get(dd, [])] + [list(v) for v in dc_vecs.get(dd, [])]
+        cols = c_vecs.get(dd, []) + dc_vecs.get(dd, [])
         if not cols:
             if any(vec_dict.values()):
                 raise AinfError("kernel subcomplex is not acyclic")
             return {}
         rhs = [vec_dict.get(l, Fraction(0)) for l in dom]
         mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(dom))]
-        coords = linalg.solve(mat, rhs)
+        coords = linalg.solve(mat, rhs, len(cols))
         if coords is None:
             raise AinfError("vector not in the kernel subcomplex")
         out = {}
         n_c = len(c_vecs.get(dd, []))
-        below = by_deg.get(dd - 1, [])
-        for i, coord in enumerate(coords[n_c:]):
-            if coord:
-                cvec = c_vecs[dd - 1][i]
-                for j, val in enumerate(cvec):
-                    if val:
-                        out[below[j]] = out.get(below[j], Fraction(0)) + coord * val
+        for coord, cvec in zip(coords[n_c:], c_vecs.get(dd - 1, [])):
+            _add_scaled(out, dict(zip(by_deg[dd - 1], cvec)), coord)
         return out
+
+    def section(y, dd, coeff):
+        """A solution x of p_1^{0,0} x = coeff y, as a vector on degree dd."""
+        dom = by_deg.get(dd, [])
+        cod = p.target.labels_of_degree(dd)
+        x = linalg.solve(_q_matrix(p1, dom, cod),
+                         [coeff if out == y else Fraction(0) for out in cod], len(dom))
+        if x is None:
+            raise MalformedMorphismError(f"p_1^(0,0) misses {y}")
+        return {l: c for l, c in zip(dom, x) if c}
 
     # corrected chain section s of p_1^{0,0}
     b_named = {}
     for dd in degrees:
-        dom = by_deg.get(dd, [])
-        d_labels = D.source.labels_of_degree(dd)
-        if not d_labels:
-            continue
-        pmat = [[p1_e.get((l,), {}).get(out, Fraction(0)) for l in dom]
-                for out in p.target.labels_of_degree(dd)]
+        dom = by_deg[dd]
         named = []
-        for y in d_labels:
-            rhs = [Fraction(1) if out == y else Fraction(0)
-                   for out in p.target.labels_of_degree(dd)]
-            s0 = linalg.solve(pmat, rhs)
-            if s0 is None:
-                raise MalformedMorphismError(f"p_1^(0,0) misses {y}")
-            s0_dict = {dom[j]: s0[j] for j in range(len(dom)) if s0[j]}
+        for y in D.source.labels_of_degree(dd):
+            s0 = section(y, dd, Fraction(1))
             # defect = d(s0 y) - s0(d_D y), lands in the kernel
-            defect = _apply_entries(d_entries, s0_dict)
-            dy = dD_e.get((y,), {})
-            s0_dy = {}
-            dom_up = by_deg.get(dd + 1, [])
-            up_labels = D.source.labels_of_degree(dd + 1)
-            if dy:
-                pmat_up = [[p1_e.get((l,), {}).get(out, Fraction(0)) for l in dom_up]
-                           for out in p.target.labels_of_degree(dd + 1)]
-                for y2, c in dy.items():
-                    rhs2 = [c if out == y2 else Fraction(0)
-                            for out in p.target.labels_of_degree(dd + 1)]
-                    sol = linalg.solve(pmat_up, rhs2)
-                    if sol is None:
-                        raise MalformedMorphismError(f"p_1^(0,0) misses {y2}")
-                    for j in range(len(dom_up)):
-                        if sol[j]:
-                            s0_dy[dom_up[j]] = s0_dy.get(dom_up[j], Fraction(0)) + sol[j]
-            for l, c in s0_dy.items():
-                defect[l] = defect.get(l, Fraction(0)) - c
-            defect = {l: c for l, c in defect.items() if c}
-            corr = h_kernel(dd + 1, defect) if defect else {}
-            s_vec = dict(s0_dict)
-            for l, c in corr.items():
-                s_vec[l] = s_vec.get(l, Fraction(0)) - c
+            defect = _apply(d, s0)
+            for y2, c in dD.get(y, {}).items():
+                _add_scaled(defect, section(y2, dd + 1, c), -1)
+            s_vec = _add_scaled(s0, h_kernel(dd + 1, defect) if defect else {}, -1)
             named.append((f"s_{y}", [s_vec.get(l, Fraction(0)) for l in dom]))
-        b_named[dd] = named
+        if named:
+            b_named[dd] = named
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
 
 
@@ -644,14 +515,11 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
     """
     if any(k != 1 for k, _, _ in p.tables):
         raise MalformedMorphismError("p is not strict")
-    p1_00 = p.table(1, Fraction(0), 0)
-    p1_e = p1_00.entries if p1_00 else {}
+    p1 = _linear(p.table(1, Fraction(0), 0))
     # surjectivity of p_1^{0,0} degreewise
     for dd in D.source.degrees():
-        dom = A.source.labels_of_degree(dd)
         cod = D.source.labels_of_degree(dd)
-        mat = [[p1_e.get((l,), {}).get(out, Fraction(0)) for l in dom] for out in cod]
-        if linalg.rank(mat) != len(cod):
+        if linalg.rank(_q_matrix(p1, A.source.labels_of_degree(dd), cod)) != len(cod):
             raise MalformedMorphismError(f"p_1^(0,0) is not surjective in degree {dd}")
     ok, cert = is_weak_homotopy_equiv(p, A, D)
     if not ok:
@@ -659,40 +527,24 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
     split = splitting_for_projection(A, p, D)
     # higher components of p_1 must vanish on Ker p_1^{0,0} = C + dC,
     # i.e. on everything the projection kills
-    killed = {}  # a_label -> (id - i Pi)(a_label) as a vector
-    for a_label, _ in A.source.basis:
-        vec = {a_label: Fraction(1)}
-        for b_label, pc in split.project.get(a_label, {}).items():
-            for a2, ic in split.include[b_label].items():
-                vec[a2] = vec.get(a2, Fraction(0)) - pc * ic
-        killed[a_label] = {l: c for l, c in vec.items() if c}
+    killed = [  # (id - i Pi)(a) for every basis vector a
+        _add_scaled({a: Fraction(1)}, _apply(split.include, split.project.get(a, {})), -1)
+        for a in A.source.labels
+    ]
     for (k, lam, mu), table in p.tables.items():
-        if (lam, mu) == ZERO_KEY:
-            continue
-        for a_label, kern_vec in killed.items():
-            img = {}
-            for l, c in kern_vec.items():
-                for out, q in table.entries.get((l,), {}).items():
-                    img[out] = img.get(out, Fraction(0)) + c * q
-            if any(img.values()):
-                raise MalformedMorphismError(
-                    f"p_1^({lam},{mu}) does not vanish on Ker p_1^(0,0)"
-                )
+        if (lam, mu) != ZERO_KEY and any(_apply(_linear(table), v) for v in killed):
+            raise MalformedMorphismError(
+                f"p_1^({lam},{mu}) does not vanish on Ker p_1^(0,0)"
+            )
     _, incl = minimal_model(A, level=level, kmax=kmax, split=split)
     # invert p_1|B as a Novikov matrix (strip degree-determined e-powers)
     pmat = NovMatrix(D.source.labels, split.b_space.labels, p.flavor, p.cutoff)
     for (k, lam, mu), table in p.tables.items():
+        p_map = _linear(table)
         for b_label, vec in split.include.items():
-            acc = {}
-            for a_label, c in vec.items():
-                for out, q in table.entries.get((a_label,), {}).items():
-                    acc[out] = acc.get(out, Fraction(0)) + c * q
-            for out, c in acc.items():
-                if c:
-                    term = NovikovElement.monomial(c, lam, mu, p.flavor, p.cutoff)
-                    pmat.set(out, b_label,
-                             term if (out, b_label) not in pmat.data
-                             else _nov_sum(pmat.get(out, b_label), term))
+            for out, c in _apply(p_map, vec).items():
+                term = NovikovElement.monomial(c, lam, mu, p.flavor, p.cutoff)
+                pmat.set(out, b_label, nov_add(pmat.get(out, b_label), term))
     stripped = strip_e_powers(pmat, D.source.degree, split.b_space.degree, 0)
     inv = stripped.inverse()  # rows = b labels, cols = D labels
     # restore e-powers: entry b <- d needs mu = (deg d - deg b) / 2
@@ -708,11 +560,6 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
     return q
 
 
-def _nov_sum(a, b):
-    from .novikov import nov_add
-    return nov_add(a, b)
-
-
 def _distribute_precompose(acc, k, base_key, b_inputs, outs, inv_matrix,
                            b_space, d_space, cutoff):
     """Precompose a Q-table entry (on B-labels) with a Novikov matrix whose
@@ -723,13 +570,8 @@ def _distribute_precompose(acc, k, base_key, b_inputs, outs, inv_matrix,
             key = (k, base_key[0] + lam, base_key[1] + mu)
             if key[1] > cutoff:
                 return
-            tgt = acc.setdefault(key, {}).setdefault(tuple(d_inputs), {})
-            for out_label, q in outs.items():
-                c = tgt.get(out_label, Fraction(0)) + coeff * q
-                if c:
-                    tgt[out_label] = c
-                else:
-                    tgt.pop(out_label, None)
+            _add_scaled(acc.setdefault(key, {}).setdefault(tuple(d_inputs), {}),
+                        outs, coeff)
             return
         b_label = b_inputs[idx]
         delta = None
@@ -788,42 +630,23 @@ def filtration_splitting(geo: GeometricData, level: int) -> Splitting:
     d_entries = geo.table(1, ZERO_KEY)
     if d_entries is None:
         raise MissingDataError("(k=1, lam=0, mu=0)")
+    d = {l: outs for (l,), outs in d_entries.items()}
     low_set = {l for l, _ in space.basis if geo.filtration.get(l, 0) <= level}
     degrees = space.degrees()
-    by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
-
-    def dmat(dd):
-        dom = by_deg.get(dd, [])
-        cod = by_deg.get(dd + 1, [])
-        return [[d_entries.get((l,), {}).get(out, Fraction(0)) for l in dom] for out in cod]
-
     c_vecs, dc_vecs, b_named = {}, {}, {}
     for dd in degrees:
-        dom = by_deg.get(dd, [])
-        cod = by_deg.get(dd + 1, [])
-        rows = [
-            [Fraction(1) if dom[j] == l else Fraction(0) for j in range(len(dom))]
-            for l in dom if l not in low_set
-        ]
-        if not rows:
-            c_vecs[dd] = []
-            continue
+        dom = space.labels_of_degree(dd)
+        cod = space.labels_of_degree(dd + 1)
+        high = [l for l in dom if l not in low_set]
         # quotient differential: d followed by killing the low coordinates
-        qmat = [
-            [sum((v[j] * d_entries.get((dom[j],), {}).get(out, Fraction(0))
-                  for j in range(len(dom))), Fraction(0)) for v in rows]
-            for out in cod if out not in low_set
+        qmat = _q_matrix(d, high, [out for out in cod if out not in low_set])
+        _, pivots = linalg.row_reduce(qmat)
+        c_vecs[dd] = [
+            [Fraction(1) if l == high[p] else Fraction(0) for l in dom] for p in pivots
         ]
-        _, pivots = linalg.row_reduce(qmat) if qmat else ([], [])
-        c_vecs[dd] = [rows[p] for p in pivots]
-    for dd in degrees:
-        mat = dmat(dd)
-        below = c_vecs.get(dd, [])
-        dc_vecs[dd + 1] = [linalg.mat_vec(mat, v) for v in below] if below and mat else []
-    for dd in degrees:
-        dom = by_deg.get(dd, [])
+        dc_vecs[dd + 1] = [linalg.mat_vec(_q_matrix(d, dom, cod), v) for v in c_vecs[dd]]
         b_named[dd] = [
-            (l, [Fraction(1) if dom[j] == l else Fraction(0) for j in range(len(dom))])
+            (l, [Fraction(1) if x == l else Fraction(0) for x in dom])
             for l in dom if l in low_set
         ]
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
@@ -886,9 +709,7 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
                 if entries:
                     out_tables.append(OperationTable(1, Fraction(0), 0, "algebra", entries))
                 continue
-            s = engine.S(k, key)
-            entries = _project_table(s, split.project)
-            entries = {i: o for i, o in entries.items() if o}
+            entries = _apply_each(split.project, engine.S(k, key))
             if entries:
                 out_tables.append(OperationTable(k, key[0], key[1], "algebra", entries))
     return OperationSystem.algebra(split.b_space, geo.monoid, geo.flavor,

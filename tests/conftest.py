@@ -163,6 +163,30 @@ def random_element(rng, alg, degree=0, min_energy=1, density=0.7):
     return {l: v for l, v in out.items() if not v.is_zero()}
 
 
+def random_operations(rng, space, monoid, role, flavor="nov0", cutoff=F(3), draws=30,
+                      kmax=3, max_energy=1):
+    """Random degree-respecting ``role`` tables on ``space``: each of ``draws``
+    picks an arity up to kmax, inputs, a monoid key of energy at most
+    ``max_energy`` (positive at arity 0) and one output of the right degree.
+    No relations are imposed."""
+    from ainfkit.gapped import monoid_elements
+    from ainfkit.gradedcore import ROLE_SHIFT
+    keys = [key for key in monoid_elements(monoid, cutoff) if key[0] <= max_energy]
+    tables = {}
+    for _ in range(draws):
+        k = rng.randint(0, kmax)
+        inputs = tuple(rng.choice(space.labels) for _ in range(k))
+        lam, mu = rng.choice([key for key in keys if k or key[0] > 0])
+        degree = sum(space.degree(i) for i in inputs) + ROLE_SHIFT[role] - 2 * mu
+        outs = [l for l, d in space.basis if d == degree]
+        if outs:
+            entry = tables.setdefault((k, lam, mu), {}).setdefault(inputs, {})
+            entry[rng.choice(outs)] = F(rng.choice([1, -1, 2, -3]))
+    return OperationSystem(space, space, monoid, flavor, cutoff, role, {
+        (k, lam, mu): OperationTable(k, lam, mu, role, e)
+        for (k, lam, mu), e in tables.items()})
+
+
 def random_curved_algebra(rng, **kwargs):
     """Valid gapped algebra with curvature: twist a random complex."""
     base = random_complex(rng, **kwargs)

@@ -50,7 +50,7 @@ from ainfkit import (
     union_sectors,
     whitney_preset,
 )
-from ainfkit.floer import LagrangianPresentation, _differential_matrix
+from ainfkit.floer import LagrangianPresentation
 from ainfkit.novmat import NovMatrix, smith_valuations
 from ainfkit.transfer import GeometricData
 
@@ -367,8 +367,8 @@ def test_criterion_12_gauge_and_sectors():
                 continue
             jb, transport = gauge_act(j, sol, A)
             assert jb.certified
-            n1b = _differential_matrix(twist(A, sol))
-            n1jb = _differential_matrix(twist(A, jb))
+            n1b = NovMatrix.from_linear_tables(twist(A, sol))
+            n1jb = NovMatrix.from_linear_tables(twist(A, jb))
             lhs = transport.matmul(n1b)
             rhs = n1jb.matmul(transport)
             keys = set(lhs.data) | set(rhs.data)
@@ -391,8 +391,8 @@ def test_criterion_12_gauge_and_sectors():
             b = {l: v for l, v in b.items() if not v.is_zero()}
             jb, transport = gauge_act(j, BoundingCochain(b, certified=True), abelian)
             assert jb.certified
-            n1b = _differential_matrix(twist(abelian, b))
-            n1jb = _differential_matrix(twist(abelian, jb.element))
+            n1b = NovMatrix.from_linear_tables(twist(abelian, b))
+            n1jb = NovMatrix.from_linear_tables(twist(abelian, jb.element))
             assert not n1b.data and not n1jb.data
             pairs_checked += 1
         assert pairs_checked >= 50

@@ -1,7 +1,10 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfkit import (
     BoundingCochain,
@@ -13,6 +16,7 @@ from ainfkit import (
     OperationSystem,
     OperationTable,
     acyclicity_feasible,
+    apply_operation,
     bc_criteria,
     check_morphism,
     compose_morphisms,
@@ -33,12 +37,14 @@ from ainfkit import (
     whitney_preset,
 )
 from ainfkit.errors import AinfError, DivergentTwistError
+from ainfkit.gradedcore import vec_add
 from ainfkit.novmat import NovMatrix, smith_valuations
 from conftest import (
     checked,
     heisenberg_algebra,
     random_curved_algebra,
     random_element,
+    random_operations,
     three_generator_algebra,
     two_generator_algebra,
 )
@@ -149,6 +155,37 @@ def test_twist_strict_iff_residual_vanishes(rng):
         assert strict == ok
         hits[ok] += 1
     assert hits[True] and hits[False]  # both branches exercised
+
+
+def _vector_sum(vectors):
+    out = {}
+    for v in vectors:
+        out = vec_add(out, v)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([((1, 0),), ((1, 0), (F(1, 2), 1))]))
+def test_b_insertions_match_direct_evaluation(seed, generators):
+    """mc_residual and gauge_act against apply_operation, called once for
+    every placement of b and of the argument."""
+    rng = random.Random(seed)
+    curved = random_curved_algebra(rng, n_labels=4, degree_span=(-2, 2), cutoff=E,
+                                   generators=generators)
+    space, monoid = curved.source, curved.monoid
+    b = random_element(rng, curved, density=0.5)
+    for alg in (curved, random_operations(rng, space, monoid, "algebra", draws=12)):
+        residual, ok = mc_residual(alg, b)
+        assert residual == _vector_sum(apply_operation(alg, k, [b] * k) for k in range(4))
+        assert ok == (not residual)
+    j = random_operations(rng, space, monoid, "morphism", draws=12)
+    jb, transport = gauge_act(j, b)
+    assert jb.element == _vector_sum(apply_operation(j, k, [b] * k) for k in range(4))
+    for a in space.labels:
+        e_a = {a: NovikovElement.unit("nov0", E)}
+        column = _vector_sum(apply_operation(j, k, [b] * i + [e_a] + [b] * (k - 1 - i))
+                             for k in range(1, 4) for i in range(k))
+        assert column == {r: v for (r, c), v in transport.data.items() if c == a}
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +331,7 @@ def test_gauge_chain_map_identity_randomized(rng):
 
 
 def _diff_matrix(alg):
-    from ainfkit.floer import _differential_matrix
-    return _differential_matrix(alg)
+    return NovMatrix.from_linear_tables(alg)
 
 
 def _mat_eq(a, b):
@@ -509,10 +545,9 @@ def test_hf_product_associative_massey():
 
 def _reduced_eq(pres, b, x, y):
     """Equality modulo the image of the twisted differential."""
-    from ainfkit.floer import _differential_matrix
     from ainfkit import linalg
     twisted = twist(pres.algebra, b)
-    dmat = _differential_matrix(twisted)
+    dmat = NovMatrix.from_linear_tables(twisted)
     diff = dict(x)
     from ainfkit.novikov import nov_sub, NovikovElement as NE
     for l, v in y.items():
@@ -551,7 +586,7 @@ def _reduced_eq(pres, b, x, y):
     keys = sorted(keys, key=str)
     mat = [[col.get(k, F(0)) for col in expanded_cols] for k in keys]
     rhs = [target.get(k, F(0)) for k in keys]
-    return linalg.solve(mat, rhs) is not None
+    return linalg.solve(mat, rhs, len(expanded_cols)) is not None
 
 
 def test_product_boundary_collapses():
@@ -592,6 +627,25 @@ def test_union_block_diagonal_hf_adds():
     for k in set(hfA.groups) | set(hfB.groups):
         assert hfU.groups.get(k, {"free": 0})["free"] == \
             hfA.groups.get(k, {"free": 0})["free"] + hfB.groups.get(k, {"free": 0})["free"]
+
+
+def test_union_adds_curvatures_and_leaves_its_inputs_alone():
+    # m_0 of A, of B and of a cross table at one key, all on A.p:q or B.p:q
+    points = [DoublePoint("p", "q", 2), DoublePoint("q", "p", 1)]
+
+    def curved(prefix):
+        m0 = OperationTable(0, F(1), 0, "algebra", {(): {f"{prefix}p:q": F(1)}})
+        return make_presentation(3, {0: 1}, points, G, "cy0", F(2), [m0], prefix=prefix)
+
+    presA, presB = curved("A."), curved("B.")
+    cross = OperationTable(0, F(1), 0, "algebra", {(): {"A.p:q": F(2)}})
+    union = union_sectors(presA, presB, [], [cross])
+    assert union.algebra.table(0, F(1), 0).entries == {(): {"A.p:q": F(3), "B.p:q": F(1)}}
+    for pres, label in ((presA, "A.p:q"), (presB, "B.p:q")):
+        assert pres.algebra.table(0, F(1), 0).entries == {(): {label: F(1)}}
+    with pytest.raises(AinfError):  # a cross table must be an algebra table
+        union_sectors(presA, presB, [], [OperationTable(
+            0, F(1), 0, "morphism", {(): {"A.p:q": F(2)}})])
 
 
 def test_union_label_collision():

@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ainfkit import (
     EnergyMonoid,
@@ -13,7 +17,13 @@ from ainfkit import (
     relation_defect,
 )
 from ainfkit.errors import DegreeError, NotAComplexError, UnknownBasisError
-from conftest import two_generator_algebra
+from ainfkit.linalg import invert
+from conftest import (
+    random_complex,
+    random_degree_preserving_iso,
+    strict_conjugate,
+    two_generator_algebra,
+)
 
 E = F(3)
 G = EnergyMonoid.make([(1, 0)])
@@ -129,6 +139,50 @@ def test_cohomology_rejects_non_complex():
     d = OperationTable(1, F(0), 0, "algebra", {("a",): {"b": F(1)}, ("b",): {"c": F(1)}})
     with pytest.raises(NotAComplexError):
         cohomology_ranks(space, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_cohomology_ranks_match_sympy(seed, square_zero):
+    """Betti numbers against sympy ranks of the degree blocks of d, on
+    conjugated random complexes and on random maps that may not square to
+    zero; degrees are drawn from a wider span than the labels fill."""
+    rng = random.Random(seed)
+    if square_zero:
+        base = random_complex(rng, n_labels=rng.randint(0, 7), degree_span=(-3, 3))
+        space = base.source
+        phi = random_degree_preserving_iso(rng, space)
+        assume(invert([[phi[c].get(r, F(0)) for c in space.labels]
+                       for r in space.labels]) is not None)
+        alg = strict_conjugate(base, phi)
+        entries = {key[0]: t.entries for key, t in alg.tables.items()}.get(1, {})
+    else:
+        space = GradedSpace.make([(f"a{i}", rng.randint(-3, 3))
+                                  for i in range(rng.randint(0, 7))])
+        entries = {}
+        for l, dl in space.basis:
+            for o, do in space.basis:
+                if do == dl + 1 and rng.random() < 0.5:
+                    entries.setdefault((l,), {})[o] = F(rng.choice([1, -1, 2])) / rng.randint(1, 2)
+    d = OperationTable(1, F(0), 0, "algebra", entries)
+    labels = space.labels
+    D = sympy.Matrix(len(labels), len(labels), lambda i, j: sympy.Rational(
+        str(entries.get((labels[j],), {}).get(labels[i], 0))))
+    if any(x != 0 for x in D * D):
+        with pytest.raises(NotAComplexError):
+            cohomology_ranks(space, d)
+        return
+
+    def rank_from(degree):
+        cols = [j for j, l in enumerate(labels) if space.degree(l) == degree]
+        return D.extract(list(range(len(labels))), cols).rank() if cols else 0
+
+    expected = {}
+    for degree in space.degrees():
+        betti = len(space.labels_of_degree(degree)) - rank_from(degree) - rank_from(degree - 1)
+        if betti:
+            expected[degree] = betti
+    assert cohomology_ranks(space, d) == expected
 
 
 def test_zero_space_is_legal():

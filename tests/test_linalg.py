@@ -96,23 +96,33 @@ def test_kernel_basis_is_sympy_nullspace(mat, n_cols):
     assert [[v[c] for c in free] for v in basis] == linalg.identity(len(free))
 
 
-@settings(max_examples=25, deadline=None)
-@given(matrices(rows=st.integers(1, 5)), st.data())
-@example([[], []], None)
-def test_solve_matches_sympy(mat, data):
-    n = len(mat[0])
+@st.composite
+def systems(draw):
+    """(number of unknowns, matrix), the matrix possibly without rows."""
+    n = draw(st.integers(0, 6))
+    return n, draw(matrices(cols=st.just(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems(), st.data())
+@example((0, [[], []]), None)
+@example((3, []), None)
+@example((0, []), None)
+def test_solve_matches_sympy(system, data):
+    n, mat = system
     if data is None:
-        rhs = [F(1), F(0)]
+        rhs = [F(1), F(0)][:len(mat)]
     elif data.draw(st.booleans()):  # consistent by construction
         rhs = product(mat, [data.draw(ENTRIES) for _ in range(n)])
     else:
         rhs = [data.draw(ENTRIES) for _ in mat]
-    x = linalg.solve(mat, rhs)
+    x = linalg.solve(mat, rhs, n)
     augmented = [row + [b] for row, b in zip(mat, rhs)]
     solvable = rank_oracle(mat, n) == rank_oracle(augmented, n + 1)
     if x is None:
         assert not solvable
     else:
+        assert solvable
         assert len(x) == n
         assert product(mat, x) == rhs
 

@@ -1,0 +1,51 @@
+"""Every function and method of the library is referenced somewhere.
+
+The check is syntactic: a name counts as used when it appears as a ``Name``,
+an ``Attribute``, an import alias or a string constant anywhere in the
+library, the tests, the demos or the benchmark.  Dunder methods are called
+by the interpreter and are left out.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "ainfkit"
+USERS = ("src", "tests", "demos", "perfbench")
+
+
+def _defined(path):
+    """(qualified name, bare name) of every function and method in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((f"{path.stem}.{node.name}", node.name))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out.append((f"{path.stem}.{node.name}.{item.name}", item.name))
+    return [(q, n) for q, n in out if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _referenced():
+    names = set()
+    for top in USERS:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.split(".")[-1])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_no_unreferenced_functions():
+    used = _referenced()
+    unused = sorted(q for path in sorted(LIBRARY.glob("*.py"))
+                    for q, name in _defined(path) if name not in used)
+    assert unused == []
