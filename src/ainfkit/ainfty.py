@@ -24,13 +24,14 @@ relations are taken in the componentwise form induced by the bar complex:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import MalformedMorphismError
-from .gapped import monoid_elements, monoid_norm, validate_gapped
+from .gapped import _budgeted_keys, validate_gapped
 from .gradedcore import (
     GradedSpace,
     OperationSystem,
@@ -38,8 +39,10 @@ from .gradedcore import (
     _add_scaled,
     _apply,
     _apply_each,
+    _fill_slots,
     _insertion_sum,
     _linear,
+    _producers,
     _q_matrix,
     prefix_degree_sign,
     relation_defect,
@@ -69,81 +72,37 @@ def _first_witness(defect: dict):
     return min(defect.keys()) if defect else None
 
 
-def _budgeted_keys(alg_or_sys, level):
-    """All (k, lam, mu) with lam <= cutoff and norm + k - 1 <= level."""
-    G = alg_or_sys.monoid
-    out = []
-    for lam, mu in monoid_elements(G, alg_or_sys.cutoff):
-        n = monoid_norm(G, (lam, mu))
-        for k in range(0, max(level + 1 - n, 0) + 1):
-            if n + k - 1 <= level:
-                out.append((k, lam, mu))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # generic stitching helpers
 
-def _producers(fam: OperationSystem):
-    """Index the family's entries by output label.
-
-    Returns {label: [(s, (lam, mu), in_labels, coeff)]}.
-    """
-    prod = defaultdict(list)
-    for (s, lam, mu), table in fam.tables.items():
-        for in_labels, outs in table.entries.items():
-            for out_label, c in outs.items():
-                prod[out_label].append((s, (lam, mu), in_labels, c))
-    return prod
-
-
-def _assignments(slot_specs, k, key):
-    """Enumerate slot fillings with total arity k and total key ``key``.
-
-    ``slot_specs`` is a list of per-slot producer lists.  Yields
-    (inputs tuple, coefficient).  Prunes on negative energy budget.
-    """
-    lam, mu = key
-
-    def go(idx, k_rem, lam_rem, mu_rem):
-        if idx == len(slot_specs):
-            if k_rem == 0 and lam_rem == 0 and mu_rem == 0:
-                yield ((), Fraction(1))
-            return
-        for s, (l, m), in_labels, c in slot_specs[idx]:
-            if s > k_rem or l > lam_rem:
-                continue
-            for rest_inputs, rest_c in go(idx + 1, k_rem - s, lam_rem - l, mu_rem - m):
-                yield (in_labels + rest_inputs, c * rest_c)
-
-    yield from go(0, k, lam, mu)
+def _producers_of(fam: OperationSystem) -> dict:
+    """The family's entries indexed by output label (``_producers``)."""
+    return _producers({key: t.entries for key, t in fam.tables.items()})
 
 
 def _block_sum(n_alg: OperationSystem, families_for_slot, k, key):
     """sum over n_r entries with slots filled by block producers.
 
-    ``families_for_slot(r)`` yields one or more tuples (producer list per
-    slot, extra sign); for morphisms there is a single choice (all slots f),
-    for homotopies one choice per position of the H-block.
+    ``families_for_slot(r)`` yields one or more lists of r producer indexes,
+    one per slot; for morphisms there is a single choice (all slots f), for
+    homotopies one choice per position of the H-block.
     """
     lam, mu = key
     out = {}
     for (r, lam0, mu0), table in n_alg.tables.items():
-        lam_rest, mu_rest = lam - lam0, mu - mu0
-        if lam_rest < 0:
+        rest = (k, lam - lam0, mu - mu0)
+        if rest[1] < 0:
             continue
-        for slot_producer_maps, sign in families_for_slot(r):
+        for slot_indexes in families_for_slot(r):
             for in_labels, outs in table.entries.items():
-                slot_specs = [slot_producer_maps[j].get(in_labels[j], ())
-                              for j in range(r)]
-                if any(not spec for spec in slot_specs):
+                specs = [index.get(l) for index, l in zip(slot_indexes, in_labels)]
+                if not all(specs):
                     continue
-                if r == 0 and k != 0:
-                    continue
-                for inputs, coeff in _assignments(slot_specs, k, (lam_rest, mu_rest)):
+                for _, inputs, coeff in _fill_slots(specs, k, rest[1], rest):
                     for out_label, q in outs.items():
                         dkey = (inputs, out_label)
-                        c = out.get(dkey, Fraction(0)) + sign * coeff * q
+                        c = out.get(dkey)
+                        c = coeff * q if c is None else c + coeff * q
                         if c:
                             out[dkey] = c
                         else:
@@ -168,7 +127,7 @@ def check_relations(alg: OperationSystem, level: int) -> CheckReport:
     if not gapped.ok:
         return CheckReport(False, [("gapped", (0, Fraction(0), 0), f) for f in gapped.failures])
     failures = []
-    for k, lam, mu in _budgeted_keys(alg, level):
+    for k, (lam, mu) in sorted(_budgeted_keys(alg.monoid, alg.cutoff, level)):
         defect = relation_defect(alg, k, lam, mu)
         if defect:
             failures.append(("relation", (k, lam, mu), _first_witness(defect)))
@@ -288,10 +247,10 @@ def morphism_defect(f: OperationSystem, A: OperationSystem, B: OperationSystem,
                     k, lam, mu) -> dict:
     """LHS - RHS of the filtered morphism relation at one key."""
     lhs = _insertion_sum(f, A, k, lam, mu)
-    producers = _producers(f)
+    producers = _producers_of(f)
 
     def families(r):
-        yield ([producers] * r, 1)
+        yield [producers] * r
 
     rhs = _block_sum(B, families, k, (as_fraction(lam), mu))
     return _table_sub(lhs, rhs)
@@ -301,7 +260,7 @@ def check_morphism(f: OperationSystem, A: OperationSystem, B: OperationSystem,
                    level: int) -> CheckReport:
     _require_morphism(f)
     failures = []
-    for k, lam, mu in _budgeted_keys(f, level):
+    for k, (lam, mu) in sorted(_budgeted_keys(f.monoid, f.cutoff, level)):
         defect = morphism_defect(f, A, B, k, lam, mu)
         if defect:
             failures.append(("morphism", (k, lam, mu), _first_witness(defect)))
@@ -321,19 +280,15 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
         raise MalformedMorphismError("chain mismatch: target(f) != source(g)")
     if f.monoid != g.monoid or f.cutoff != g.cutoff or f.flavor != g.flavor:
         raise MalformedMorphismError("morphisms live over different rings")
-    producers = _producers(f)
+    producers = _producers_of(f)
     acc = defaultdict(dict)  # (k, lam, mu) -> entries
-    for (r, lam0, mu0), table in g.tables.items():
-        budget = f.cutoff - lam0
-        if budget < 0:
-            continue
+    for (_, lam0, mu0), table in g.tables.items():
         for in_labels, outs in table.entries.items():
-            slot_specs = [producers.get(in_labels[j], ()) for j in range(r)]
-            if any(not spec for spec in slot_specs):
+            specs = [producers.get(l) for l in in_labels]
+            if not all(specs):
                 continue
-            for k_total, lam_total, mu_total, inputs, coeff in _assignments_free(slot_specs, budget):
-                key = (k_total, lam0 + lam_total, mu0 + mu_total)
-                _add_scaled(acc[key].setdefault(inputs, {}), outs, coeff)
+            for (k, lam, mu), inputs, coeff in _fill_slots(specs, math.inf, f.cutoff - lam0):
+                _add_scaled(acc[(k, lam0 + lam, mu0 + mu)].setdefault(inputs, {}), outs, coeff)
     tables = [
         OperationTable(k, lam, mu, "morphism",
                        {i: o for i, o in entries.items() if o})
@@ -341,23 +296,6 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
     ]
     return OperationSystem.morphism(f.source, g.target, f.monoid, f.flavor,
                                     f.cutoff, [t for t in tables if t.entries])
-
-
-def _assignments_free(slot_specs, lam_budget):
-    """Like _assignments but with free totals; yields
-    (k_total, lam_total, mu_total, inputs, coeff)."""
-
-    def go(idx, lam_rem):
-        if idx == len(slot_specs):
-            yield (0, Fraction(0), 0, (), Fraction(1))
-            return
-        for s, (l, m), in_labels, c in slot_specs[idx]:
-            if l > lam_rem:
-                continue
-            for k_t, l_t, m_t, rest_inputs, rest_c in go(idx + 1, lam_rem - l):
-                yield (s + k_t, l + l_t, m + m_t, in_labels + rest_inputs, c * rest_c)
-
-    yield from go(0, lam_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +312,11 @@ def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
             continue
         for inputs, outs in t.entries.items():
             _add_scaled(target, {(inputs, o): q for o, q in outs.items()}, sign)
-    f_prod, g_prod, h_prod = _producers(f), _producers(g), _producers(H)
+    f_prod, g_prod, h_prod = map(_producers_of, (f, g, H))
 
     def families(r):
         for t in range(r):
-            yield ([f_prod] * t + [h_prod] + [g_prod] * (r - 1 - t), 1)
+            yield [f_prod] * t + [h_prod] + [g_prod] * (r - 1 - t)
 
     sum1 = _block_sum(B, families, k, key)
     sum2 = _insertion_sum(H, A, k, *key)
@@ -393,7 +331,7 @@ def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
     if t is not None and t.entries:
         raise MalformedMorphismError("H_0^{0,0} != 0")
     failures = []
-    for k, lam, mu in _budgeted_keys(H, level):
+    for k, (lam, mu) in sorted(_budgeted_keys(H.monoid, H.cutoff, level)):
         defect = homotopy_defect(H, f, g, A, B, k, lam, mu)
         if defect:
             failures.append(("homotopy", (k, lam, mu), _first_witness(defect)))

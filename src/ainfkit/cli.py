@@ -388,11 +388,11 @@ COMMAND_OPERATIONS = {
 }
 
 
-def _need_element(doc, args):
-    name = args.element
-    if name not in doc.elements:
-        raise DocumentError(f"no element named {name!r} in the document")
-    return doc.elements[name]
+def _named(named: dict, name, what="element"):
+    """``named[name]``; a name the document does not define is a DocumentError."""
+    if name not in named:
+        raise DocumentError(f"no {what} named {name!r} in the document")
+    return named[name]
 
 
 def _hf_groups_json(report):
@@ -440,7 +440,7 @@ def dispatch(command, args):
         return 0, result
     if command == "inverse-strict":
         doc = load(args.infile)
-        p, target_doc = doc.morphisms[args.morphism]
+        p, target_doc = _named(doc.morphisms, args.morphism, "morphism")
         target = target_doc.algebra if target_doc else doc.algebra
         q = transfer.homotopy_inverse_strict(p, doc.algebra, target,
                                              level=args.level, kmax=args.kmax)
@@ -459,11 +459,11 @@ def dispatch(command, args):
         return 0, document_json(out)
     if command == "twist":
         doc = load(args.infile)
-        out = floer.twist(doc.algebra, _need_element(doc, args))
+        out = floer.twist(doc.algebra, _named(doc.elements, args.element))
         return 0, document_json(out)
     if command == "mc-residual":
         doc = load(args.infile)
-        residual, ok = floer.mc_residual(doc.algebra, _need_element(doc, args))
+        residual, ok = floer.mc_residual(doc.algebra, _named(doc.elements, args.element))
         return (0 if ok else 1), {
             "command": "mc-residual", "verified_zero": ok,
             "residual": _element_to_json(residual),
@@ -494,9 +494,9 @@ def dispatch(command, args):
         return 0, result
     if command == "gauge":
         doc = load(args.infile)
-        j, target_doc = doc.morphisms[args.morphism]
+        j, target_doc = _named(doc.morphisms, args.morphism, "morphism")
         target = target_doc.algebra if target_doc else doc.algebra
-        jb, transport = floer.gauge_act(j, _need_element(doc, args), target)
+        jb, transport = floer.gauge_act(j, _named(doc.elements, args.element), target)
         return 0, {
             "command": "gauge",
             "transported": _element_to_json(jb.element),
@@ -507,16 +507,16 @@ def dispatch(command, args):
         }
     if command == "hf":
         doc = load(args.infile)
-        report = floer.hf_compute(doc.presentation, _need_element(doc, args))
+        report = floer.hf_compute(doc.presentation, _named(doc.elements, args.element))
         result = {"command": "hf"}
         result.update(_hf_groups_json(report))
         return 0, result
     if command == "hf-product":
         doc = load(args.infile)
-        x = doc.elements[args.x]
-        y = doc.elements[args.y]
+        x = _named(doc.elements, args.x)
+        y = _named(doc.elements, args.y)
         prod, cycle_ok = floer.hf_product(doc.presentation,
-                                          _need_element(doc, args), x, y)
+                                          _named(doc.elements, args.element), x, y)
         return (0 if cycle_ok else 1), {
             "command": "hf-product", "cycle_certificate": cycle_ok,
             "product": _element_to_json(prod),
@@ -543,7 +543,7 @@ def dispatch(command, args):
         assignments = {
             tuple(k.split(":")): v for k, v in assignments.items()
         }
-        b = doc.elements.get(args.element) if args.element else None
+        b = _named(doc.elements, args.element) if args.element else None
         report = floer.rescale_regrade(doc.presentation, assignments, b)
         result = {
             "command": "rescale",

@@ -23,6 +23,7 @@ from .gradedcore import (
     OperationSystem,
     OperationTable,
     _add_scaled,
+    _fill_slots,
     _linear,
     _q_matrix,
     apply_operation,
@@ -186,35 +187,27 @@ def _check_twistable(alg, b):
     return min_val
 
 
-def _twist_tables(sys, b, max_ext=None):
+def _twist_tables(sys, b, max_ext=math.inf):
     """Every insertion of b into the stored tables of ``sys``.
 
     Each slot of a stored entry takes either b or an external input, with at
-    most ``max_ext`` external slots (no bound for None); a branch stops once
-    its energy passes the cutoff.  Returns {(k, lam, mu): {external inputs:
-    {out: q}}} with k the number of external slots.
+    most ``max_ext`` external slots; a branch stops once its energy passes
+    the cutoff.  Returns {(k, lam, mu): {external inputs: {out: q}}} with k
+    the number of external slots.
     """
+    slots = {}  # label -> {(1, 0, 0): the label itself, (0, l, m): a term of b}
+    for label in sys.source.labels:
+        spec = slots[label] = {(1, 0, 0): [((label,), 1)]}
+        if label in b:
+            for c, l, m in b[label].terms:
+                spec[(0, l, m)] = [((), c)]
     acc = {}
-    for (big_k, lam0, mu0), table in sys.tables.items():
+    for (_, lam0, mu0), table in sys.tables.items():
         for in_labels, outs in table.entries.items():
-
-            def go(idx, ext, lam, mu, coeff):
-                if lam0 + lam > sys.cutoff:
-                    return
-                if idx == big_k:
-                    key = (len(ext), lam0 + lam, mu0 + mu)
-                    _add_scaled(acc.setdefault(key, {}).setdefault(tuple(ext), {}),
-                                outs, coeff)
-                    return
-                label = in_labels[idx]
-                if max_ext is None or len(ext) < max_ext:
-                    go(idx + 1, ext + [label], lam, mu, coeff)
-                bv = b.get(label)
-                if bv is not None:
-                    for c, l, m in bv.terms:
-                        go(idx + 1, ext, lam + l, mu + m, coeff * c)
-
-            go(0, [], ZERO, 0, Fraction(1))
+            specs = [slots[label] for label in in_labels]
+            for (k, l, m), ext, coeff in _fill_slots(specs, max_ext, sys.cutoff - lam0):
+                _add_scaled(acc.setdefault((k, lam0 + l, mu0 + m), {}).setdefault(ext, {}),
+                            outs, coeff)
     return acc
 
 

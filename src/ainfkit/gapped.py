@@ -158,6 +158,14 @@ def monoid_norm(G: EnergyMonoid, key) -> int:
     return d + math.floor(lam)
 
 
+def _budgeted_keys(G: EnergyMonoid, bound, level: int):
+    """Every (k, (lam, mu)) with lam <= bound and norm + k - 1 <= level,
+    element by element in ascending order and by arity within an element."""
+    for key in monoid_elements(G, bound):
+        for k in range(level + 2 - monoid_norm(G, key)):
+            yield k, key
+
+
 def budget_admits(G: EnergyMonoid, key, k: int, level: int) -> bool:
     return monoid_norm(G, key) + k - 1 <= level
 

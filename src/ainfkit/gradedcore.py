@@ -73,7 +73,10 @@ class GradedSpace:
 def _add_scaled(target: dict, outs: dict, coeff=1) -> dict:
     """target += coeff * outs entrywise; entries that cancel are removed."""
     for label, q in outs.items():
-        c = target.get(label, 0) + coeff * q
+        if coeff != 1:
+            q = coeff * q
+        c = target.get(label)
+        c = q if c is None else c + q
         if c:
             target[label] = c
         else:
@@ -99,6 +102,68 @@ def _apply_each(matrix: dict, table: dict) -> dict:
         if image:
             out[inputs] = image
     return out
+
+
+def _producers(tables: dict, index: dict | None = None) -> dict:
+    """Table entries {(k, lam, mu): {inputs: {out: q}}} indexed by output
+    label as {label: {(k, lam, mu): [(inputs, q)]}}, added to ``index`` if
+    one is given.  One label's groups are the specs of a slot that needs it."""
+    index = {} if index is None else index
+    for key, entries in tables.items():
+        for inputs, outs in entries.items():
+            for label, q in outs.items():
+                index.setdefault(label, {}).setdefault(key, []).append((inputs, q))
+    return index
+
+
+def _fill_slots(specs, k_budget, lam_budget, total=None):
+    """Every way to fill slot j with one producer of ``specs[j]``.
+
+    ``specs[j]`` is {(k, lam, mu): [(inputs, q)]}.  Yields (key, inputs,
+    coeff): the sum of the chosen keys, the chosen inputs concatenated and
+    the product of their coefficients, over the fillings whose arities sum
+    to at most ``k_budget`` and energies to at most ``lam_budget`` (keys
+    have k, lam >= 0, so a group past a budget is skipped whole).  With
+    ``total``, only fillings whose key sums to ``total`` are yielded, and the
+    last slot is the one group at the key still missing.
+    """
+    if not specs:
+        if total is None or total == (0, 0, 0):
+            yield (0, 0, 0), (), 1
+        return
+    if total is not None and len(specs) == 1:
+        for inputs, q in specs[0].get(total, ()):
+            yield total, inputs, q
+        return
+    free, ends = (specs, None) if total is None else (specs[:-1], specs[-1])
+    last = len(free) - 1
+
+    # Fraction arithmetic is most of the cost: the first slot starts the
+    # sums and the product instead of adding to 0 and multiplying 1, and a
+    # zero energy is not added
+    def go(j, k, lam, mu, inputs, coeff):
+        for (kk, ll, mm), group in free[j].items():
+            if j:
+                kk, ll, mm = k + kk, lam + ll if ll else lam, mu + mm
+            if kk > k_budget or ll > lam_budget:
+                continue
+            if j < last:
+                for ins, q in group:
+                    yield from go(j + 1, kk, ll, mm, inputs + ins, coeff * q if j else q)
+            elif ends is None:
+                key = (kk, ll, mm)
+                for ins, q in group:
+                    yield key, inputs + ins, coeff * q if j else q
+            else:
+                tail = ends.get((total[0] - kk, total[1] - ll if ll else total[1],
+                                 total[2] - mm))
+                if tail:
+                    for ins, q in group:
+                        c = coeff * q if j else q
+                        for ins2, q2 in tail:
+                            yield total, inputs + ins + ins2, c * q2
+
+    yield from go(0, 0, 0, 0, (), None)
 
 
 def _linear(table) -> dict:

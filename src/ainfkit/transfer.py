@@ -15,6 +15,10 @@ where a leaf child contributes the leaf injection and a subtree child
 contributes edge_op( S_{k_j}^{key_j} ).  Vertices with 0 or 1 children must
 carry a nonzero key (the m_0 and m_1 - m_1^{0,0} weights), which also makes
 the recursion terminate: every such vertex costs at least lambda_0 energy.
+So S_k^key is a block sum of the vertex tables (``gradedcore._fill_slots``)
+whose slots read one index: the leaf injection at (1, 0, 0) and every
+edge_op( S ) taken so far at its (k, lam, mu).  The sums are taken in
+ascending key and arity, so every child is in the index before its parent.
 In shifted degrees every child composite has even degree, so plain
 composition and Koszul-signed composition agree and no interchange signs are
 needed.
@@ -22,14 +26,12 @@ needed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 from . import linalg
 from .errors import AinfError, MalformedMorphismError, MissingDataError
-from .gapped import ZERO_KEY, EnergyMonoid, monoid_elements, monoid_norm
+from .gapped import ZERO_KEY, EnergyMonoid, _budgeted_keys, monoid_elements, monoid_norm
 from .gradedcore import (
     GradedSpace,
     OperationSystem,
@@ -38,7 +40,9 @@ from .gradedcore import (
     _apply,
     _apply_each,
     _check_square_zero,
+    _fill_slots,
     _linear,
+    _producers,
     _q_matrix,
 )
 from .ainfty import is_weak_homotopy_equiv
@@ -259,120 +263,56 @@ def splitting(alg: OperationSystem) -> Splitting:
 # the decorated-tree evaluation engine
 
 class _TreeEngine:
-    def __init__(self, monoid: EnergyMonoid, cutoff, vertex_table, vertex_keys,
-                 leaf_table, edge_matrix):
+    def __init__(self, vertex_table, vertex_keys, leaf_table, edge_matrix):
         """vertex_table(m, key) -> sparse Q-table or None (validated lookups);
         vertex_keys: the (m, key) pairs where vertex_table is probed, the only
         ones where it may be nonzero or must raise; probed in sorted order;
         leaf_table: {(b_label,): {a_label: coeff}};
         edge_matrix: {a_label: {a_label: coeff}} applied on internal edges."""
-        self.elements = monoid_elements(monoid, cutoff)
-        self.energies = [lam for lam, _ in self.elements]
         self.vertex_table = vertex_table
         # the unary weight is m_1 - m_1^{0,0}, and m_0^{0,0} vanishes
         self.vertex_keys = sorted((m, kv) for m, kv in vertex_keys
                                   if m > 1 or kv != ZERO_KEY)
-        self.leaf_table = leaf_table
         self.edge_matrix = edge_matrix
+        # what a vertex slot can take, by the a_label it needs: the leaf
+        # injection at (1, 0, 0) and every finished sum after the edge map
+        self.index = _producers({(1, *ZERO_KEY): leaf_table})
         self._memo = {}
 
-    def edge_applied(self, table):
-        return _apply_each(self.edge_matrix, table)
-
-    def S(self, k: int, key) -> dict:
+    def S(self, k: int, key):
         """Root-vertex evaluation sum over all decorated trees with k leaves
-        and total key ``key``; a sparse table {b-input tuple: {a_label: c}}."""
+        and total key ``key``, and that sum after the edge map; both sparse
+        tables {b-input tuple: {a_label: c}}.
+
+        A child subtree has less energy, or the same key and fewer leaves, so
+        its sum must be taken first: call S in the element-major order of
+        ``gapped._budgeted_keys``, which walks a set closed under children.
+        A zero-key sum with fewer than two leaves is empty (it needs a
+        low-valence vertex, which costs energy).
+        """
         key = (as_fraction(key[0]), int(key[1]))
         memo_key = (k, key)
         if memo_key in self._memo:
             return self._memo[memo_key]
-        if key == ZERO_KEY and k <= 1:
-            self._memo[memo_key] = {}
-            return {}
-        self._memo[memo_key] = {}  # guard against reentry while building
         result = {}
-        for m, kv in self.vertex_keys:
+        probes = self.vertex_keys if key != ZERO_KEY or k > 1 else ()
+        for m, kv in probes:
             if kv[0] > key[0]:
                 continue
             table = self.vertex_table(m, kv)
             if not table:
                 continue
-            rest = (key[0] - kv[0], key[1] - kv[1])
-            for child_tables, coeff_one in self._children(k, rest, m):
-                self._combine(result, table, child_tables)
+            rest = (k, key[0] - kv[0], key[1] - kv[1])
+            for v_inputs, v_outs in table.items():
+                specs = [self.index.get(l) for l in v_inputs]
+                if all(specs):
+                    for _, inputs, coeff in _fill_slots(specs, k, rest[1], rest):
+                        _add_scaled(result.setdefault(inputs, {}), v_outs, coeff)
         result = {i: v for i, v in result.items() if v}
-        self._memo[memo_key] = result
-        return result
-
-    def _children(self, k, rest, m):
-        """Yield lists of m child tables consuming k leaves and key ``rest``.
-
-        A zero-key subtree child must have at least two leaves: one-leaf and
-        zero-leaf trees force a low-valence vertex, which costs energy.  That
-        pruning is what makes the recursion on (energy, leaf count) well
-        founded.
-        """
-
-        def go(idx, k_rem, lam_rem, mu_rem):
-            if idx == m:
-                if k_rem == 0 and lam_rem == 0 and mu_rem == 0:
-                    yield []
-                return
-            # leaf child
-            if k_rem >= 1:
-                for tail in go(idx + 1, k_rem - 1, lam_rem, mu_rem):
-                    yield [self.leaf_table] + tail
-            # subtree child
-            for ck in islice(self.elements, bisect_right(self.energies, lam_rem)):
-                for k_child in range(0, k_rem + 1):
-                    if ck == ZERO_KEY and k_child < 2:
-                        continue
-                    sub = self.S(k_child, ck)
-                    if not sub:
-                        continue
-                    applied = self.edge_applied(sub)
-                    if not applied:
-                        continue
-                    for tail in go(idx + 1, k_rem - k_child,
-                                   lam_rem - ck[0], mu_rem - ck[1]):
-                        yield [applied] + tail
-
-        yield from ((tables, 1) for tables in go(0, k, rest[0], rest[1]))
-
-    def _combine(self, result, vtable, child_tables):
-        m = len(child_tables)
-        # iterate over vertex entries and match child output coefficients
-        for v_inputs, v_outs in vtable.items():
-            if len(v_inputs) != m:
-                continue
-
-            def assign(idx, acc_inputs, acc_coeff):
-                if idx == m:
-                    yield acc_inputs, acc_coeff
-                    return
-                need = v_inputs[idx]
-                for c_inputs, c_vec in child_tables[idx].items():
-                    c = c_vec.get(need)
-                    if not c:
-                        continue
-                    yield from assign(idx + 1, acc_inputs + c_inputs, acc_coeff * c)
-
-            for inputs, coeff in assign(0, (), Fraction(1)):
-                _add_scaled(result.setdefault(inputs, {}), v_outs, coeff)
-
-
-def _admissible_keys(monoid, cutoff, level=None, kmax=None):
-    out = []
-    for key in monoid_elements(monoid, cutoff):
-        if level is not None:
-            n = monoid_norm(monoid, key)
-            for k in range(0, max(level + 1 - n, 0) + 1):
-                if n + k - 1 <= level:
-                    out.append((k, key))
-        else:
-            for k in range(0, kmax + 1):
-                out.append((k, key))
-    return out
+        applied = _apply_each(self.edge_matrix, result)
+        _producers({(k, *key): applied}, self.index)
+        self._memo[memo_key] = result, applied
+        return result, applied
 
 
 def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
@@ -394,21 +334,24 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
         t = alg.table(m, kv[0], kv[1])
         return t.entries if t else None
 
-    engine = _TreeEngine(alg.monoid, alg.cutoff, vertex,
-                         [(k, (lam, mu)) for k, lam, mu in alg.tables],
+    engine = _TreeEngine(vertex, [(k, (lam, mu)) for k, lam, mu in alg.tables],
                          leaf_table, edge_matrix)
+    if level is not None:
+        keys = _budgeted_keys(alg.monoid, alg.cutoff, level)
+    else:
+        keys = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
+                for k in range(kmax + 1))
     n_tables, i_tables = [], []
-    for k, key in _admissible_keys(alg.monoid, alg.cutoff, level, kmax):
-        s = engine.S(k, key)
+    for k, key in keys:
+        s, i_entries = engine.S(k, key)
         n_entries = _apply_each(split.project, s)
-        i_entries = engine.edge_applied(s)
         if (k, key) == (1, ZERO_KEY):
-            # n_1^{0,0} = Pi m_1^{0,0} i ; i_1^{0,0} = the plain inclusion
+            # S is empty here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0} is
+            # the plain inclusion
             d = _linear(alg.table(1, Fraction(0), 0))
-            for b_label, vec in split.include.items():
-                _add_scaled(n_entries.setdefault((b_label,), {}),
-                            _apply(split.project, _apply(d, vec)))
-                _add_scaled(i_entries.setdefault((b_label,), {}), vec)
+            n_entries = {(b,): _apply(split.project, _apply(d, vec))
+                         for b, vec in split.include.items()}
+            i_entries = {(b,): vec for b, vec in split.include.items()}
         n_entries = {i: o for i, o in n_entries.items() if o}
         i_entries = {i: o for i, o in i_entries.items() if o}
         if n_entries:
@@ -547,48 +490,30 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
                 pmat.set(out, b_label, nov_add(pmat.get(out, b_label), term))
     stripped = strip_e_powers(pmat, D.source.degree, split.b_space.degree, 0)
     inv = stripped.inverse()  # rows = b labels, cols = D labels
-    # restore e-powers: entry b <- d needs mu = (deg d - deg b) / 2
+    # a B-slot of i takes a D-label through the inverse, with the stripped
+    # e-power restored: entry b <- d needs mu = (deg d - deg b) / 2
+    slots = {}
+    for (b_label, d_label), entry in inv.data.items():
+        delta = D.source.degree(d_label) - split.b_space.degree(b_label)
+        if delta % 2:
+            continue
+        for c, l, m in entry.terms:
+            slots.setdefault(b_label, {}).setdefault(
+                (1, l, m + delta // 2), []).append(((d_label,), c))
     q_tables = {}
     for (k, lam, mu), table in incl.tables.items():
         for inputs, outs in table.entries.items():
-            _distribute_precompose(q_tables, k, (lam, mu), inputs, outs, inv,
-                                   split.b_space, D.source, p.cutoff)
+            specs = [slots.get(b) for b in inputs]
+            if not all(specs):
+                continue
+            for (_, l, m), d_inputs, coeff in _fill_slots(specs, k, p.cutoff - lam):
+                _add_scaled(q_tables.setdefault((k, lam + l, mu + m), {})
+                            .setdefault(d_inputs, {}), outs, coeff)
     tables = [OperationTable(k, lam, mu, "morphism", e)
               for (k, lam, mu), e in q_tables.items() if e]
     q = OperationSystem.morphism(D.source, A.source, p.monoid, p.flavor,
                                  p.cutoff, tables)
     return q
-
-
-def _distribute_precompose(acc, k, base_key, b_inputs, outs, inv_matrix,
-                           b_space, d_space, cutoff):
-    """Precompose a Q-table entry (on B-labels) with a Novikov matrix whose
-    columns are D-labels, distributing term keys into table keys."""
-
-    def go(idx, d_inputs, lam, mu, coeff):
-        if idx == len(b_inputs):
-            key = (k, base_key[0] + lam, base_key[1] + mu)
-            if key[1] > cutoff:
-                return
-            _add_scaled(acc.setdefault(key, {}).setdefault(tuple(d_inputs), {}),
-                        outs, coeff)
-            return
-        b_label = b_inputs[idx]
-        delta = None
-        for d_label in d_space.labels:
-            entry = inv_matrix.data.get((b_label, d_label))
-            if entry is None:
-                continue
-            # restore the e-power stripped from the degree-0 map
-            delta = (d_space.degree(d_label) - b_space.degree(b_label))
-            if delta % 2:
-                continue
-            mu_fix = delta // 2
-            for c, l, m in entry.terms:
-                go(idx + 1, d_inputs + [d_label], lam + l, mu + m + mu_fix, coeff * c)
-
-    go(0, [], Fraction(0), 0, Fraction(1))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -685,32 +610,24 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
             raise MissingDataError(f"(k={m}, lam={kv[0]}, mu={kv[1]})")
         return t
 
-    engine = _TreeEngine(geo.monoid, geo.cutoff, vertex, vertex_keys,
-                         leaf_table, edge_matrix)
+    engine = _TreeEngine(vertex, vertex_keys, leaf_table, edge_matrix)
     out_tables = []
-    for key in elements:
-        n = monoid_norm(geo.monoid, key)
-        for k in range(0, max(level + 1 - n, 0) + 1):
-            if n + k - 1 > level:
-                continue
-            if (k, key) == (1, ZERO_KEY):
-                d = geo.table(1, ZERO_KEY)
-                if d is None:
-                    raise MissingDataError("(k=1, lam=0, mu=0)")
-                entries = {
-                    i: dict(o) for i, o in d.items()
-                    if all(l in set(split.b_space.labels) for l in i)
-                }
-                entries = {
-                    i: {ol: c for ol, c in o.items() if ol in set(split.b_space.labels)}
-                    for i, o in entries.items()
-                }
-                entries = {i: o for i, o in entries.items() if o}
-                if entries:
-                    out_tables.append(OperationTable(1, Fraction(0), 0, "algebra", entries))
-                continue
-            entries = _apply_each(split.project, engine.S(k, key))
+    for k, key in _budgeted_keys(geo.monoid, geo.cutoff, level):
+        if (k, key) == (1, ZERO_KEY):
+            d = geo.table(1, ZERO_KEY)
+            if d is None:
+                raise MissingDataError("(k=1, lam=0, mu=0)")
+            b_labels = set(split.b_space.labels)
+            entries = {
+                i: {ol: c for ol, c in o.items() if ol in b_labels}
+                for i, o in d.items() if all(l in b_labels for l in i)
+            }
+            entries = {i: o for i, o in entries.items() if o}
             if entries:
-                out_tables.append(OperationTable(k, key[0], key[1], "algebra", entries))
+                out_tables.append(OperationTable(1, Fraction(0), 0, "algebra", entries))
+            continue
+        entries = _apply_each(split.project, engine.S(k, key)[0])
+        if entries:
+            out_tables.append(OperationTable(k, key[0], key[1], "algebra", entries))
     return OperationSystem.algebra(split.b_space, geo.monoid, geo.flavor,
                                    geo.cutoff, out_tables)

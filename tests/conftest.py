@@ -248,12 +248,14 @@ def strict_conjugate(alg, phi):
 
 
 def random_degree_preserving_iso(rng, space):
-    """Random invertible upper-triangular-ish degree-0 map as columns."""
+    """Random unipotent degree-0 map as columns: the identity plus entries
+    above the diagonal in basis order, so it is always invertible."""
     labels = list(space.labels)
+    position = {l: i for i, l in enumerate(labels)}
     phi = {l: {l: F(1)} for l in labels}
     for _ in range(len(labels)):
         a, b = rng.choice(labels), rng.choice(labels)
-        if a != b and space.degree(a) == space.degree(b):
+        if position[b] < position[a] and space.degree(a) == space.degree(b):
             phi[a][b] = phi[a].get(b, F(0)) + F(rng.choice([1, -1]))
     return phi
 

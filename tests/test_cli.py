@@ -367,6 +367,24 @@ def test_non_integer_field_exits_2(tmp_path, capsys, doc, path):
     assert err.startswith("error: ") and "bad integer '1.5'" in err
 
 
+@pytest.mark.parametrize("doc, args, named", [
+    (TWO_GEN_DOC, ["inverse-strict", "--morphism", "nope", "--kmax", "2"], "morphism"),
+    (PRESENTATION_DOC, ["gauge", "--morphism", "nope", "--element", "b"], "morphism"),
+    (PRESENTATION_DOC, ["hf-product", "--element", "zero", "--x", "nope", "--y", "b"],
+     "element"),
+    (PRESENTATION_DOC, ["hf-product", "--element", "zero", "--x", "b", "--y", "nope"],
+     "element"),
+    (PRESENTATION_DOC, ["rescale", "--assignments", "{}", "--element", "nope"], "element"),
+], ids=["inverse-strict-morphism", "gauge-morphism", "hf-product-x", "hf-product-y",
+        "rescale-element"])
+def test_unknown_name_exits_2(tmp_path, capsys, doc, args, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert ainfkit.cli.main(args + ["--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: no {named} named 'nope' in the document\n"
+
+
 def _check_level_2(doc):
     return subprocess.run([sys.executable, "-m", "ainfkit.cli", "check", "--level", "2"],
                           input=json.dumps(doc), capture_output=True, text=True, timeout=10)

@@ -1,9 +1,11 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ainfkit import (
@@ -17,7 +19,7 @@ from ainfkit import (
     relation_defect,
 )
 from ainfkit.errors import DegreeError, NotAComplexError, UnknownBasisError
-from ainfkit.linalg import invert
+from ainfkit.gradedcore import _fill_slots
 from conftest import (
     random_complex,
     random_degree_preserving_iso,
@@ -152,8 +154,6 @@ def test_cohomology_ranks_match_sympy(seed, square_zero):
         base = random_complex(rng, n_labels=rng.randint(0, 7), degree_span=(-3, 3))
         space = base.source
         phi = random_degree_preserving_iso(rng, space)
-        assume(invert([[phi[c].get(r, F(0)) for c in space.labels]
-                       for r in space.labels]) is not None)
         alg = strict_conjugate(base, phi)
         entries = {key[0]: t.entries for key, t in alg.tables.items()}.get(1, {})
     else:
@@ -183,6 +183,44 @@ def test_cohomology_ranks_match_sympy(seed, square_zero):
         if betti:
             expected[degree] = betti
     assert cohomology_ranks(space, d) == expected
+
+
+_HALVES = st.integers(0, 4).map(lambda n: F(n, 2))
+_GROUPS = st.dictionaries(
+    st.tuples(st.integers(0, 2), _HALVES, st.integers(-1, 1)),
+    st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1, F(1, 2), 3])),
+             min_size=1, max_size=2),
+    max_size=3)
+
+
+def _filling_oracle(groups):
+    """Every choice of one producer per slot, by itertools.product."""
+    flat = [[(key, (label,) * key[0], q) for key, group in spec.items()
+             for label, q in group] for spec in groups]
+    for choice in itertools.product(*flat):
+        key = tuple(sum(c[0][i] for c in choice) for i in range(3))
+        inputs = sum((c[1] for c in choice), ())
+        coeff = F(1)
+        for c in choice:
+            coeff *= c[2]
+        yield key, inputs, coeff
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_GROUPS, max_size=4), st.integers(0, 5),
+       st.integers(0, 8).map(lambda n: F(n, 2)), st.data())
+def test_fill_slots_matches_product_oracle(groups, k_budget, lam_budget, data):
+    """Slot fillings against brute force over every slot count from zero,
+    empty slots (no producer), budgets met exactly, and fixed totals."""
+    specs = [{key: [((label,) * key[0], q) for label, q in group]
+              for key, group in spec.items()} for spec in groups]
+    every = list(_filling_oracle(groups))
+    within = [f for f in every if f[0][0] <= k_budget and f[0][1] <= lam_budget]
+    assert Counter(_fill_slots(specs, k_budget, lam_budget)) == Counter(within)
+    keys = sorted({f[0] for f in every}) + [(0, F(0), 0), (1, F(1, 2), 7)]
+    total = data.draw(st.sampled_from(keys))
+    exact = [f for f in every if f[0] == total]
+    assert Counter(_fill_slots(specs, total[0], total[1], total)) == Counter(exact)
 
 
 def test_zero_space_is_legal():
