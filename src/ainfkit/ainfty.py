@@ -244,10 +244,12 @@ def _require_morphism(f: OperationSystem):
 
 
 def morphism_defect(f: OperationSystem, A: OperationSystem, B: OperationSystem,
-                    k, lam, mu) -> dict:
-    """LHS - RHS of the filtered morphism relation at one key."""
+                    k, lam, mu, producers=None) -> dict:
+    """LHS - RHS of the filtered morphism relation at one key.  ``producers``
+    is ``_producers_of(f)``, passed by a caller that checks many keys."""
     lhs = _insertion_sum(f, A, k, lam, mu)
-    producers = _producers_of(f)
+    if producers is None:
+        producers = _producers_of(f)
 
     def families(r):
         yield [producers] * r
@@ -260,8 +262,9 @@ def check_morphism(f: OperationSystem, A: OperationSystem, B: OperationSystem,
                    level: int) -> CheckReport:
     _require_morphism(f)
     failures = []
+    producers = _producers_of(f)
     for k, (lam, mu) in sorted(_budgeted_keys(f.monoid, f.cutoff, level)):
-        defect = morphism_defect(f, A, B, k, lam, mu)
+        defect = morphism_defect(f, A, B, k, lam, mu, producers)
         if defect:
             failures.append(("morphism", (k, lam, mu), _first_witness(defect)))
     return CheckReport(not failures, failures, note=f"level {level}")
@@ -302,8 +305,11 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
 # homotopies
 
 def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
-                    A: OperationSystem, B: OperationSystem, k, lam, mu) -> dict:
-    """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H)."""
+                    A: OperationSystem, B: OperationSystem, k, lam, mu,
+                    producers=None) -> dict:
+    """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H).
+    ``producers`` is ``_producers_of`` of (f, g, H), passed by a caller that
+    checks many keys."""
     key = (as_fraction(lam), mu)
     target = {}
     for fam, sign in ((f, 1), (g, -1)):
@@ -312,7 +318,8 @@ def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
             continue
         for inputs, outs in t.entries.items():
             _add_scaled(target, {(inputs, o): q for o, q in outs.items()}, sign)
-    f_prod, g_prod, h_prod = map(_producers_of, (f, g, H))
+    f_prod, g_prod, h_prod = (map(_producers_of, (f, g, H)) if producers is None
+                              else producers)
 
     def families(r):
         for t in range(r):
@@ -331,8 +338,9 @@ def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
     if t is not None and t.entries:
         raise MalformedMorphismError("H_0^{0,0} != 0")
     failures = []
+    producers = [_producers_of(fam) for fam in (f, g, H)]
     for k, (lam, mu) in sorted(_budgeted_keys(H.monoid, H.cutoff, level)):
-        defect = homotopy_defect(H, f, g, A, B, k, lam, mu)
+        defect = homotopy_defect(H, f, g, A, B, k, lam, mu, producers)
         if defect:
             failures.append(("homotopy", (k, lam, mu), _first_witness(defect)))
     return CheckReport(not failures, failures, note=f"level {level}")

@@ -496,7 +496,9 @@ def dispatch(command, args):
         doc = load(args.infile)
         j, target_doc = _named(doc.morphisms, args.morphism, "morphism")
         target = target_doc.algebra if target_doc else doc.algebra
-        jb, transport = floer.gauge_act(j, _named(doc.elements, args.element), target)
+        b = _named(doc.elements, args.element)
+        _, solves = floer.mc_residual(doc.algebra, b)
+        jb, transport = floer.gauge_act(j, floer.BoundingCochain(b, certified=solves), target)
         return 0, {
             "command": "gauge",
             "transported": _element_to_json(jb.element),

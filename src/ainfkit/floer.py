@@ -32,7 +32,7 @@ from .gradedcore import (
 )
 from .geomsign import eta_from_phases
 from .novikov import NovikovElement, as_fraction, nov_valuation
-from .novmat import NovMatrix, smith_valuations
+from .novmat import NovMatrix, _fold, smith_valuations
 
 ZERO = Fraction(0)
 
@@ -209,23 +209,6 @@ def _twist_tables(sys, b, max_ext=math.inf):
                 _add_scaled(acc.setdefault((k, lam0 + l, mu0 + m), {}).setdefault(ext, {}),
                             outs, coeff)
     return acc
-
-
-def _fold(tables, k, flavor, cutoff):
-    """The arity-k part of ``_twist_tables`` as {external inputs: vector},
-    one Novikov element per output."""
-    terms = {}
-    for (kk, lam, mu), entries in tables.items():
-        if kk != k:
-            continue
-        for ext, outs in entries.items():
-            for out_label, q in outs.items():
-                terms.setdefault(ext, {}).setdefault(out_label, []).append((q, lam, mu))
-    folded = {}
-    for ext, by_out in terms.items():
-        vec = {l: NovikovElement.make(t, flavor, cutoff) for l, t in by_out.items()}
-        folded[ext] = {l: v for l, v in vec.items() if not v.is_zero()}
-    return folded
 
 
 def _twist_monoid(alg, b):
@@ -415,10 +398,7 @@ def gauge_act(j: OperationSystem, b, target_alg: OperationSystem = None):
     _check_twistable(j, b)
     tables = _twist_tables(j, b, 1)
     jb = _fold(tables, 0, j.flavor, j.cutoff).get((), {})
-    transport = NovMatrix(j.target.labels, j.source.labels, j.flavor, j.cutoff)
-    for (arg,), column in _fold(tables, 1, j.flavor, j.cutoff).items():
-        for out_label, v in column.items():
-            transport.data[(out_label, arg)] = v
+    transport = NovMatrix.from_linear_tables(j, tables)
     vals = [nov_valuation(v) for v in jb.values()]
     if vals and min(vals) <= 0:
         raise AinfError("transported cochain has valuation 0")
@@ -433,6 +413,18 @@ def gauge_act(j: OperationSystem, b, target_alg: OperationSystem = None):
 
 @dataclass
 class HFReport:
+    """Free ranks and torsion per HF degree, mod F^{>E}.
+
+    ``stable`` says the free ranks recomputed at E/2 agree with those at E.
+    With every energy >= 0, a Smith form over Lambda_0 / F^{>E} reduced mod
+    F^{>E/2} is again a Smith form, so ``stable`` holds iff no Smith divisor
+    lies in (E/2, E].  Twisted differentials have no negative energy (table
+    keys lie in the monoid, a bounding cochain has positive valuation).  The
+    E/2 recompute is kept where the groups are keyed differently at E/2: a
+    parity collapse whose e-entries all lie above E/2.  The torsion at E/2
+    is the torsion at E below E/2, so there is no separate torsion check.
+    """
+
     flavor: str
     cutoff: Fraction
     stable: bool
@@ -452,47 +444,37 @@ class HFReport:
         return "\n".join(lines)
 
 
-def _truncate_matrix(m: NovMatrix, cutoff) -> NovMatrix:
-    out = NovMatrix(m.rows, m.cols, m.flavor, as_fraction(cutoff))
-    for key, v in m.data.items():
-        nv = NovikovElement.make(v.terms, m.flavor, cutoff)
-        if not nv.is_zero():
-            out.data[key] = nv
-    return out
+def _parity_collapsed(space: GradedSpace, dmat: NovMatrix, bound) -> bool:
+    """Does an entry of valuation <= ``bound`` break the degree shift by 1?"""
+    return any(space.degree(r) != space.degree(c) + 1
+               for (r, c), v in dmat.data.items() if v.terms and v.terms[0][1] <= bound)
 
 
-def _hf_groups(space: GradedSpace, dmat: NovMatrix, flavor):
-    """Per-slot free ranks and torsion via valuation Smith reduction."""
-    mixes = any(
-        space.degree(r) != space.degree(c) + 1
-        for (r, c), v in dmat.data.items() if not v.is_zero()
-    )
-    if mixes:
-        slots = {l: space.degree(l) % 2 for l, _ in space.basis}
-    else:
-        slots = {l: space.degree(l) for l, _ in space.basis}
-    slot_values = sorted(set(slots.values()))
+def _hf_groups(space: GradedSpace, dmat: NovMatrix):
+    """Per-slot free ranks and torsion via valuation Smith reduction, the
+    parity flag, and the Smith divisors of every degree block."""
+    mixes = _parity_collapsed(space, dmat, dmat.cutoff)
+    slots = {l: space.degree(l) % 2 if mixes else space.degree(l) for l, _ in space.basis}
+
+    def step(s, by):
+        return (s + by) % 2 if mixes else s + by
+
+    labels = {}
+    for l, s in slots.items():
+        labels.setdefault(s, []).append(l)
+    blocks = {s: NovMatrix(tuple(labels.get(step(s, 1), ())), tuple(cols),
+                           dmat.flavor, dmat.cutoff) for s, cols in labels.items()}
+    for (r, c), v in dmat.data.items():
+        if slots[r] == step(slots[c], 1):
+            blocks[slots[c]].data[(r, c)] = v
+    divisors = {s: smith_valuations(block) for s, block in blocks.items()}
+    unit_flavor = dmat.flavor in ("nov", "cy", "novZ")
     groups = {}
-    rank_at, torsion_at = {}, {}
-    for s in slot_values:
-        cols = [l for l, _ in space.basis if slots[l] == s]
-        upper = s + 1 if not mixes else (s + 1) % 2
-        rows = [l for l, _ in space.basis if slots[l] == upper]
-        sub = NovMatrix(tuple(rows), tuple(cols), dmat.flavor, dmat.cutoff)
-        for (r, c), v in dmat.data.items():
-            if c in cols and r in rows:
-                sub.data[(r, c)] = v
-        divisors = smith_valuations(sub)
-        rank_at[s] = len(divisors)
-        torsion_at[s] = [v for v in divisors if v > 0]
-    unit_flavor = flavor in ("nov", "cy", "novZ")
-    for s in slot_values:
-        dim_s = sum(1 for l in slots if slots[l] == s)
-        below = s - 1 if not mixes else (s - 1) % 2
-        free = dim_s - rank_at.get(s, 0) - rank_at.get(below, 0)
-        torsion = [] if unit_flavor else list(torsion_at.get(below, []))
-        groups[s] = {"free": free, "torsion": torsion}
-    return groups, mixes
+    for s in sorted(labels):
+        below = divisors.get(step(s, -1), [])
+        groups[s] = {"free": len(labels[s]) - len(divisors[s]) - len(below),
+                     "torsion": [] if unit_flavor else [v for v in below if v > 0]}
+    return groups, mixes, [v for block in divisors.values() for v in block]
 
 
 def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
@@ -500,9 +482,8 @@ def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
     shift HF^k = H^(k-1).
 
     Asserts the twisted differential squares to zero mod the cutoff, then
-    reduces each degree block by valuation-aware Smith reduction.  The report
-    always carries the cutoff and a stabilization flag (ranks recomputed at
-    half cutoff must agree).
+    reduces each degree block once by valuation-aware Smith reduction.  The
+    report carries the cutoff and the stabilization flag (see ``HFReport``).
     """
     bc = b if isinstance(b, BoundingCochain) else BoundingCochain(_element_of(b))
     if not bc.certified:
@@ -512,18 +493,19 @@ def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
                             "Maurer-Cartan equation")
     twisted = twist(pres.algebra, bc.element)
     dmat = NovMatrix.from_linear_tables(twisted)
-    square = dmat.matmul(dmat)
-    if any(not v.is_zero() for v in square.data.values()):
+    if dmat.matmul(dmat).data:
         raise NotAComplexError("twisted differential does not square to zero "
                                "mod the cutoff: inconsistent presentation")
-    groups, mixes = _hf_groups(pres.space, dmat, pres.algebra.flavor)
     half = pres.algebra.cutoff / 2
-    groups_half, _ = _hf_groups(pres.space, _truncate_matrix(dmat, half),
-                                pres.algebra.flavor)
-    stable = all(
-        groups[s]["free"] == groups_half.get(s, {}).get("free")
-        for s in groups
-    )
+    groups, mixes, divisors = _hf_groups(pres.space, dmat)
+    if mixes == _parity_collapsed(pres.space, dmat, half):
+        stable = all(v <= half for v in divisors)
+    else:
+        halved = NovMatrix(dmat.rows, dmat.cols, dmat.flavor, half,
+                           {key: v.retag(cutoff=half) for key, v in dmat.data.items()})
+        groups_half = _hf_groups(pres.space, halved)[0]
+        stable = all(groups[s]["free"] == groups_half.get(s, {}).get("free")
+                     for s in groups)
     shifted = {s + 1: g for s, g in groups.items()}
     return HFReport(pres.algebra.flavor, pres.algebra.cutoff, stable, shifted,
                     parity_collapsed=mixes)

@@ -8,11 +8,12 @@ statement is mod F^{>E}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotInvertibleError
-from .novikov import NovikovElement, nov_add, nov_invert, nov_mul, nov_valuation
+from .novikov import NovikovElement, nov_add, nov_mul
 
 
 @dataclass
@@ -45,17 +46,15 @@ class NovMatrix:
         return m
 
     @staticmethod
-    def from_linear_tables(sys) -> "NovMatrix":
-        """Sum over stored k=1 tables of T^lam e^mu times the Q-matrix."""
-        m = NovMatrix(sys.target.labels, sys.source.labels, sys.flavor, sys.cutoff)
-        for (k, lam, mu), table in sys.tables.items():
-            if k != 1:
-                continue
-            for (src,), outs in table.entries.items():
-                for dst, q in outs.items():
-                    term = NovikovElement.monomial(q, lam, mu, sys.flavor, sys.cutoff)
-                    m.set(dst, src, nov_add(m.get(dst, src), term))
-        return m
+    def from_linear_tables(sys, tables=None) -> "NovMatrix":
+        """Sum over the k=1 tables of T^lam e^mu times the Q-matrix, one Novikov
+        element per entry.  ``tables`` ({(k, lam, mu): {inputs: {out: q}}})
+        defaults to the stored tables of ``sys``."""
+        if tables is None:
+            tables = {key: t.entries for key, t in sys.tables.items()}
+        return NovMatrix(sys.target.labels, sys.source.labels, sys.flavor, sys.cutoff, {
+            (r, c): v for (c,), column in _fold(tables, 1, sys.flavor, sys.cutoff).items()
+            for r, v in column.items()})
 
     def apply(self, vec: dict) -> dict:
         out = {}
@@ -71,78 +70,33 @@ class NovMatrix:
 
     def matmul(self, other: "NovMatrix") -> "NovMatrix":
         assert self.cols == other.rows
-        out = NovMatrix(self.rows, other.cols, self.flavor, self.cutoff)
         by_row = {}
-        for (r, c), v in self.data.items():
-            by_row.setdefault(r, []).append((c, v))
-        by_col = {}
-        for (r, c), v in other.data.items():
-            by_col.setdefault(c, []).append((r, v))
-        for r, left in by_row.items():
-            for c, right in by_col.items():
-                acc = None
-                left_map = dict(left)
-                for mid, v2 in right:
-                    v1 = left_map.get(mid)
-                    if v1 is None:
-                        continue
-                    term = nov_mul(v1, v2)
-                    acc = term if acc is None else nov_add(acc, term)
-                if acc is not None and not acc.is_zero():
-                    out.data[(r, c)] = acc
+        for (mid, c), v in other.data.items():
+            by_row.setdefault(mid, []).append((c, v))
+        terms = {}
+        for (r, mid), v1 in self.data.items():
+            for c, v2 in by_row.get(mid, ()):
+                terms.setdefault((r, c), []).extend(nov_mul(v1, v2).terms)
+        out = NovMatrix(self.rows, other.cols, self.flavor, self.cutoff)
+        for key, t in terms.items():
+            out.set(*key, NovikovElement.make(t, self.flavor, self.cutoff))
         return out
 
     def inverse(self) -> "NovMatrix":
-        """Gauss elimination with minimal-valuation pivoting.
+        """Gauss-Jordan elimination on valuation-0 pivots (``_eliminate``).
 
         Requires a square matrix whose energy-0 part is invertible; raises
         NotInvertibleError otherwise.
         """
         if set(self.rows) != set(self.cols) and len(self.rows) != len(self.cols):
             raise NotInvertibleError("matrix is not square")
-        n = len(self.rows)
-        work = self.copy()
-        aug = NovMatrix.identity(self.rows, self.flavor, self.cutoff)
-        # map output coordinates: inverse has rows = self.cols, cols = self.rows
-        used_rows, used_cols = set(), set()
-        pivots = []
-        for _ in range(n):
-            best = None
-            for (r, c), v in sorted(work.data.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-                if r in used_rows or c in used_cols or v.is_zero():
-                    continue
-                val = nov_valuation(v)
-                if val != 0:
-                    continue
-                best = (r, c)
-                break
-            if best is None:
-                raise NotInvertibleError("energy-0 part is not invertible")
-            r0, c0 = best
-            inv = nov_invert(work.get(r0, c0))
-            for c in list(work.cols):
-                work.set(r0, c, nov_mul(work.get(r0, c), inv))
-            for c in list(aug.cols):
-                aug.set(r0, c, nov_mul(aug.get(r0, c), inv))
-            for r in self.rows:
-                if r == r0:
-                    continue
-                f = work.get(r, c0)
-                if f.is_zero():
-                    continue
-                for c in list(work.cols):
-                    work.set(r, c, nov_add(work.get(r, c), nov_mul(f, work.get(r0, c)).scale(-1)))
-                for c in list(aug.cols):
-                    aug.set(r, c, nov_add(aug.get(r, c), nov_mul(f, aug.get(r0, c)).scale(-1)))
-            used_rows.add(r0)
-            used_cols.add(c0)
-            pivots.append((r0, c0))
+        scale, pivots, carried = _eliminate(self, inverse=True)
         out = NovMatrix(self.cols, self.rows, self.flavor, self.cutoff)
-        for r0, c0 in pivots:
-            for c in aug.cols:
-                v = aug.get(r0, c)
-                if not v.is_zero():
-                    out.data[(c0, c)] = v
+        for r0, c0, _ in pivots:
+            for c, p in carried[r0].items():
+                out.data[(c0, c)] = NovikovElement.make(
+                    ((q, Fraction(n, scale), mu) for (n, mu), q in p.items()),
+                    self.flavor, self.cutoff)
         return out
 
 
@@ -180,53 +134,105 @@ def smith_valuations(matrix: NovMatrix):
     unit); over 0-flavors the diagonal entries are T^v up to units, and the
     positive v's are the torsion exponents of the cokernel.
     """
-    work = matrix.copy()
-    used_rows, used_cols = set(), set()
-    divisors = []
-    while True:
-        best = None
-        best_val = None
-        for (r, c), v in sorted(work.data.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-            if r in used_rows or c in used_cols or v.is_zero():
-                continue
-            val = nov_valuation(v)
-            if best_val is None or val < best_val:
-                best, best_val = (r, c), val
-        if best is None:
+    scale, pivots, _ = _eliminate(matrix)
+    return sorted(Fraction(n, scale) for _, _, n in pivots)
+
+
+def _fold(tables, k, flavor, cutoff):
+    """The arity-k part of {(k, lam, mu): {inputs: {out: q}}} as {inputs:
+    vector}, one Novikov element per output."""
+    terms = {}
+    for (kk, lam, mu), entries in tables.items():
+        if kk != k:
+            continue
+        for ext, outs in entries.items():
+            for out_label, q in outs.items():
+                terms.setdefault(ext, {}).setdefault(out_label, []).append((q, lam, mu))
+    folded = {}
+    for ext, by_out in terms.items():
+        vec = {l: NovikovElement.make(t, flavor, cutoff) for l, t in by_out.items()}
+        folded[ext] = {l: v for l, v in vec.items() if not v.is_zero()}
+    return folded
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel: an entry is {(n, mu): coeff} with n = lam * scale an
+# integer, and every shift and product drops the terms with n > top =
+# E * scale, as NovikovElement arithmetic at cutoff E does
+
+def _eliminate(matrix: NovMatrix, inverse=False):
+    """Valuation-pivot elimination on sparse rows {col: entry}.
+
+    A pivot is the live entry of least valuation v, ties broken by str(row),
+    then str(col); its row is divided by the unit pivot / T^v, and each live
+    row with an entry a in the pivot column loses (a / T^v) times it.  With
+    ``inverse`` a pivot must have v = 0 (NotInvertibleError when no live
+    row has one), the identity is carried along, and the pivoted rows are
+    eliminated too (Gauss-Jordan).
+
+    Returns (scale, [(row, col, v * scale)] in pivot order, carried rows).
+    """
+    scale = math.lcm(matrix.cutoff.denominator, *(
+        lam.denominator for v in matrix.data.values() for _, lam, _ in v.terms))
+    top = math.floor(matrix.cutoff * scale)
+    live = {r: {} for r in matrix.rows}
+    for (r, c), v in matrix.data.items():
+        if v.terms:
+            live.setdefault(r, {})[c] = {(int(lam * scale), mu): q for q, lam, mu in v.terms}
+    name = {x: str(x) for key in matrix.data for x in key}
+    carried = {r: {r: {(0, 0): Fraction(1)}} for r in live} if inverse else {}
+    done, pivots = {}, []
+    while live:
+        entries = [(min(p)[0], r, c) for r, row in live.items() for c, p in row.items()]
+        if inverse:
+            entries = [e for e in entries if e[0] == 0]
+            if not entries:
+                raise NotInvertibleError("energy-0 part is not invertible")
+        if not entries:
             break
-        r0, c0 = best
-        pivot = work.get(r0, c0)
-        # pivot = T^v * u with u a valuation-0 unit: normalize the row by u^{-1}
-        unit = NovikovElement.make(
-            ((coeff, lam - best_val, mu) for coeff, lam, mu in pivot.terms),
-            work.flavor, work.cutoff,
-        )
-        unit_inv = nov_invert(unit)
-        for c in work.cols:
-            if c == c0 or (r0, c) not in work.data:
-                continue
-            work.set(r0, c, nov_mul(work.get(r0, c), unit_inv))
-        work.set(r0, c0, NovikovElement.monomial(1, best_val, 0, work.flavor, work.cutoff))
-        tpow_neg = best_val
-        for r in work.rows:
-            if r == r0 or r in used_rows:
-                continue
-            a = work.get(r, c0)
-            if a.is_zero():
-                continue
-            # factor = a / T^v, valuation >= 0 because the pivot was minimal
-            factor = NovikovElement.make(
-                ((coeff, lam - tpow_neg, mu) for coeff, lam, mu in a.terms),
-                work.flavor, work.cutoff,
-            )
-            for c in work.cols:
-                if c in used_cols:
-                    continue
-                val = nov_add(work.get(r, c), nov_mul(factor, work.get(r0, c)).scale(-1))
-                work.set(r, c, val)
-        # column elimination is implicit: remaining rows now have 0 in c0;
-        # entries of the pivot ROW in other columns no longer meet live rows.
-        used_rows.add(r0)
-        used_cols.add(c0)
-        divisors.append(best_val)
-    return sorted(divisors)
+        v, r0, c0 = min(entries, key=lambda e: (e[0], name[e[1]], name[e[2]]))
+        row0 = live.pop(r0)
+        unit_inv = _invert({(n - v, mu): q for (n, mu), q in row0.pop(c0).items()
+                            if n - v <= top}, top)
+        pivot_rows = (row0, carried[r0]) if inverse else (row0,)
+        for part in pivot_rows:
+            for c, p in part.items():
+                part[c] = _mul(p, unit_inv, top)
+        for r, row in [*live.items(), *done.items()]:
+            a = row.pop(c0, None)
+            if a is not None:
+                factor = {(n - v, mu): -q for (n, mu), q in a.items() if n - v <= top}
+                for part, source in zip((row, carried.get(r)), pivot_rows):
+                    for c, p in source.items():
+                        part[c] = _mul(factor, p, top, dict(part.get(c, ())))
+                        if not part[c]:
+                            del part[c]
+        if inverse:
+            done[r0] = row0
+        pivots.append((r0, c0, v))
+    return scale, pivots, carried
+
+
+def _mul(a, b, top, acc=None):
+    """acc + a * b, terms past ``top`` dropped."""
+    acc = {} if acc is None else acc
+    for (n1, m1), q1 in a.items():
+        for (n2, m2), q2 in b.items():
+            if n1 + n2 <= top:
+                key = (n1 + n2, m1 + m2)
+                acc[key] = acc[key] + q1 * q2 if key in acc else q1 * q2
+    return {key: q for key, q in acc.items() if q}
+
+
+def _invert(u, top):
+    """Inverse of a valuation-0 entry: the inverse of its leading monomial
+    times the geometric series in the rest, whose energies are positive."""
+    (_, m0), q0 = min(u.items())
+    if sum(1 for n, _ in u if n == 0) > 1:
+        raise NotInvertibleError("leading energy level is not a single monomial")
+    step = {(n, mu - m0): -q / q0 for (n, mu), q in u.items() if n}
+    acc = power = {(0, 0): Fraction(1)}
+    while power:
+        power = _mul(power, step, top)
+        acc = _mul(power, {(0, 0): 1}, top, acc)
+    return {(n, mu - m0): q / q0 for (n, mu), q in acc.items()}

@@ -46,8 +46,8 @@ from .gradedcore import (
     _q_matrix,
 )
 from .ainfty import is_weak_homotopy_equiv
-from .novikov import NovikovElement, as_fraction, nov_add
-from .novmat import NovMatrix, strip_e_powers
+from .novikov import as_fraction
+from .novmat import NovMatrix, _fold, strip_e_powers
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +481,11 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
             )
     _, incl = minimal_model(A, level=level, kmax=kmax, split=split)
     # invert p_1|B as a Novikov matrix (strip degree-determined e-powers)
-    pmat = NovMatrix(D.source.labels, split.b_space.labels, p.flavor, p.cutoff)
-    for (k, lam, mu), table in p.tables.items():
-        p_map = _linear(table)
-        for b_label, vec in split.include.items():
-            for out, c in _apply(p_map, vec).items():
-                term = NovikovElement.monomial(c, lam, mu, p.flavor, p.cutoff)
-                pmat.set(out, b_label, nov_add(pmat.get(out, b_label), term))
+    restricted = {key: {(b,): _apply(_linear(t), vec) for b, vec in split.include.items()}
+                  for key, t in p.tables.items()}
+    pmat = NovMatrix(D.source.labels, split.b_space.labels, p.flavor, p.cutoff, {
+        (d, b): v for (b,), column in _fold(restricted, 1, p.flavor, p.cutoff).items()
+        for d, v in column.items()})
     stripped = strip_e_powers(pmat, D.source.degree, split.b_space.degree, 0)
     inv = stripped.inverse()  # rows = b labels, cols = D labels
     # a B-slot of i takes a D-label through the inverse, with the stripped

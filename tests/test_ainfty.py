@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -342,6 +343,33 @@ def test_classical_chain_homotopy():
     H_bad = OperationSystem.homotopy(space, space, G, "nov0", E, [
         OperationTable(1, F(0), 0, "homotopy", {("y",): {"x": F(-1)}})])
     assert not check_homotopy(H_bad, f, g, alg, alg, 3).ok
+
+
+def test_checks_index_producers_once_per_check(monkeypatch):
+    """check_morphism and check_homotopy index each family's producers once,
+    and still evaluate the public defect once per budgeted key."""
+    from ainfkit import ainfty
+    from ainfkit.gapped import _budgeted_keys
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_producers_of", "morphism_defect", "homotopy_defect"):
+        monkeypatch.setattr(ainfty, name, counted(name, getattr(ainfty, name)))
+    alg = heisenberg_algebra()
+    f = identity_morphism(alg)
+    keys = len(list(_budgeted_keys(alg.monoid, alg.cutoff, 3)))
+    assert check_morphism(f, alg, alg, 3).ok
+    assert calls == {"_producers_of": 1, "morphism_defect": keys}
+    calls.clear()
+    H = OperationSystem.homotopy(alg.source, alg.source, alg.monoid, alg.flavor,
+                                 alg.cutoff, [])
+    assert check_homotopy(H, f, f, alg, alg, 3).ok
+    assert calls == {"_producers_of": 3, "homotopy_defect": keys}
 
 
 def test_whiskering_strict():

@@ -249,6 +249,19 @@ PRESENTATION_DOC = {
 }
 
 
+def test_gauge_certifies_only_maurer_cartan_elements():
+    doc = dict(TWO_GEN_DOC)
+    doc["elements"] = {"b": {"x": ["-1*T^(1)*e^(0)"]}, "c": {"x": ["1*T^(1)*e^(0)"]}}
+    doc["morphisms"] = {"j": {"role": "morphism", "tables": [
+        {"k": 1, "lam": "0", "mu": 0, "role": "morphism", "entries": [
+            {"inputs": [l], "output": l, "coeff": "1"} for l in ("x", "y")]}]}}
+    for element, certified in (("b", True), ("c", False)):
+        out = run_cli(["gauge", "--morphism", "j", "--element", element, "--machine"],
+                      json.dumps(doc))
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["certified"] is certified, element
+
+
 def test_remaining_commands_wire_through(tmp_path):
     text = json.dumps(PRESENTATION_DOC)
     # energy 1 on (q:p) -> p:q: 1 - 2/3 - 1/3 = 0 lies in the lattice

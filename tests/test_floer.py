@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ainfkit import (
@@ -36,7 +36,12 @@ from ainfkit import (
     union_sectors,
     whitney_preset,
 )
-from ainfkit.errors import AinfError, DivergentTwistError
+from ainfkit.errors import (
+    AinfError,
+    DivergentTwistError,
+    NotInMonoidError,
+    NotInvertibleError,
+)
 from ainfkit.gradedcore import vec_add
 from ainfkit.novmat import NovMatrix, smith_valuations
 from conftest import (
@@ -852,6 +857,98 @@ def test_hf_parity_collapse_with_e_mixing():
     assert report.parity_collapsed
     assert report.groups[2]["torsion"] == [F(1)]
     assert all(g["free"] == 0 for g in report.groups.values())
+
+
+FLAVORS = ("nov", "nov0", "cy", "cy0", "novZ", "novN")
+
+
+@st.composite
+def two_term_complexes(draw):
+    """(algebra at E, the same tables at E/2): a random differential from
+    degree 0 into degree 1 and, with e^-1, into degree 3, so that the parity
+    collapse can appear or truncate away; every flavor, energies >= 0."""
+    flavor = draw(st.sampled_from(FLAVORS))
+    step = F(1) if flavor in ("novZ", "novN") else F(1, 2)
+    no_e = flavor in ("cy", "cy0")
+    monoid = EnergyMonoid.make([(step, 0)] if no_e else [(step, 0), (step, -1)])
+    energies = [lam for lam in (F(0), F(1, 2), F(1), F(3, 2), F(2), F(3))
+                if lam % step == 0]
+    cutoff = draw(st.sampled_from([F(1), F(3, 2), F(2), F(3)]))
+    sources = [f"u{i}" for i in range(draw(st.integers(1, 4)))]
+    targets = [(f"v{j}", 1) for j in range(draw(st.integers(1, 4)))]
+    if not no_e:
+        targets += [(f"w{j}", 3) for j in range(draw(st.integers(0, 2)))]
+    entries = {}
+    for u in sources:
+        for v, degree in targets:
+            mu = -1 if degree == 3 else 0
+            for lam in draw(st.lists(st.sampled_from([l for l in energies if l or not mu]),
+                                     max_size=2)):
+                out = entries.setdefault((lam, mu), {}).setdefault((u,), {})
+                out[v] = out.get(v, 0) + draw(st.sampled_from([1, -1, 2]))
+    space = GradedSpace.make([(u, 0) for u in sources] + targets)
+    tables = [OperationTable(1, lam, mu, "algebra", e) for (lam, mu), e in entries.items()]
+    return tuple(OperationSystem.algebra(space, monoid, flavor, cut, tables)
+                 for cut in (cutoff, cutoff / 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_term_complexes())
+def test_stable_flag_matches_half_cutoff_recompute(algebras):
+    """``stable`` means the free ranks at E/2 agree with those at E; here the
+    E/2 ranks come from a second presentation at cutoff E/2."""
+    at_e, at_half = (_pres_from_system(alg) for alg in algebras)
+    try:
+        report = hf_compute(at_e, {})
+    except NotInvertibleError:
+        assume(False)
+    half = hf_compute(at_half, {})
+    assert report.stable == all(g["free"] == half.groups.get(k, {}).get("free")
+                                for k, g in report.groups.items())
+
+
+def test_stable_flag_recomputes_when_the_parity_collapse_changes():
+    # d(u) = v + T^2 e^-1 w: at E = 2 the e-term collapses the degrees to
+    # parity classes, at E/2 it truncates away.  The only Smith divisor is 0,
+    # so none lies in (1, 2], yet the parity-class ranks at E differ from the
+    # degree ranks at E/2: the flag needs the recompute.
+    space = GradedSpace.make([("u", 0), ("v", 1), ("w", 3)])
+    tables = [OperationTable(1, F(0), 0, "algebra", {("u",): {"v": F(1)}}),
+              OperationTable(1, F(2), -1, "algebra", {("u",): {"w": F(1)}})]
+    alg = OperationSystem.algebra(space, EnergyMonoid.make([(1, 0), (1, -1)]),
+                                  "nov0", F(2), tables)
+    report = hf_compute(_pres_from_system(alg), {})
+    assert report.parity_collapsed and not report.stable
+
+
+def test_differential_energies_are_never_negative():
+    # the stabilization rule needs them >= 0: a table key off the monoid is
+    # refused, and so is a twist by an element of valuation <= 0
+    space = GradedSpace.make([("u", 0), ("v", 1)])
+    t = OperationTable(1, F(-1), 0, "algebra", {("u",): {"v": F(1)}})
+    with pytest.raises(NotInMonoidError):
+        OperationSystem.algebra(space, G, "nov", E, [t])
+    alg = OperationSystem.algebra(space, G, "nov", E, [])
+    with pytest.raises(DivergentTwistError):
+        twist(alg, {"u": mono(1, -1, 0, "nov")})
+
+
+def test_hf_reduces_each_degree_block_once(monkeypatch):
+    # the mc-hf shape: sphere homology, an acyclic pair and a torsion pair
+    from ainfkit import floer
+    points = [DoublePoint("A0-", "A0+", 1), DoublePoint("A0+", "A0-", 2),
+              DoublePoint("B0-", "B0+", 1), DoublePoint("B0+", "B0-", 2)]
+    tables = [OperationTable(1, F(0), 0, "algebra", {("A0-:A0+",): {"A0+:A0-": F(1)}}),
+              OperationTable(1, F(1, 2), 0, "algebra", {("B0-:B0+",): {"B0+:B0-": F(2)}})]
+    pres = make_presentation(3, {0: 1, 3: 1}, points, EnergyMonoid.make([(F(1, 2), 0)]),
+                             "cy0", F(3), tables)
+    calls = []
+    original = floer.smith_valuations
+    monkeypatch.setattr(floer, "smith_valuations",
+                        lambda block: calls.append(block) or original(block))
+    report = hf_compute(pres, {})
+    assert len(calls) == len(set(pres.space.degrees())) == 4
+    assert report.stable and report.groups[2]["torsion"] == [F(1, 2)]
 
 
 def test_double_point_fuzz(rng):

@@ -5,8 +5,9 @@
 fixed fixtures, and their reports are compared with the texts stored in
 ``golden/floer_golden.json``.  The fixtures reach every b-insertion sum
 (arities 0 to 3, e-powers, curvature), an ``mc-solve`` that ends in an
-obstruction, and a ``gauge`` of a certified bounding cochain.  The CLI reads
-elements as plain vectors, so the certified gauge is run on the library and
+obstruction, and a ``gauge`` of a certified bounding cochain.  The CLI
+certifies an element that solves the Maurer-Cartan equation of its source;
+the gauges of cochains found by ``mc_solve`` run on the library and are
 rendered with the CLI's report fields.
 
 Re-record (only for an intended change of the reports):
