@@ -570,29 +570,20 @@ def dispatch(command, args):
         }
     if command == "index":
         if args.kind == "eta":
-            eta = geomsign.eta_from_phases(
-                args.n,
-                [Fraction(x) for x in args.r_minus.split(",")],
-                [Fraction(x) for x in args.r_plus.split(",")],
-            )
+            eta = geomsign.eta_from_phases(args.n, args.r_minus, args.r_plus)
             return 0, {"command": "index", "eta": eta, "partner": args.n - eta}
         value = geomsign.shifted_degree(args.target, args.a, n=args.n,
                                         eta=args.eta, dim_t=args.dim_t)
         return 0, {"command": "index", "shifted_degree": value}
     if command == "vdim":
-        params = json.loads(args.params) if args.params else {}
-        value = geomsign.vdim_formulas(args.kind, **params)
+        value = geomsign.vdim_formulas(args.kind, **args.params)
         return 0, {"command": "vdim", "kind": args.kind, "value": value}
     if command == "signs":
         q = geomsign.SignQuery(
             n=args.n, i=args.i, j=args.j, k=args.k, k1=args.k1, k2=args.k2,
             dim_t=args.dim_t,
-            degs=[int(x) for x in args.degs.split(",")] if args.degs else [],
-            eta_prefix=[int(x) for x in args.eta_prefix.split(",")] if args.eta_prefix else [],
-            eta_block=[int(x) for x in args.eta_block.split(",")] if args.eta_block else [],
-            eta_tail=[int(x) for x in args.eta_tail.split(",")] if args.eta_tail else [],
-            eta_by_index={int(k): int(v) for k, v in
-                          json.loads(args.eta_by_index).items()} if args.eta_by_index else {},
+            degs=args.degs, eta_prefix=args.eta_prefix, eta_block=args.eta_block,
+            eta_tail=args.eta_tail, eta_by_index=args.eta_by_index,
             zero_in_I=args.zero_in_i, eta0=args.eta0,
             i_in_I1=args.i_in_i1, zero_in_I2=args.zero_in_i2, eta_i=args.eta_i,
             deg_f=args.deg_f,
@@ -602,16 +593,13 @@ def dispatch(command, args):
         elif args.kind in ("face", "split", "insert", "vcSplit", "familySplit"):
             value = geomsign.sign_boundary_insertion(args.kind, q)
         else:
-            dims = [int(x) for x in args.dims.split(",")]
-            value = geomsign.sign_fibre_product(args.kind, *dims)
+            value = geomsign.sign_fibre_product(args.kind, *args.dims)
         return 0, {"command": "signs", "kind": args.kind, "sign": value}
     if command == "preset-whitney":
-        pres = floer.whitney_preset(args.n, flavor=args.flavor,
-                                    cutoff=Fraction(args.cutoff))
+        pres = floer.whitney_preset(args.n, flavor=args.flavor, cutoff=args.cutoff)
         return 0, document_json(pres)
     if command == "feasible":
-        dims = {int(k): int(v) for k, v in json.loads(args.dims).items()}
-        ok, bad = floer.acyclicity_feasible(dims)
+        ok, bad = floer.acyclicity_feasible(args.dims)
         return (0 if ok else 1), {"command": "feasible", "feasible": ok,
                                   "first_failure": bad}
     if command == "trees":
@@ -635,6 +623,57 @@ def _same_tables(a: OperationSystem, b: OperationSystem) -> bool:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+#
+# Flag values are parsed by argparse ``type=`` callables: a value they refuse
+# raises ArgumentTypeError, and argparse exits 2 with a usage message.
+
+def _rational_arg(text):
+    """A rational such as 3/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _int_arg(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _count_arg(text):
+    """An integer >= 0."""
+    value = _int_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return value
+
+
+def _list_arg(parse):
+    """Comma-separated values, each read by ``parse``; the empty string is []."""
+    return lambda text: [parse(x) for x in text.split(",")] if text else []
+
+
+def _object_arg(text):
+    """A JSON object."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise argparse.ArgumentTypeError(f"not a JSON object: {text!r}")
+    return data
+
+
+def _int_object_arg(text):
+    """A JSON object with integer keys and integer values, e.g. {"0": 1}."""
+    try:
+        return {_int(k, "key"): _int(v, f"value at {k!r}")
+                for k, v in _object_arg(text).items()}
+    except DocumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -699,36 +738,37 @@ def _build_parser():
     p = add("index", help="double-point index and shifted degrees")
     p.add_argument("--kind", choices=["eta", "shifted"], default="eta")
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--r-minus", default="")
-    p.add_argument("--r-plus", default="")
+    p.add_argument("--r-minus", type=_list_arg(_rational_arg), default="")
+    p.add_argument("--r-plus", type=_list_arg(_rational_arg), default="")
     p.add_argument("--target", default="manifold")
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--eta", type=int, default=0)
     p.add_argument("--dim-t", dest="dim_t", type=int, default=0)
     p = add("vdim", help="closed-form virtual dimensions")
     p.add_argument("--kind", required=True)
-    p.add_argument("--params", default="{}", help="JSON parameter object")
+    p.add_argument("--params", type=_object_arg, default="{}",
+                   help="JSON parameter object")
     p = add("signs", help="orientation sign formulas")
     p.add_argument("--kind", required=True)
     for flag in ("n", "i", "j", "k", "k1", "k2", "eta0", "eta-i", "deg-f", "dim-t"):
         p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int, default=0)
-    p.add_argument("--degs", default="")
-    p.add_argument("--eta-prefix", dest="eta_prefix", default="")
-    p.add_argument("--eta-block", dest="eta_block", default="")
-    p.add_argument("--eta-tail", dest="eta_tail", default="")
-    p.add_argument("--eta-by-index", dest="eta_by_index", default="")
+    for flag in ("degs", "eta-prefix", "eta-block", "eta-tail", "dims"):
+        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=_list_arg(_int_arg),
+                       default="")
+    p.add_argument("--eta-by-index", dest="eta_by_index", type=_int_object_arg,
+                   default="{}")
     p.add_argument("--zero-in-I", dest="zero_in_i", action="store_true")
     p.add_argument("--i-in-I1", dest="i_in_i1", action="store_true")
     p.add_argument("--zero-in-I2", dest="zero_in_i2", action="store_true")
-    p.add_argument("--dims", default="")
     p = add("preset-whitney", help="the immersed-sphere presentation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--flavor", default="cy0", choices=list(FLAVORS))
-    p.add_argument("--cutoff", default="2")
+    p.add_argument("--cutoff", type=_rational_arg, default="2")
     p = add("feasible", help="acyclic-differential rank feasibility")
-    p.add_argument("--dims", required=True, help='JSON like {"0": 1, "1": 2}')
+    p.add_argument("--dims", type=_int_object_arg, required=True,
+                   help='JSON like {"0": 1, "1": 2}')
     p = add("trees", help="enumerate planar rooted trees")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count_arg, required=True)
     p.add_argument("--mode", choices=["strict", "filtered"], default="strict")
     p.add_argument("--low-valence", dest="low_valence", type=int, default=0)
     return parser

@@ -27,11 +27,10 @@ from .gradedcore import (
     _linear,
     _q_matrix,
     apply_operation,
-    vec_add,
     vec_is_zero,
 )
 from .geomsign import eta_from_phases
-from .novikov import NovikovElement, as_fraction, nov_valuation
+from .novikov import NovikovElement, _term_violations, as_fraction, nov_valuation
 from .novmat import NovMatrix, _fold, smith_valuations
 
 ZERO = Fraction(0)
@@ -187,27 +186,40 @@ def _check_twistable(alg, b):
     return min_val
 
 
-def _twist_tables(sys, b, max_ext=math.inf):
-    """Every insertion of b into the stored tables of ``sys``.
-
-    Each slot of a stored entry takes either b or an external input, with at
-    most ``max_ext`` external slots; a branch stops once its energy passes
-    the cutoff.  Returns {(k, lam, mu): {external inputs: {out: q}}} with k
-    the number of external slots.
-    """
-    slots = {}  # label -> {(1, 0, 0): the label itself, (0, l, m): a term of b}
-    for label in sys.source.labels:
+def _slot_specs(space, b):
+    """The slot specs of the b-insertions, one per label of ``space``:
+    {(1, 0, 0): the label itself, (0, l, m): one term of b at that label}."""
+    slots = {}
+    for label in space.labels:
         spec = slots[label] = {(1, 0, 0): [((label,), 1)]}
         if label in b:
             for c, l, m in b[label].terms:
                 spec[(0, l, m)] = [((), c)]
+    return slots
+
+
+def _twist_tables(sys, slots, max_ext=math.inf, level=None):
+    """Every insertion of b into the stored tables of ``sys``.
+
+    ``slots`` are b's ``_slot_specs``.  Each slot of a stored entry takes
+    either b or an external input, with at most ``max_ext`` external slots; a
+    branch stops once its energy passes the cutoff, or ``level`` when one is
+    given, and then only the insertions of total energy exactly ``level``
+    are kept.  Returns {(k, lam, mu): {external inputs: {out: q}}} with k the
+    number of external slots.
+    """
+    top = sys.cutoff if level is None else level
     acc = {}
     for (_, lam0, mu0), table in sys.tables.items():
+        budget = top - lam0
+        if budget < 0:
+            continue
         for in_labels, outs in table.entries.items():
             specs = [slots[label] for label in in_labels]
-            for (k, l, m), ext, coeff in _fill_slots(specs, max_ext, sys.cutoff - lam0):
-                _add_scaled(acc.setdefault((k, lam0 + l, mu0 + m), {}).setdefault(ext, {}),
-                            outs, coeff)
+            for (k, l, m), ext, coeff in _fill_slots(specs, max_ext, budget):
+                if level is None or l == budget:
+                    _add_scaled(acc.setdefault((k, lam0 + l, mu0 + m), {})
+                                .setdefault(ext, {}), outs, coeff)
     return acc
 
 
@@ -229,7 +241,7 @@ def twist(alg: OperationSystem, b) -> OperationSystem:
     """
     b = _element_of(b)
     _check_twistable(alg, b)
-    acc = _twist_tables(alg, b)
+    acc = _twist_tables(alg, _slot_specs(alg.source, b))
     tables = [
         OperationTable(k, lam, mu, "algebra", {i: o for i, o in e.items() if o})
         for (k, lam, mu), e in acc.items()
@@ -246,7 +258,8 @@ def mc_residual(alg: OperationSystem, b):
     """(sum_k m_k(b, ..., b), verified-zero flag), truncated at the cutoff."""
     b = _element_of(b)
     _check_twistable(alg, b)
-    residual = _fold(_twist_tables(alg, b, 0), 0, alg.flavor, alg.cutoff).get((), {})
+    residual = _fold(_twist_tables(alg, _slot_specs(alg.source, b), 0), 0, alg.flavor,
+                     alg.cutoff).get((), {})
     return residual, vec_is_zero(residual)
 
 
@@ -271,18 +284,26 @@ def mc_solve(alg: OperationSystem):
     supported on the monoid's keys.  Returns a certified BoundingCochain, or
     the first Obstruction (level plus residual class in degree-one
     cohomology).
+
+    The residual at a level is the part of sum_k m_k(b, ..., b) at exactly
+    that energy.  b has valuation > 0, so the only insertion that puts a
+    term of b at the level itself back at the level is m_1^{0,0} of it: the
+    residual depends on the terms below the level alone.  Each level
+    therefore enumerates only the b-insertions of its own energy, on slot
+    specs that every solved term joins in place, and one full
+    ``mc_residual`` at the end certifies the result.
     """
     space = alg.source
     d = _linear(alg.table(1, ZERO, 0))
-    b = {}
+    slots = _slot_specs(space, {})
+    terms = {}  # label -> [(q, level, mu)]
     for level in alg.monoid.positive_energies(alg.cutoff):
-        residual, _ = mc_residual(alg, b)
-        by_mu = {}
-        for label, val in residual.items():
-            for coeff, lam, mu in val.terms:
-                if lam == level and coeff:
-                    by_mu.setdefault(mu, {})[label] = coeff
+        by_mu = {mu: e[()] for (_, _, mu), e in _twist_tables(alg, slots, 0, level).items()
+                 if e[()]}
         for mu in sorted(by_mu):
+            bad = _term_violations(level, mu, alg.flavor)
+            if bad:  # e.g. a novZ table at T^(1/2): the residual is off the ring
+                raise ValueError(bad[0])
             target = by_mu[mu]
             dom = space.labels_of_degree(-2 * mu)
             cod = space.labels_of_degree(1 - 2 * mu)
@@ -291,12 +312,11 @@ def mc_solve(alg: OperationSystem):
             if sol is None:
                 cls = _cohomology_class(target, space, d, 1 - 2 * mu)
                 return Obstruction(level, mu, cls)
-            delta = {}
             for j, l in enumerate(dom):
                 if sol[j]:
-                    delta[l] = NovikovElement.monomial(sol[j], level, mu,
-                                                       alg.flavor, alg.cutoff)
-            b = vec_add(b, delta)
+                    slots[l][(0, level, mu)] = [((), sol[j])]
+                    terms.setdefault(l, []).append((sol[j], level, mu))
+    b = {l: NovikovElement.make(t, alg.flavor, alg.cutoff) for l, t in terms.items()}
     residual, ok = mc_residual(alg, b)
     if not ok:
         # leftover residual above every solvable level within the cutoff
@@ -396,7 +416,7 @@ def gauge_act(j: OperationSystem, b, target_alg: OperationSystem = None):
     bc = b if isinstance(b, BoundingCochain) else BoundingCochain(_element_of(b))
     b = _element_of(b)
     _check_twistable(j, b)
-    tables = _twist_tables(j, b, 1)
+    tables = _twist_tables(j, _slot_specs(j.source, b), 1)
     jb = _fold(tables, 0, j.flavor, j.cutoff).get((), {})
     transport = NovMatrix.from_linear_tables(j, tables)
     vals = [nov_valuation(v) for v in jb.values()]
@@ -419,10 +439,11 @@ class HFReport:
     With every energy >= 0, a Smith form over Lambda_0 / F^{>E} reduced mod
     F^{>E/2} is again a Smith form, so ``stable`` holds iff no Smith divisor
     lies in (E/2, E].  Twisted differentials have no negative energy (table
-    keys lie in the monoid, a bounding cochain has positive valuation).  The
-    E/2 recompute is kept where the groups are keyed differently at E/2: a
-    parity collapse whose e-entries all lie above E/2.  The torsion at E/2
-    is the torsion at E below E/2, so there is no separate torsion check.
+    keys lie in the monoid, a bounding cochain has positive valuation).
+    When the groups at E are parity classes, the E/2 ranks are summed by
+    parity, also where the e-entries behind the collapse all lie above E/2,
+    so the rule holds in every case.  The torsion at E/2 is the torsion at E
+    below E/2, so there is no separate torsion check.
     """
 
     flavor: str
@@ -444,16 +465,11 @@ class HFReport:
         return "\n".join(lines)
 
 
-def _parity_collapsed(space: GradedSpace, dmat: NovMatrix, bound) -> bool:
-    """Does an entry of valuation <= ``bound`` break the degree shift by 1?"""
-    return any(space.degree(r) != space.degree(c) + 1
-               for (r, c), v in dmat.data.items() if v.terms and v.terms[0][1] <= bound)
-
-
 def _hf_groups(space: GradedSpace, dmat: NovMatrix):
     """Per-slot free ranks and torsion via valuation Smith reduction, the
     parity flag, and the Smith divisors of every degree block."""
-    mixes = _parity_collapsed(space, dmat, dmat.cutoff)
+    # an entry that breaks the degree shift by 1 collapses degrees to parity
+    mixes = any(space.degree(r) != space.degree(c) + 1 for r, c in dmat.data)
     slots = {l: space.degree(l) % 2 if mixes else space.degree(l) for l, _ in space.basis}
 
     def step(s, by):
@@ -496,16 +512,8 @@ def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
     if dmat.matmul(dmat).data:
         raise NotAComplexError("twisted differential does not square to zero "
                                "mod the cutoff: inconsistent presentation")
-    half = pres.algebra.cutoff / 2
     groups, mixes, divisors = _hf_groups(pres.space, dmat)
-    if mixes == _parity_collapsed(pres.space, dmat, half):
-        stable = all(v <= half for v in divisors)
-    else:
-        halved = NovMatrix(dmat.rows, dmat.cols, dmat.flavor, half,
-                           {key: v.retag(cutoff=half) for key, v in dmat.data.items()})
-        groups_half = _hf_groups(pres.space, halved)[0]
-        stable = all(groups[s]["free"] == groups_half.get(s, {}).get("free")
-                     for s in groups)
+    stable = all(v <= pres.algebra.cutoff / 2 for v in divisors)
     shifted = {s + 1: g for s, g in groups.items()}
     return HFReport(pres.algebra.flavor, pres.algebra.cutoff, stable, shifted,
                     parity_collapsed=mixes)

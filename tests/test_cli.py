@@ -414,3 +414,23 @@ def test_oversized_monoid_exits_2():
                               cutoff="10"))
     assert out.returncode == 2
     assert out.stderr.startswith("error: the monoid has more than")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["index", "--r-minus=abc"], "--r-minus"),
+    (["index", "--r-minus=1/0"], "--r-minus"),
+    (["preset-whitney", "--n", "2", "--cutoff", "abc"], "--cutoff"),
+    (["signs", "--kind", "tree", "--degs", "x"], "--degs"),
+    (["vdim", "--kind", "disc", "--params", "notjson"], "--params"),
+    (["feasible", "--dims", "[1]"], "--dims"),
+    (["feasible", "--dims", '{"a": 1}'], "--dims"),
+    (["feasible", "--dims", '{"0": 1.5}'], "--dims"),
+    (["trees", "--k", "-1"], "--k"),
+], ids=["r-minus-word", "r-minus-zero-denominator", "cutoff", "degs", "params",
+        "dims-list", "dims-key", "dims-value", "k-negative"])
+def test_bad_flag_value_exits_2(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        ainfkit.cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "Traceback" not in err

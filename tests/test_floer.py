@@ -150,6 +150,110 @@ def test_mc_solve_zero_operations():
     assert isinstance(sol, BoundingCochain) and sol.element == {}
 
 
+def test_mc_solve_refuses_a_residual_off_the_flavor_lattice():
+    # novZ energies are integers; a curvature at T^(1/2) is no element of it
+    space = GradedSpace.make([("v", 1)])
+    t = OperationTable(0, F(1, 2), 0, "algebra", {(): {"v": F(1)}})
+    alg = OperationSystem.algebra(space, EnergyMonoid.make([(F(1, 2), 0)]), "novZ", E, [t])
+    with pytest.raises(ValueError, match="not in the novZ lattice"):
+        mc_solve(alg)
+
+
+def _mc_solve_oracle(alg):
+    """The solver before the per-level enumeration, kept verbatim as an
+    oracle: it recomputes the whole ``mc_residual`` at every level."""
+    from ainfkit import linalg
+    from ainfkit.floer import ZERO, _cohomology_class
+    from ainfkit.gradedcore import _linear, _q_matrix
+
+    space = alg.source
+    d = _linear(alg.table(1, ZERO, 0))
+    b = {}
+    for level in alg.monoid.positive_energies(alg.cutoff):
+        residual, _ = mc_residual(alg, b)
+        by_mu = {}
+        for label, val in residual.items():
+            for coeff, lam, mu in val.terms:
+                if lam == level and coeff:
+                    by_mu.setdefault(mu, {})[label] = coeff
+        for mu in sorted(by_mu):
+            target = by_mu[mu]
+            dom = space.labels_of_degree(-2 * mu)
+            cod = space.labels_of_degree(1 - 2 * mu)
+            rhs = [-target.get(out, ZERO) for out in cod]
+            sol = linalg.solve(_q_matrix(d, dom, cod), rhs, len(dom))
+            if sol is None:
+                cls = _cohomology_class(target, space, d, 1 - 2 * mu)
+                return Obstruction(level, mu, cls)
+            delta = {}
+            for j, l in enumerate(dom):
+                if sol[j]:
+                    delta[l] = NovikovElement.monomial(sol[j], level, mu,
+                                                       alg.flavor, alg.cutoff)
+            b = vec_add(b, delta)
+    residual, ok = mc_residual(alg, b)
+    if not ok:
+        # leftover residual above every solvable level within the cutoff
+        for label, val in sorted(residual.items()):
+            coeff, lam, mu = val.terms[0]
+            cls = _cohomology_class({label: coeff}, space, d, 1 - 2 * mu)
+            return Obstruction(lam, mu, cls)
+    return BoundingCochain(b, certified=True)
+
+
+@st.composite
+def curved_algebras(draw):
+    """Random operations of arity <= 3 on top of a differential that hits
+    some of the residual's degrees (x -> y in degrees -2mu -> 1-2mu), every
+    flavor, e-powers where the flavor allows them; sometimes an m_0^{0,0},
+    which only the final certification sees.  Solvable and obstructed."""
+    flavor = draw(st.sampled_from(FLAVORS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    no_e = flavor in ("cy", "cy0")
+    step = F(1) if flavor in ("novZ", "novN") else F(1, 2)
+    monoid = EnergyMonoid.make([(step, 0), (2 * step, 0)] if no_e
+                               else [(step, 0), (step, 1), (2 * step, -1)])
+    basis, d = [], {}
+    for mu in (0,) if no_e else (0, 1, -1):
+        for i in range(rng.randint(0, 2)):
+            basis += [(f"x{mu}_{i}", -2 * mu), (f"y{mu}_{i}", 1 - 2 * mu)]
+            d[(f"x{mu}_{i}",)] = {f"y{mu}_{i}": F(rng.choice([1, -1, 2]))}
+    degrees = [0, 1] if no_e else [-2, -1, 0, 1, 2, 3]
+    basis += [(f"z{i}", rng.choice(degrees)) for i in range(rng.randint(0, 2))]
+    space = GradedSpace.make(basis or [("z", 0)])
+    ops = random_operations(rng, space, monoid, "algebra", flavor, E,
+                            draws=rng.randint(3, 20), max_energy=2)
+    tables = {key: dict(t.entries) for key, t in ops.tables.items()}
+    tables.setdefault((1, F(0), 0), {}).update(d)
+    ones = space.labels_of_degree(1)
+    if ones and rng.random() < 0.1:
+        tables[(0, F(0), 0)] = {(): {ones[0]: F(1)}}
+    return OperationSystem.algebra(space, monoid, flavor, E, [
+        OperationTable(k, lam, mu, "algebra", e) for (k, lam, mu), e in tables.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(curved_algebras())
+def test_mc_solve_matches_the_per_level_residual_oracle(alg):
+    got, want = mc_solve(alg), _mc_solve_oracle(alg)
+    assert type(got) is type(want)
+    if isinstance(want, BoundingCochain):
+        assert got.certified and got.element == want.element
+    else:
+        assert got == want
+
+
+def test_mc_solve_computes_the_full_residual_once(monkeypatch):
+    from ainfkit import floer
+    calls = []
+    original = floer.mc_residual
+    monkeypatch.setattr(floer, "mc_residual",
+                        lambda alg, b: calls.append(b) or original(alg, b))
+    sol = mc_solve(two_generator_algebra())
+    assert sol.certified and len(calls) == 1
+    assert len(two_generator_algebra().monoid.positive_energies(E)) == 3
+
+
 def test_twist_strict_iff_residual_vanishes(rng):
     hits = {True: 0, False: 0}
     for _ in range(100):
@@ -892,33 +996,49 @@ def two_term_complexes(draw):
                  for cut in (cutoff, cutoff / 2))
 
 
+def _free_ranks(report, parity):
+    """HF free ranks by group key; with ``parity``, degree groups are summed
+    into the parity-class keys 1 (even slots) and 2 (odd slots)."""
+    out = {}
+    for k, g in report.groups.items():
+        key = (k - 1) % 2 + 1 if parity else k
+        out[key] = out.get(key, 0) + g["free"]
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(two_term_complexes())
 def test_stable_flag_matches_half_cutoff_recompute(algebras):
     """``stable`` means the free ranks at E/2 agree with those at E; here the
-    E/2 ranks come from a second presentation at cutoff E/2."""
+    E/2 ranks come from a second presentation at cutoff E/2, summed by
+    parity when the groups at E are parity classes."""
     at_e, at_half = (_pres_from_system(alg) for alg in algebras)
     try:
         report = hf_compute(at_e, {})
     except NotInvertibleError:
         assume(False)
     half = hf_compute(at_half, {})
-    assert report.stable == all(g["free"] == half.groups.get(k, {}).get("free")
-                                for k, g in report.groups.items())
+    collapsed = report.parity_collapsed
+    assert report.stable == (_free_ranks(report, collapsed)
+                             == _free_ranks(half, collapsed))
 
 
-def test_stable_flag_recomputes_when_the_parity_collapse_changes():
+def test_stable_flag_sums_half_cutoff_ranks_by_parity():
     # d(u) = v + T^2 e^-1 w: at E = 2 the e-term collapses the degrees to
     # parity classes, at E/2 it truncates away.  The only Smith divisor is 0,
-    # so none lies in (1, 2], yet the parity-class ranks at E differ from the
-    # degree ranks at E/2: the flag needs the recompute.
+    # so none lies in (1, 2], and the E/2 degree ranks summed by parity
+    # (even 0, odd 1) equal the parity-class ranks at E.
     space = GradedSpace.make([("u", 0), ("v", 1), ("w", 3)])
     tables = [OperationTable(1, F(0), 0, "algebra", {("u",): {"v": F(1)}}),
               OperationTable(1, F(2), -1, "algebra", {("u",): {"w": F(1)}})]
-    alg = OperationSystem.algebra(space, EnergyMonoid.make([(1, 0), (1, -1)]),
-                                  "nov0", F(2), tables)
+    monoid = EnergyMonoid.make([(1, 0), (1, -1)])
+    alg = OperationSystem.algebra(space, monoid, "nov0", F(2), tables)
     report = hf_compute(_pres_from_system(alg), {})
-    assert report.parity_collapsed and not report.stable
+    half = hf_compute(_pres_from_system(
+        OperationSystem.algebra(space, monoid, "nov0", F(1), tables)), {})
+    assert report.parity_collapsed and not half.parity_collapsed
+    assert _free_ranks(half, True) == _free_ranks(report, True) == {1: 0, 2: 1}
+    assert report.stable
 
 
 def test_differential_energies_are_never_negative():

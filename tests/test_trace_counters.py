@@ -1,8 +1,10 @@
-"""The benchmark's tracer still counts the Smith reduction.
+"""The benchmark's tracer still counts the Smith reduction and the
+Maurer-Cartan residual.
 
 ``perfbench/tracer.py`` wraps the library's public functions from outside
 and reads ``novmat.smith_calls`` and ``novmat.smith_pivots`` off the calls
-to ``novmat.smith_valuations`` and the length of their results.  This runs
+to ``novmat.smith_valuations`` and the length of their results, and
+``floer.residual_calls`` off the calls to ``floer.mc_residual``.  This runs
 one small mc-hf job of the benchmark under an installed tracer, in this
 process, and puts the library back afterwards.
 """
@@ -57,3 +59,6 @@ def test_smith_counters_are_traced_on_an_mc_hf_job(bench):
     assert layers["novmat.smith_calls"] == (4, "count")
     assert layers["novmat.smith_pivots"][0] > 0
     assert layers["novmat.self_s"][0] > 0
+    # mc_solve certifies with one full residual; the levels enumerate only
+    # the b-insertions of their own energy
+    assert layers["floer.residual_calls"] == (1, "count")
