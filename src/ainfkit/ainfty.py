@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import MalformedMorphismError
@@ -125,7 +124,7 @@ def check_relations(alg: OperationSystem, level: int) -> CheckReport:
     """
     gapped = validate_gapped(alg)
     if not gapped.ok:
-        return CheckReport(False, [("gapped", (0, Fraction(0), 0), f) for f in gapped.failures])
+        return CheckReport(False, [("gapped", (0, 0, 0), f) for f in gapped.failures])
     failures = []
     for k, (lam, mu) in sorted(_budgeted_keys(alg.monoid, alg.cutoff, level)):
         defect = relation_defect(alg, k, lam, mu)
@@ -238,7 +237,7 @@ def bar_transport(f: OperationSystem, word: BarWord):
 def _require_morphism(f: OperationSystem):
     if f.role != "morphism":
         raise MalformedMorphismError(f"role {f.role!r} is not a morphism")
-    t = f.table(0, Fraction(0), 0)
+    t = f.table(0, 0, 0)
     if t is not None and t.entries:
         raise MalformedMorphismError("f_0^{0,0} != 0")
 
@@ -271,8 +270,8 @@ def check_morphism(f: OperationSystem, A: OperationSystem, B: OperationSystem,
 
 
 def identity_morphism(A: OperationSystem) -> OperationSystem:
-    entries = {(l,): {l: Fraction(1)} for l, _ in A.source.basis}
-    t = OperationTable(1, Fraction(0), 0, "morphism", entries)
+    entries = {(l,): {l: 1} for l, _ in A.source.basis}
+    t = OperationTable(1, 0, 0, "morphism", entries)
     return OperationSystem.morphism(A.source, A.target, A.monoid, A.flavor,
                                     A.cutoff, [t])
 
@@ -334,7 +333,7 @@ def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
                    A: OperationSystem, B: OperationSystem, level: int) -> CheckReport:
     if H.role != "homotopy":
         raise MalformedMorphismError(f"role {H.role!r} is not a homotopy")
-    t = H.table(0, Fraction(0), 0)
+    t = H.table(0, 0, 0)
     if t is not None and t.entries:
         raise MalformedMorphismError("H_0^{0,0} != 0")
     failures = []
@@ -370,9 +369,9 @@ def is_weak_homotopy_equiv(f: OperationSystem, A: OperationSystem,
     Returns (bool, certificate) with certificate a per-degree list of
     (degree, dim H(A), dim H(B), rank of the induced map).
     """
-    dA = _linear(A.table(1, Fraction(0), 0))
-    dB = _linear(B.table(1, Fraction(0), 0))
-    f1 = _linear(f.table(1, Fraction(0), 0))
+    dA = _linear(A.table(1, 0, 0))
+    dB = _linear(B.table(1, 0, 0))
+    f1 = _linear(f.table(1, 0, 0))
     degrees = sorted(set(A.source.degrees()) | set(B.target.degrees()))
     cert = []
     ok = True
@@ -393,7 +392,7 @@ def is_weak_homotopy_equiv(f: OperationSystem, A: OperationSystem,
 
         # induced map: images of cycle basis vectors, modulo boundaries of B
         fz = [_apply(f1, dict(zip(domA, z))) for z in zA]
-        rk = linalg.rank([row + [v.get(out, Fraction(0)) for v in fz]
+        rk = linalg.rank([row + [v.get(out, 0) for v in fz]
                           for row, out in zip(imB, domB)]) - rB
         cert.append((d, hA, hB, rk))
         if hA != hB or rk != hA:

@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import ainfty, floer, gapped, geomsign, gradedcore, transfer
 from .errors import AinfError, DocumentError
 from .floer import DoublePoint, LagrangianPresentation, make_presentation
 from .gapped import EnergyMonoid
 from .gradedcore import GradedSpace, OperationSystem, OperationTable
-from .novikov import FLAVORS, NovikovElement, format_term, parse_term
+from .novikov import FLAVORS, NovikovElement, as_fraction, format_term, parse_term
 from .transfer import GeometricData
 
 
@@ -31,7 +30,7 @@ from .transfer import GeometricData
 
 def _frac(text, ctx):
     try:
-        return Fraction(str(text))
+        return as_fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {text!r}: {exc}", ctx)
 
@@ -47,7 +46,7 @@ def _int(text, ctx):
 
 
 def _frac_str(x) -> str:
-    return str(Fraction(x))
+    return str(as_fraction(x))
 
 
 def _element_to_json(vec: dict) -> dict:
@@ -112,7 +111,7 @@ def _tables_from_json(data, role, ctx) -> list:
                 raise DocumentError(
                     f"entry arity {len(inputs)} != k={tdoc['k']}", ectx)
             tgt = entries.setdefault(inputs, {})
-            tgt[e["output"]] = tgt.get(e["output"], Fraction(0)) + _frac(e["coeff"], ectx)
+            tgt[e["output"]] = tgt.get(e["output"], 0) + _frac(e["coeff"], ectx)
         tables.append(OperationTable(k, _frac(tdoc["lam"], tctx),
                                      _int(tdoc["mu"], f"{tctx}.mu"),
                                      tdoc.get("role", role), entries))
@@ -290,13 +289,14 @@ def document_json(doc_or_payload, elements=None) -> dict:
         payload = doc_or_payload.payload
     else:
         payload = doc_or_payload
+    def ring(x):
+        return {"flavor": x.flavor, "cutoff": _frac_str(x.cutoff),
+                "monoid": [[_frac_str(l), m] for l, m in x.monoid.generators]}
+
     if isinstance(payload, LagrangianPresentation):
         alg = payload.algebra
         out = {
-            "kind": "presentation",
-            "flavor": alg.flavor,
-            "cutoff": _frac_str(alg.cutoff),
-            "monoid": [[_frac_str(l), m] for l, m in alg.monoid.generators],
+            "kind": "presentation", **ring(alg),
             "ambient_dim": payload.n,
             "homology_ranks": {str(d): r for d, r in sorted(payload.homology_ranks.items())},
             "double_points": _double_points_to_json(payload.double_points),
@@ -306,20 +306,14 @@ def document_json(doc_or_payload, elements=None) -> dict:
             out["prefix"] = payload.label_prefix
     elif isinstance(payload, OperationSystem):
         out = {
-            "kind": "system",
-            "flavor": payload.flavor,
-            "cutoff": _frac_str(payload.cutoff),
-            "monoid": [[_frac_str(l), m] for l, m in payload.monoid.generators],
+            "kind": "system", **ring(payload),
             "basis": [[l, d] for l, d in payload.source.basis],
             "role": payload.role,
             "tables": _tables_to_json(payload.tables),
         }
     elif isinstance(payload, GeometricData):
         out = {
-            "kind": "geometric",
-            "flavor": payload.flavor,
-            "cutoff": _frac_str(payload.cutoff),
-            "monoid": [[_frac_str(l), m] for l, m in payload.monoid.generators],
+            "kind": "geometric", **ring(payload),
             "basis": [[l, d] for l, d in payload.space.basis],
             "filtration": {l: v for l, v in sorted(payload.filtration.items())},
             "declared": [[k, _frac_str(l), m]
@@ -421,25 +415,22 @@ def _fail_witness(report):
 
 def dispatch(command, args):
     """Run one command; returns (exit_code, result)."""
+    doc = load(args.infile) if "infile" in vars(args) else None
     if command == "check":
-        doc = load(args.infile)
         report = ainfty.check_relations(doc.algebra, args.level)
         code = 0 if report.ok else 1
         return code, {"command": "check", "ok": report.ok, "level": args.level,
                       "failures": _fail_witness(report)}
     if command == "truncate":
-        doc = load(args.infile)
         out = gapped.truncate_level(doc.algebra, args.level)
         return 0, document_json(out)
     if command == "minimal-model":
-        doc = load(args.infile)
         model, incl = transfer.minimal_model(doc.algebra, level=args.level,
                                              kmax=args.kmax)
         result = document_json(model)
         result["inclusion"] = _tables_to_json(incl.tables)
         return 0, result
     if command == "inverse-strict":
-        doc = load(args.infile)
         p, target_doc = _named(doc.morphisms, args.morphism, "morphism")
         target = target_doc.algebra if target_doc else doc.algebra
         q = transfer.homotopy_inverse_strict(p, doc.algebra, target,
@@ -452,24 +443,20 @@ def dispatch(command, args):
             "tables": _tables_to_json(q.tables),
         }
     if command == "ank-from-geo":
-        doc = load(args.infile)
         if doc.kind != "geometric":
             raise DocumentError("ank-from-geo needs a geometric document")
         out = transfer.ank_from_geometric(doc.payload, args.level, args.parity)
         return 0, document_json(out)
     if command == "twist":
-        doc = load(args.infile)
         out = floer.twist(doc.algebra, _named(doc.elements, args.element))
         return 0, document_json(out)
     if command == "mc-residual":
-        doc = load(args.infile)
         residual, ok = floer.mc_residual(doc.algebra, _named(doc.elements, args.element))
         return (0 if ok else 1), {
             "command": "mc-residual", "verified_zero": ok,
             "residual": _element_to_json(residual),
         }
     if command == "mc-solve":
-        doc = load(args.infile)
         out = floer.mc_solve(doc.algebra)
         if isinstance(out, floer.BoundingCochain):
             return 0, {"command": "mc-solve", "solved": True,
@@ -480,7 +467,6 @@ def dispatch(command, args):
                                              sorted(out.class_vector.items())}},
                    "note": out.note}
     if command == "bc-criteria":
-        doc = load(args.infile)
         report = floer.bc_criteria(doc.presentation, exact=args.exact)
         result = {
             "command": "bc-criteria",
@@ -493,7 +479,6 @@ def dispatch(command, args):
             result["unique bounding cochain"] = "0"
         return 0, result
     if command == "gauge":
-        doc = load(args.infile)
         j, target_doc = _named(doc.morphisms, args.morphism, "morphism")
         target = target_doc.algebra if target_doc else doc.algebra
         b = _named(doc.elements, args.element)
@@ -508,13 +493,11 @@ def dispatch(command, args):
             },
         }
     if command == "hf":
-        doc = load(args.infile)
         report = floer.hf_compute(doc.presentation, _named(doc.elements, args.element))
         result = {"command": "hf"}
         result.update(_hf_groups_json(report))
         return 0, result
     if command == "hf-product":
-        doc = load(args.infile)
         x = _named(doc.elements, args.x)
         y = _named(doc.elements, args.y)
         prod, cycle_ok = floer.hf_product(doc.presentation,
@@ -524,7 +507,6 @@ def dispatch(command, args):
             "product": _element_to_json(prod),
         }
     if command == "union":
-        doc = load(args.infile)
         other = load(args.other)
         cross_points, cross_tables = [], []
         if args.cross:
@@ -540,7 +522,6 @@ def dispatch(command, args):
         result["sectors"] = dict(sorted(union.sectors.items()))
         return 0, result
     if command == "rescale":
-        doc = load(args.infile)
         assignments = json.loads(args.assignments)
         assignments = {
             tuple(k.split(":")): v for k, v in assignments.items()
@@ -562,7 +543,6 @@ def dispatch(command, args):
             result["presentation"] = document_json(report.presentation)
         return (1 if (report.wall or report.algebra_wall) else 0), result
     if command == "legendrian-check":
-        doc = load(args.infile)
         report = floer.legendrian_validate(doc.presentation)
         return (0 if report.ok else 1), {
             "command": "legendrian-check", "ok": report.ok,
@@ -570,13 +550,15 @@ def dispatch(command, args):
         }
     if command == "index":
         if args.kind == "eta":
-            eta = geomsign.eta_from_phases(args.n, args.r_minus, args.r_plus)
+            eta = _flag_call("--n/--r-minus/--r-plus", geomsign.eta_from_phases,
+                             args.n, args.r_minus, args.r_plus)
             return 0, {"command": "index", "eta": eta, "partner": args.n - eta}
-        value = geomsign.shifted_degree(args.target, args.a, n=args.n,
-                                        eta=args.eta, dim_t=args.dim_t)
+        value = _flag_call("--target", geomsign.shifted_degree, args.target, args.a,
+                           n=args.n, eta=args.eta, dim_t=args.dim_t)
         return 0, {"command": "index", "shifted_degree": value}
     if command == "vdim":
-        value = geomsign.vdim_formulas(args.kind, **args.params)
+        value = _flag_call("--kind/--params", geomsign.vdim_formulas, args.kind,
+                           **args.params)
         return 0, {"command": "vdim", "kind": args.kind, "value": value}
     if command == "signs":
         q = geomsign.SignQuery(
@@ -589,11 +571,12 @@ def dispatch(command, args):
             deg_f=args.deg_f,
         )
         if args.kind.startswith("zeta"):
-            value = geomsign.sign_zeta(args.kind, q)
+            value = _flag_call("--kind/--k/--degs", geomsign.sign_zeta, args.kind, q)
         elif args.kind in ("face", "split", "insert", "vcSplit", "familySplit"):
             value = geomsign.sign_boundary_insertion(args.kind, q)
         else:
-            value = geomsign.sign_fibre_product(args.kind, *args.dims)
+            value = _flag_call("--kind/--dims", geomsign.sign_fibre_product,
+                               args.kind, *args.dims)
         return 0, {"command": "signs", "kind": args.kind, "sign": value}
     if command == "preset-whitney":
         pres = floer.whitney_preset(args.n, flavor=args.flavor, cutoff=args.cutoff)
@@ -603,10 +586,21 @@ def dispatch(command, args):
         return (0 if ok else 1), {"command": "feasible", "feasible": ok,
                                   "first_failure": bad}
     if command == "trees":
-        out = transfer.enumerate_trees(args.k, args.mode, args.low_valence)
+        out = _flag_call("--k", transfer.enumerate_trees, args.k, args.mode,
+                         args.low_valence)
         return 0, {"command": "trees", "count": len(out),
                    "shapes": [t.shape() for t in out]}
     raise DocumentError(f"unknown command {command!r}")
+
+
+def _flag_call(flags, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` for a command whose only input is its flags:
+    an error the library raises on their values is an argparse error that
+    names ``flags``, so the CLI exits 2 with a message."""
+    try:
+        return fn(*args, **kwargs)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise argparse.ArgumentError(None, f"argument {flags}: {exc}") from None
 
 
 def _same_tables(a: OperationSystem, b: OperationSystem) -> bool:
@@ -630,7 +624,7 @@ def _same_tables(a: OperationSystem, b: OperationSystem) -> bool:
 def _rational_arg(text):
     """A rational such as 3/2."""
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
@@ -779,6 +773,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, result = dispatch(args.command, args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except DocumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -33,9 +33,6 @@ from .geomsign import eta_from_phases
 from .novikov import NovikovElement, _term_violations, as_fraction, nov_valuation
 from .novmat import NovMatrix, _fold, smith_valuations
 
-ZERO = Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -50,7 +47,7 @@ class DoublePoint:
     phases_minus: tuple | None = None  # rationals r with angle r*pi
     phases_plus: tuple | None = None
     a_value: Fraction | None = None    # Legendrian theta / 2pi, in (0, 1)
-    c_shift: Fraction = ZERO           # wall-crossing energy shift
+    c_shift: Fraction = 0              # wall-crossing energy shift
     regrade: int = 0                   # e-regrade
 
     @property
@@ -82,7 +79,7 @@ def _validate_double_points(n, points):
         if dp.eps is not None:
             if swapped.eps is None:
                 raise ValueError(f"missing eps on the record paired with {dp.pair}")
-            want = (-1) ** (dp.eta * (n - dp.eta))
+            want = -1 if dp.eta * (n - dp.eta) % 2 else 1
             if dp.eps * swapped.eps != want:
                 raise ValueError(
                     f"eps pairing broken at {dp.pair}: product must be (-1)^(eta(n-eta))"
@@ -294,7 +291,7 @@ def mc_solve(alg: OperationSystem):
     ``mc_residual`` at the end certifies the result.
     """
     space = alg.source
-    d = _linear(alg.table(1, ZERO, 0))
+    d = _linear(alg.table(1, 0, 0))
     slots = _slot_specs(space, {})
     terms = {}  # label -> [(q, level, mu)]
     for level in alg.monoid.positive_energies(alg.cutoff):
@@ -307,15 +304,16 @@ def mc_solve(alg: OperationSystem):
             target = by_mu[mu]
             dom = space.labels_of_degree(-2 * mu)
             cod = space.labels_of_degree(1 - 2 * mu)
-            rhs = [-target.get(out, ZERO) for out in cod]
+            rhs = [-target.get(out, 0) for out in cod]
             sol = linalg.solve(_q_matrix(d, dom, cod), rhs, len(dom))
             if sol is None:
                 cls = _cohomology_class(target, space, d, 1 - 2 * mu)
                 return Obstruction(level, mu, cls)
-            for j, l in enumerate(dom):
-                if sol[j]:
-                    slots[l][(0, level, mu)] = [((), sol[j])]
-                    terms.setdefault(l, []).append((sol[j], level, mu))
+            for l, q in zip(dom, sol):
+                if q:
+                    q = as_fraction(q)
+                    slots[l][(0, level, mu)] = [((), q)]
+                    terms.setdefault(l, []).append((q, level, mu))
     b = {l: NovikovElement.make(t, alg.flavor, alg.cutoff) for l, t in terms.items()}
     residual, ok = mc_residual(alg, b)
     if not ok:
@@ -333,14 +331,14 @@ def _cohomology_class(target, space, d, out_degree):
     cod = space.labels_of_degree(out_degree)
     # one row per image vector d(l), in the coordinates of cod
     image_rows = [row for row in zip(*_q_matrix(d, prev, cod)) if any(row)]
-    vec = [target.get(out, ZERO) for out in cod]
+    vec = [target.get(out, 0) for out in cod]
     if image_rows:
         rref, pivots = linalg.row_reduce(image_rows)
         for r, pc in enumerate(pivots):
             if vec[pc]:
                 f = vec[pc]
                 vec = [x - f * y for x, y in zip(vec, rref[r])]
-    return {cod[j]: vec[j] for j in range(len(cod)) if vec[j]}
+    return {cod[j]: as_fraction(vec[j]) for j in range(len(cod)) if vec[j]}
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +511,7 @@ def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
         raise NotAComplexError("twisted differential does not square to zero "
                                "mod the cutoff: inconsistent presentation")
     groups, mixes, divisors = _hf_groups(pres.space, dmat)
-    stable = all(v <= pres.algebra.cutoff / 2 for v in divisors)
+    stable = all(2 * v <= pres.algebra.cutoff for v in divisors)
     shifted = {s + 1: g for s, g in groups.items()}
     return HFReport(pres.algebra.flavor, pres.algebra.cutoff, stable, shifted,
                     parity_collapsed=mixes)
@@ -671,25 +669,25 @@ def rescale_regrade(pres: LagrangianPresentation, assignments: dict,
         shifts[tuple(pair)] = (c, d)
     for pair, (c, d) in list(shifts.items()):
         swapped = (pair[1], pair[0])
-        cs, ds = shifts.get(swapped, (ZERO, 0))
+        cs, ds = shifts.get(swapped, (0, 0))
         if c + cs != 0 or d + ds != 0:
             raise AinfError(f"c/d antisymmetry broken at {pair}")
 
     new_points = []
     label_shift = {}
     for dp in pres.double_points:
-        c, d = shifts.get(dp.pair, (ZERO, 0))
-        new_points.append(replace(dp, c_shift=ZERO, regrade=dp.regrade + d))
+        c, d = shifts.get(dp.pair, (0, 0))
+        new_points.append(replace(dp, c_shift=0, regrade=dp.regrade + d))
         label_shift[f"{pres.label_prefix}{dp.label}"] = (c, d)
 
     algebra_wall = False
     new_tables = {}
     for (k, lam, mu), t in pres.algebra.tables.items():
         for inputs, outs in t.entries.items():
-            delta_c = sum((label_shift.get(l, (ZERO, 0))[0] for l in inputs), ZERO)
-            delta_d = sum(label_shift.get(l, (ZERO, 0))[1] for l in inputs)
+            delta_c = sum(label_shift.get(l, (0, 0))[0] for l in inputs)
+            delta_d = sum(label_shift.get(l, (0, 0))[1] for l in inputs)
             for out_label, q in outs.items():
-                oc, od = label_shift.get(out_label, (ZERO, 0))
+                oc, od = label_shift.get(out_label, (0, 0))
                 lam2 = lam + delta_c - oc
                 mu2 = mu + delta_d - od
                 if lam2 < 0:
@@ -705,7 +703,7 @@ def rescale_regrade(pres: LagrangianPresentation, assignments: dict,
         b = _element_of(b)
         transported = {}
         for label, val in b.items():
-            c, d = label_shift.get(label, (ZERO, 0))
+            c, d = label_shift.get(label, (0, 0))
             moved = NovikovElement.make(
                 ((q, l - c, m - d) for q, l, m in val.terms),
                 "nov" if val.flavor in ("nov", "nov0", "novZ", "novN") else "cy",
@@ -748,10 +746,10 @@ def _check_intertwining(pres, pres2, label_shift):
         out = {}
         for (k, lam, mu), t in sys.tables.items():
             for inputs, outs in t.entries.items():
-                dc = sum((label_shift.get(l, (ZERO, 0))[0] for l in inputs), ZERO)
-                dd = sum(label_shift.get(l, (ZERO, 0))[1] for l in inputs)
+                dc = sum(label_shift.get(l, (0, 0))[0] for l in inputs)
+                dd = sum(label_shift.get(l, (0, 0))[1] for l in inputs)
                 for out_label, q in outs.items():
-                    oc, od = label_shift.get(out_label, (ZERO, 0))
+                    oc, od = label_shift.get(out_label, (0, 0))
                     key = (k, lam + sign * (dc - oc), mu + sign * (dd - od),
                            inputs, out_label)
                     _add_scaled(out, {key: q})

@@ -29,7 +29,7 @@ MAX_ELEMENTS = 100_000
 CACHED_MONOIDS = 16
 # (monoid, bound) element lists kept by monoid_elements.
 CACHED_BOUNDS = 64
-ZERO_KEY = (Fraction(0), 0)
+ZERO_KEY = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ class _MonoidTable:
         self.scale = math.lcm(*(l.denominator for l, _ in generators))
         self.steps = [(int(l * self.scale), m) for l, m in generators]
         self.reach = max((n for n, _ in self.steps), default=0)
-        self.bound = Fraction(0)
+        self.bound = 0
         self.top = 0  # floor(bound * scale)
         self.elements = [ZERO_KEY]
-        self.energies = [Fraction(0)]
+        self.energies = [0]
         self.length = {ZERO_KEY: 0}
 
     def grow(self, bound):
@@ -120,7 +120,7 @@ class _MonoidTable:
         for n, mu in sorted(new):
             d = 1 + max(lengths.get((n - gn, mu - gm), -1) for gn, gm in self.steps)
             lengths[n, mu] = d
-            lam = Fraction(n, self.scale)
+            lam = as_fraction(Fraction(n, self.scale))
             self.length[lam, mu] = d
             self.elements.append((lam, mu))
             self.energies.append(lam)
@@ -193,7 +193,7 @@ def validate_gapped(alg) -> GappedReport:
     for (k, lam, mu), table in alg.tables.items():
         if not alg.monoid.contains((lam, mu)):
             failures.append(f"(i) key (k={k}, lam={lam}, mu={mu}) is not in G")
-        if (k, lam, mu) == (0, Fraction(0), 0) and table.entries:
+        if (k, lam, mu) == (0, 0, 0) and table.entries:
             failures.append("(ii) m_0^{0,0} != 0")
         try:
             _check_table_degrees(table, alg.source, alg.target)

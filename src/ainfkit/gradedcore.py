@@ -138,7 +138,7 @@ def _fill_slots(specs, k_budget, lam_budget, total=None):
     free, ends = (specs, None) if total is None else (specs[:-1], specs[-1])
     last = len(free) - 1
 
-    # Fraction arithmetic is most of the cost: the first slot starts the
+    # coefficient arithmetic is most of the cost: the first slot starts the
     # sums and the product instead of adding to 0 and multiplying 1, and a
     # zero energy is not added
     def go(j, k, lam, mu, inputs, coeff):
@@ -173,8 +173,7 @@ def _linear(table) -> dict:
 
 def _q_matrix(matrix: dict, dom, cod):
     """Dense rows, one per ``cod`` label, of ``matrix`` on the ``dom`` labels."""
-    zero = Fraction(0)
-    return [[matrix.get(l, {}).get(out, zero) for l in dom] for out in cod]
+    return [[matrix.get(l, {}).get(out, 0) for l in dom] for out in cod]
 
 
 def _check_square_zero(d: dict):

@@ -1,6 +1,7 @@
 """Small exact linear algebra over Q with deterministic leftmost pivoting.
 
-Matrices are lists of rows, rows are lists of Fractions.  Everything here is
+Matrices are lists of rows, rows are lists of exact rationals: ints, and
+Fractions where a pivot division leaves a denominator.  Everything here is
 row reduction, done on sparse rows {column: nonzero entry}: a pivot row is
 normalised, and eliminated with, over its nonzero columns only, so the cost
 follows the nonzeros of the matrix rather than its shape.
@@ -8,21 +9,16 @@ follows the nonzeros of the matrix rather than its shape.
 
 from fractions import Fraction
 
-
-def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
+from .novikov import as_fraction
 
 
 def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_vec(a, v):
     nonzero = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((row[j] * x for j, x in nonzero), Fraction(0)) for row in a]
+    return [sum(row[j] * x for j, x in nonzero) for row in a]
 
 
 def _sparse(row):
@@ -41,7 +37,7 @@ def _eliminate(row, pivot_row, c):
 
 
 def _normalised(row, c):
-    inv = Fraction(1, 1) / row[c]
+    inv = as_fraction(Fraction(1, row[c]))
     return {j: x * inv for j, x in row.items()}
 
 
@@ -65,8 +61,7 @@ def row_reduce(mat):
         r += 1
         if r == rows:
             break
-    zero = Fraction(0)
-    return [[row.get(j, zero) for j in range(cols)] for row in a], pivots
+    return [[row.get(j, 0) for j in range(cols)] for row in a], pivots
 
 
 def rank(mat):
@@ -87,8 +82,8 @@ def kernel_basis(mat, n_cols):
     free = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
+        v = [0] * n_cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -rref[r][fc]
         basis.append(v)
@@ -102,13 +97,13 @@ def solve(mat, rhs, n_cols):
     not carry; the zero vector solves that case.
     """
     if not mat:
-        return [Fraction(0)] * n_cols
+        return [0] * n_cols
     aug = [list(row) + [c] for row, c in zip(mat, rhs)]
     rref, pivots = row_reduce(aug)
     for r in range(len(rref)):
         if all(rref[r][c] == 0 for c in range(n_cols)) and rref[r][n_cols] != 0:
             return None
-    x = [Fraction(0)] * n_cols
+    x = [0] * n_cols
     for r, pc in enumerate(pivots):
         if pc == n_cols:
             return None

@@ -33,13 +33,19 @@ _NO_E = {"cy", "cy0"}
 _INTEGER_LATTICE = {"novZ", "novN"}
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def as_fraction(x):
+    """The canonical form of an exact rational: an int when it is integral,
+    otherwise a Fraction.  Strings are parsed; floats and bools are refused."""
+    t = type(x)
+    if t is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if t is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if t is str:
+        try:
+            return int(x)
+        except ValueError:
+            return as_fraction(Fraction(x))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -78,9 +84,9 @@ class NovikovElement:
             if lam > cutoff:
                 continue
             key = (lam, mu)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
+            acc[key] = acc.get(key, 0) + coeff
         clean = tuple(
-            (c, lam, mu) for (lam, mu), c in sorted(acc.items()) if c != 0
+            (as_fraction(c), lam, mu) for (lam, mu), c in sorted(acc.items()) if c
         )
         for _, lam, mu in clean:
             bad = _term_violations(lam, mu, flavor)
@@ -145,8 +151,8 @@ def parse_term(text: str):
     parts = text.split("*")
     if len(parts) != 3 or not parts[1].startswith("T^(") or not parts[2].startswith("e^("):
         raise ValueError(f"malformed term {text!r}")
-    q = Fraction(parts[0])
-    lam = Fraction(parts[1][3:-1])
+    q = as_fraction(parts[0])
+    lam = as_fraction(parts[1][3:-1])
     mu = int(parts[2][3:-1])
     return q, lam, mu
 
@@ -202,7 +208,7 @@ def nov_invert(a: NovikovElement) -> NovikovElement:
         # monomial and has no inverse with finitely many terms per energy level
         raise NotInvertibleError("leading energy level is not a single monomial")
     # a = c0 T^{l0} e^{m0} (1 + x) with val(x) > 0
-    lead_inv = NovikovElement.monomial(Fraction(1, 1) / c0, -l0, -m0, a.flavor, a.cutoff)
+    lead_inv = NovikovElement.monomial(Fraction(1, c0), -l0, -m0, a.flavor, a.cutoff)
     x = nov_sub(nov_mul(lead_inv, a), NovikovElement.unit(a.flavor, a.cutoff))
     # geometric series sum_j (-x)^j; finite because val(x) > 0 and we cut at E
     acc = NovikovElement.unit(a.flavor, a.cutoff)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotInvertibleError
-from .novikov import NovikovElement, nov_add, nov_mul
+from .novikov import NovikovElement, as_fraction, nov_add, nov_mul
 
 
 @dataclass
@@ -135,7 +135,7 @@ def smith_valuations(matrix: NovMatrix):
     positive v's are the torsion exponents of the cokernel.
     """
     scale, pivots, _ = _eliminate(matrix)
-    return sorted(Fraction(n, scale) for _, _, n in pivots)
+    return sorted(as_fraction(Fraction(n, scale)) for _, _, n in pivots)
 
 
 def _fold(tables, k, flavor, cutoff):
@@ -180,7 +180,7 @@ def _eliminate(matrix: NovMatrix, inverse=False):
         if v.terms:
             live.setdefault(r, {})[c] = {(int(lam * scale), mu): q for q, lam, mu in v.terms}
     name = {x: str(x) for key in matrix.data for x in key}
-    carried = {r: {r: {(0, 0): Fraction(1)}} for r in live} if inverse else {}
+    carried = {r: {r: {(0, 0): 1}} for r in live} if inverse else {}
     done, pivots = {}, []
     while live:
         entries = [(min(p)[0], r, c) for r, row in live.items() for c, p in row.items()]
@@ -230,9 +230,10 @@ def _invert(u, top):
     (_, m0), q0 = min(u.items())
     if sum(1 for n, _ in u if n == 0) > 1:
         raise NotInvertibleError("leading energy level is not a single monomial")
-    step = {(n, mu - m0): -q / q0 for (n, mu), q in u.items() if n}
-    acc = power = {(0, 0): Fraction(1)}
+    inv0 = as_fraction(Fraction(1, q0))
+    step = {(n, mu - m0): -q * inv0 for (n, mu), q in u.items() if n}
+    acc = power = {(0, 0): 1}
     while power:
         power = _mul(power, step, top)
         acc = _mul(power, {(0, 0): 1}, top, acc)
-    return {(n, mu - m0): q / q0 for (n, mu), q in acc.items()}
+    return {(n, mu - m0): q * inv0 for (n, mu), q in acc.items()}

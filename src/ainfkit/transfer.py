@@ -27,6 +27,7 @@ needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 
 from . import linalg
@@ -86,8 +87,9 @@ class PlanarTree:
         return "(" + "".join(c.shape() for c in self.children) + ")"
 
 
-def _leaf():
-    return PlanarTree(None)
+# Enumerating more strict trees than this is refused.  k = 10 leaves give
+# 103,049 of them, k = 11 give 518,859.
+MAX_TREES = 200_000
 
 
 def enumerate_trees(k: int, mode: str = "strict", low_valence_budget: int = 0):
@@ -98,61 +100,59 @@ def enumerate_trees(k: int, mode: str = "strict", low_valence_budget: int = 0):
     bounded by ``low_valence_budget`` (the energy argument: N such vertices
     cost at least N * lambda_0).  Deterministic order: by internal vertex
     count, then by shape string.
+
+    The strict trees are counted first, by the little Schroeder numbers
+    (s(1) = s(2) = 1, (n + 1) s(n + 1) = 3 (2n - 1) s(n) - (n - 2) s(n - 1)),
+    and more than MAX_TREES of them raise ValueError.
     """
     if mode not in ("strict", "filtered"):
         raise ValueError(f"unknown mode {mode!r}")
+    prev, count = 1, 1  # s(1), s(2)
+    for n in range(2, k if mode == "strict" else 0):
+        prev, count = count, (3 * (2 * n - 1) * count - (n - 2) * prev) // (n + 1)
+        if count > MAX_TREES:
+            raise ValueError(f"more than {MAX_TREES} strict trees have {k} leaves; "
+                             "refusing to enumerate them")
     min_children = 2 if mode == "strict" else 0
     budget = 0 if mode == "strict" else low_valence_budget
 
     # trees(l, b) = trees with exactly l leaves and exactly b low-valence
-    # vertices.  Every child slot consumes at least one unit of leaves +
-    # budget, which makes the recursion well founded.
+    # vertices, children(l, b) the same plus the leaf at (1, 0).  Every
+    # child consumes at least one unit of leaves + budget, which makes the
+    # recursion well founded.
+    @cache
     def trees(leaves, lv_budget):
         out = []
-        max_children = leaves + lv_budget
-        for m in range(min_children, max_children + 1):
-            own = 1 if m <= 1 else 0
-            rest_budget = lv_budget - own
-            if rest_budget < 0:
-                continue
-            if m == 0:
-                if leaves == 0 and rest_budget == 0:
-                    out.append(PlanarTree(()))
-                continue
-            for combo in child_combos(leaves, rest_budget, m):
-                out.append(PlanarTree(tuple(combo)))
+        for m in range(min_children, leaves + lv_budget + 1):
+            rest = lv_budget - 1 if m <= 1 else lv_budget  # m <= 1 is low-valence
+            if rest >= 0:
+                out += [PlanarTree(tuple(combo)) for combo in child_combos(leaves, rest, m)]
         return out
+
+    @cache
+    def children(leaves, lv_budget):
+        leaf = [PlanarTree(None)] if (leaves, lv_budget) == (1, 0) else []
+        return leaf + trees(leaves, lv_budget)
 
     def child_combos(leaves, lv_budget, m):
         if m == 0:
-            if leaves == 0 and lv_budget == 0:
+            if leaves == lv_budget == 0:
                 yield []
             return
-        for l1 in range(0, leaves + 1):
-            for b1 in range(0, lv_budget + 1):
-                if l1 + b1 == 0:
-                    continue
-                if m >= 2 and leaves - l1 + lv_budget - b1 < m - 1:
-                    continue  # the remaining slots cannot all consume a unit
-                firsts = children_of(l1, b1)
-                if not firsts:
-                    continue
-                for rest in child_combos(leaves - l1, lv_budget - b1, m - 1):
-                    for f in firsts:
-                        yield [f] + rest
+        for l1 in range(leaves + 1):
+            for b1 in range(lv_budget + 1):
+                # the remaining slots must each consume a unit too
+                if l1 + b1 and leaves - l1 + lv_budget - b1 >= m - 1:
+                    for rest in child_combos(leaves - l1, lv_budget - b1, m - 1):
+                        for first in children(l1, b1):
+                            yield [first, *rest]
 
-    def children_of(leaves, lv_budget):
-        out = []
-        if leaves == 1 and lv_budget == 0:
-            out.append(_leaf())
-        out.extend(trees(leaves, lv_budget))
-        return out
-
+    # a shape string has one "(" per internal vertex
     seen = {}
     for b in range(0, budget + 1):
         for t in trees(k, b):
             seen.setdefault(t.shape(), t)
-    return sorted(seen.values(), key=lambda t: (t.internal_vertices(), t.shape()))
+    return [seen[s] for s in sorted(seen, key=lambda s: (s.count("("), s))]
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +169,9 @@ class Splitting:
 
     a_space: GradedSpace
     b_space: GradedSpace
-    include: dict  # b_label -> {a_label: Fraction}
-    project: dict  # a_label -> {b_label: Fraction}
-    h: dict        # a_label -> {a_label: Fraction}
+    include: dict  # b_label -> {a_label: rational}
+    project: dict  # a_label -> {b_label: rational}
+    h: dict        # a_label -> {a_label: rational}
     c_labels: list = field(default_factory=list)  # informational
 
 
@@ -180,7 +180,8 @@ def _assemble_splitting(space: GradedSpace, b_named, c_vecs, dc_vecs) -> Splitti
 
     ``b_named[d]`` is a list of (label, vector) pairs, ``c_vecs[d]`` and
     ``dc_vecs[d]`` lists of vectors, all in coordinates of the degree-d
-    labels; together the columns must be a basis of each degree.
+    labels; together the columns must be a basis of each degree.  The
+    three maps hold canonical rationals (``as_fraction``).
     """
     degrees = space.degrees()
     by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
@@ -189,7 +190,7 @@ def _assemble_splitting(space: GradedSpace, b_named, c_vecs, dc_vecs) -> Splitti
     for dd in degrees:
         for label, v in b_named.get(dd, []):
             b_basis.append((label, dd))
-            include[label] = {by_deg[dd][j]: v[j] for j in range(len(v)) if v[j]}
+            include[label] = {by_deg[dd][j]: as_fraction(v[j]) for j in range(len(v)) if v[j]}
     for dd in degrees:
         dom = by_deg.get(dd, [])
         if not dom:
@@ -210,14 +211,14 @@ def _assemble_splitting(space: GradedSpace, b_named, c_vecs, dc_vecs) -> Splitti
                 if not coord:
                     continue
                 if tag_kind == "b":
-                    pr[tag] = coord
+                    pr[tag] = as_fraction(coord)
                 elif tag_kind == "dc":
                     # H(d c_i) = c_i, one degree down
                     _add_scaled(hv, dict(zip(by_deg[dd - 1], c_vecs[dd - 1][tag])), coord)
             if pr:
                 project[a_label] = pr
             if hv:
-                h[a_label] = hv
+                h[a_label] = {t: as_fraction(q) for t, q in hv.items()}
     c_labels = [f"c{dd}:{i}" for dd in degrees for i in range(len(c_vecs.get(dd, [])))]
     return Splitting(space, GradedSpace.make(b_basis), include, project, h, c_labels)
 
@@ -230,7 +231,7 @@ def splitting(alg: OperationSystem) -> Splitting:
     differential, B extends the image inside the kernel using the kernel
     basis, leftmost pivots first, so the output is reproducible run-to-run.
     """
-    d = _linear(alg.table(1, Fraction(0), 0))
+    d = _linear(alg.table(1, 0, 0))
     _check_square_zero(d)
     space = alg.source
     degrees = space.degrees()
@@ -241,7 +242,7 @@ def splitting(alg: OperationSystem) -> Splitting:
     for dd in degrees:
         _, pivots = linalg.row_reduce(mats[dd])
         c_vecs[dd] = [
-            [Fraction(1) if j == p else Fraction(0) for j in range(len(by_deg[dd]))]
+            [1 if j == p else 0 for j in range(len(by_deg[dd]))]
             for p in pivots
         ]
         dc_vecs[dd + 1] = [linalg.mat_vec(mats[dd], v) for v in c_vecs[dd]]
@@ -348,7 +349,7 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
         if (k, key) == (1, ZERO_KEY):
             # S is empty here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0} is
             # the plain inclusion
-            d = _linear(alg.table(1, Fraction(0), 0))
+            d = _linear(alg.table(1, 0, 0))
             n_entries = {(b,): _apply(split.project, _apply(d, vec))
                          for b, vec in split.include.items()}
             i_entries = {(b,): vec for b, vec in split.include.items()}
@@ -379,9 +380,9 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
     chain map (H_K is the contraction of the acyclic kernel subcomplex), and
     B = s(D) works.
     """
-    p1 = _linear(p.table(1, Fraction(0), 0))
-    d = _linear(alg.table(1, Fraction(0), 0))
-    dD = _linear(D.table(1, Fraction(0), 0))
+    p1 = _linear(p.table(1, 0, 0))
+    d = _linear(alg.table(1, 0, 0))
+    dD = _linear(D.table(1, 0, 0))
     space = alg.source
     degrees = sorted(set(space.degrees()) | set(D.source.degrees()))
     by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
@@ -408,7 +409,7 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
             if any(vec_dict.values()):
                 raise AinfError("kernel subcomplex is not acyclic")
             return {}
-        rhs = [vec_dict.get(l, Fraction(0)) for l in dom]
+        rhs = [vec_dict.get(l, 0) for l in dom]
         mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(dom))]
         coords = linalg.solve(mat, rhs, len(cols))
         if coords is None:
@@ -424,7 +425,7 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
         dom = by_deg.get(dd, [])
         cod = p.target.labels_of_degree(dd)
         x = linalg.solve(_q_matrix(p1, dom, cod),
-                         [coeff if out == y else Fraction(0) for out in cod], len(dom))
+                         [coeff if out == y else 0 for out in cod], len(dom))
         if x is None:
             raise MalformedMorphismError(f"p_1^(0,0) misses {y}")
         return {l: c for l, c in zip(dom, x) if c}
@@ -435,13 +436,13 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
         dom = by_deg[dd]
         named = []
         for y in D.source.labels_of_degree(dd):
-            s0 = section(y, dd, Fraction(1))
+            s0 = section(y, dd, 1)
             # defect = d(s0 y) - s0(d_D y), lands in the kernel
             defect = _apply(d, s0)
             for y2, c in dD.get(y, {}).items():
                 _add_scaled(defect, section(y2, dd + 1, c), -1)
             s_vec = _add_scaled(s0, h_kernel(dd + 1, defect) if defect else {}, -1)
-            named.append((f"s_{y}", [s_vec.get(l, Fraction(0)) for l in dom]))
+            named.append((f"s_{y}", [s_vec.get(l, 0) for l in dom]))
         if named:
             b_named[dd] = named
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
@@ -458,7 +459,7 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
     """
     if any(k != 1 for k, _, _ in p.tables):
         raise MalformedMorphismError("p is not strict")
-    p1 = _linear(p.table(1, Fraction(0), 0))
+    p1 = _linear(p.table(1, 0, 0))
     # surjectivity of p_1^{0,0} degreewise
     for dd in D.source.degrees():
         cod = D.source.labels_of_degree(dd)
@@ -471,7 +472,7 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
     # higher components of p_1 must vanish on Ker p_1^{0,0} = C + dC,
     # i.e. on everything the projection kills
     killed = [  # (id - i Pi)(a) for every basis vector a
-        _add_scaled({a: Fraction(1)}, _apply(split.include, split.project.get(a, {})), -1)
+        _add_scaled({a: 1}, _apply(split.include, split.project.get(a, {})), -1)
         for a in A.source.labels
     ]
     for (k, lam, mu), table in p.tables.items():
@@ -565,11 +566,11 @@ def filtration_splitting(geo: GeometricData, level: int) -> Splitting:
         qmat = _q_matrix(d, high, [out for out in cod if out not in low_set])
         _, pivots = linalg.row_reduce(qmat)
         c_vecs[dd] = [
-            [Fraction(1) if l == high[p] else Fraction(0) for l in dom] for p in pivots
+            [1 if l == high[p] else 0 for l in dom] for p in pivots
         ]
         dc_vecs[dd + 1] = [linalg.mat_vec(_q_matrix(d, dom, cod), v) for v in c_vecs[dd]]
         b_named[dd] = [
-            (l, [Fraction(1) if x == l else Fraction(0) for x in dom])
+            (l, [1 if x == l else 0 for x in dom])
             for l in dom if l in low_set
         ]
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
@@ -588,9 +589,9 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
     n_prime = level * (level + 2)
     if split is None:
         split = filtration_splitting(geo, level)
-    sign = Fraction((-1) ** (ambient_parity + 1))
+    sign = 1 if ambient_parity % 2 else -1
     edge_matrix = {a: {t: sign * c for t, c in vec.items()} for a, vec in split.h.items()}
-    leaf_table = {(l,): {l: Fraction(1)} for l, _ in split.b_space.basis}
+    leaf_table = {(l,): {l: 1} for l, _ in split.b_space.basis}
     max_arity = max((k for k, _, _ in geo.declared), default=0)
     elements = monoid_elements(geo.monoid, geo.cutoff)
     members = set(elements)
@@ -622,7 +623,7 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
             }
             entries = {i: o for i, o in entries.items() if o}
             if entries:
-                out_tables.append(OperationTable(1, Fraction(0), 0, "algebra", entries))
+                out_tables.append(OperationTable(1, 0, 0, "algebra", entries))
             continue
         entries = _apply_each(split.project, engine.S(k, key)[0])
         if entries:

@@ -260,6 +260,12 @@ def random_degree_preserving_iso(rng, space):
     return phi
 
 
+def is_canonical_rational(x):
+    """An exact rational in canonical form: an int when it is integral,
+    otherwise a Fraction; never a float, a bool or a Fraction over 1."""
+    return type(x) is int or (type(x) is F and x.denominator != 1)
+
+
 def checked(alg, level=3):
     report = check_relations(alg, level)
     assert report.ok, f"fixture failed its own relations: {report}"

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import ainfkit
 from ainfkit.cli import (
     COMMAND_OPERATIONS,
+    _frac_str,
     document_json,
     emit_report,
     load,
@@ -426,11 +428,38 @@ def test_oversized_monoid_exits_2():
     (["feasible", "--dims", '{"a": 1}'], "--dims"),
     (["feasible", "--dims", '{"0": 1.5}'], "--dims"),
     (["trees", "--k", "-1"], "--k"),
+    # values that parse but that the library refuses
+    (["vdim", "--kind", "disc"], "--kind/--params"),
+    (["vdim", "--kind", "main"], "--kind/--params"),
+    (["index", "--n", "2"], "--n/--r-minus/--r-plus"),
+    (["signs", "--kind", "swap"], "--kind/--dims"),
 ], ids=["r-minus-word", "r-minus-zero-denominator", "cutoff", "degs", "params",
-        "dims-list", "dims-key", "dims-value", "k-negative"])
+        "dims-list", "dims-key", "dims-value", "k-negative", "vdim-unknown-kind",
+        "vdim-missing-params", "index-missing-phases", "signs-missing-dims"])
 def test_bad_flag_value_exits_2(capsys, args, flag):
     with pytest.raises(SystemExit) as exc:
         ainfkit.cli.main(args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
+def test_a_float_never_renders_as_a_rational():
+    # str(Fraction(0.1)) would print the float's binary expansion
+    assert [_frac_str(x) for x in (F(1, 10), F(4, 2), 3, "6/4")] == ["1/10", "2", "3", "3/2"]
+    with pytest.raises(TypeError):
+        _frac_str(0.1)
+
+
+def test_trees_past_the_count_bound_exit_2_at_once(capsys):
+    # k = 40 has about 10^20 strict trees; they are counted, not enumerated
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        ainfkit.cli.main(["trees", "--k", "40"])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1
+    assert "error: argument --k: more than 200000 strict trees" in capsys.readouterr().err
+
+
+def test_trees_at_the_largest_allowed_k(capsys):
+    assert ainfkit.cli.main(["trees", "--k", "10", "--machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 103_049

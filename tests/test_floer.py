@@ -39,6 +39,7 @@ from ainfkit import (
 from ainfkit.errors import (
     AinfError,
     DivergentTwistError,
+    NotAComplexError,
     NotInMonoidError,
     NotInvertibleError,
 )
@@ -47,6 +48,7 @@ from ainfkit.novmat import NovMatrix, smith_valuations
 from conftest import (
     checked,
     heisenberg_algebra,
+    is_canonical_rational,
     random_curved_algebra,
     random_element,
     random_operations,
@@ -163,11 +165,11 @@ def _mc_solve_oracle(alg):
     """The solver before the per-level enumeration, kept verbatim as an
     oracle: it recomputes the whole ``mc_residual`` at every level."""
     from ainfkit import linalg
-    from ainfkit.floer import ZERO, _cohomology_class
+    from ainfkit.floer import _cohomology_class
     from ainfkit.gradedcore import _linear, _q_matrix
 
     space = alg.source
-    d = _linear(alg.table(1, ZERO, 0))
+    d = _linear(alg.table(1, 0, 0))
     b = {}
     for level in alg.monoid.positive_energies(alg.cutoff):
         residual, _ = mc_residual(alg, b)
@@ -180,7 +182,7 @@ def _mc_solve_oracle(alg):
             target = by_mu[mu]
             dom = space.labels_of_degree(-2 * mu)
             cod = space.labels_of_degree(1 - 2 * mu)
-            rhs = [-target.get(out, ZERO) for out in cod]
+            rhs = [-target.get(out, 0) for out in cod]
             sol = linalg.solve(_q_matrix(d, dom, cod), rhs, len(dom))
             if sol is None:
                 cls = _cohomology_class(target, space, d, 1 - 2 * mu)
@@ -241,6 +243,38 @@ def test_mc_solve_matches_the_per_level_residual_oracle(alg):
         assert got.certified and got.element == want.element
     else:
         assert got == want
+
+
+def _system_rationals(sys_):
+    return [sys_.cutoff] + [x for (_, lam, _), t in sys_.tables.items()
+                            for x in (lam, t.lam, *(q for outs in t.entries.values()
+                                                    for q in outs.values()))]
+
+
+def _vector_rationals(vec):
+    return [x for v in vec.values() for c, lam, _ in v.terms for x in (c, lam, v.cutoff)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(curved_algebras())
+def test_every_rational_out_is_canonical(alg):
+    """The solver's cochain or obstruction, the twist by it, the minimal
+    model and inclusion of the twist and its HF torsion, over every flavor."""
+    out = mc_solve(alg)
+    if isinstance(out, Obstruction):
+        found = [out.level, *out.class_vector.values()]
+    else:
+        twisted = twist(alg, out.element)
+        found = _vector_rationals(out.element) + _system_rationals(twisted)
+        try:
+            model, incl = minimal_model(twisted, kmax=2)
+            report = hf_compute(_pres_from_system(twisted), {})
+        except NotAComplexError:  # the random operations need not square to zero
+            pass
+        else:
+            found += _system_rationals(model) + _system_rationals(incl)
+            found += [v for g in report.groups.values() for v in g["torsion"]]
+    assert all(is_canonical_rational(x) for x in found), found
 
 
 def test_mc_solve_computes_the_full_residual_once(monkeypatch):

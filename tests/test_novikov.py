@@ -14,7 +14,7 @@ from ainfkit import (
     nov_valuation,
 )
 from ainfkit.errors import IncompatibleRingError, NotInvertibleError
-from ainfkit.novikov import format_term, parse_term
+from ainfkit.novikov import as_fraction, format_term, parse_term
 
 E = F(10)
 
@@ -110,6 +110,24 @@ def test_term_encoding_round_trip():
     text = format_term(F(3, 2), F(-1, 4), -2)
     assert text == "3/2*T^(-1/4)*e^(-2)"
     assert parse_term(text) == (F(3, 2), F(-1, 4), -2)
+
+
+def test_as_fraction_is_the_canonical_form():
+    got = [as_fraction(x) for x in (F(4, 2), F(3, 2), -5, "7", "6/4", "-8/4", "1e3")]
+    assert got == [2, F(3, 2), -5, 7, F(3, 2), -2, 1000]
+    assert [type(x) for x in got] == [int, F, int, int, F, int, int]
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
+
+
+def test_integral_terms_are_ints():
+    # 1/2 + 1/2 meets in one term: a sum over 1 is an int
+    a = NovikovElement.make([(F(1, 2), F(2, 2), 0), (F(1, 2), 1, 0), ("3", "1/2", 1)],
+                            "nov", "5")
+    assert a.terms == ((3, F(1, 2), 1), (1, 1, 0)) and type(a.cutoff) is int
+    assert [type(x) for c, lam, _ in a.terms for x in (c, lam)] == [int, F, int, int]
+    assert [type(x) for x in parse_term("4/2*T^(3)*e^(0)")] == [int, int, int]
 
 
 # -- ring axioms mod cutoff on random term triples --------------------------

@@ -22,6 +22,7 @@ from ainfkit.novikov import (
     nov_valuation,
 )
 from ainfkit.novmat import NovMatrix, smith_valuations
+from conftest import is_canonical_rational
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +244,27 @@ def test_half_cutoff_rule_fails_with_a_negative_energy():
         mat.set(r, c, NovikovElement.monomial(q, lam, 0, "cy", F(1)))
     assert smith_valuations(mat) == [-1, 0]
     assert smith_valuations(_at(mat, F(1, 2))) == [-1]
+
+
+# ---------------------------------------------------------------------------
+# canonical rationals: an int when integral, otherwise a Fraction
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_divisors_and_inverse_entries_are_canonical_rationals(mat):
+    found = []
+    divisors, inv = _outcome(smith_valuations, mat), _outcome(NovMatrix.inverse, mat)
+    if divisors != "NotInvertibleError":
+        found += divisors
+    if inv != "NotInvertibleError":
+        found += [x for v in inv.data.values() for c, lam, _ in v.terms for x in (c, lam)]
+    assert all(is_canonical_rational(x) for x in found), found
+
+
+def test_inverse_of_an_integral_entry_keeps_int_coefficients():
+    # the inverse of the leading coefficient multiplies, so 1 / 1 is no float
+    x = NovikovElement.make([(1, 0, 0), (2, 1, 0)], "nov0", 3)
+    inv = NovMatrix(("r",), ("c",), "nov0", 3, {("r", "c"): x}).inverse()
+    terms = inv.get("c", "r").terms
+    assert terms == ((1, 0, 0), (-2, 1, 0), (4, 2, 0), (-8, 3, 0))
+    assert all(type(x) is int for term in terms for x in term)

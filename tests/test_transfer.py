@@ -32,6 +32,7 @@ from conftest import (
     random_element,
     three_generator_algebra,
     truncated_free_dga,
+    twisted_free_dga,
     two_generator_algebra,
 )
 
@@ -557,6 +558,21 @@ def test_tree_engine_work_follows_stored_tables(monkeypatch):
     monkeypatch.setattr(OperationSystem, "table", counted)
     minimal_model(alg, kmax=3)
     assert len(lookups) <= len(alg.tables) * len(engines[0]._memo)
+
+
+def test_integral_constants_stay_python_ints():
+    # the dense-basis shape: every structure constant and energy of the
+    # twisted free dga, of its minimal model and of the inclusion is
+    # integral, so none of them is carried as a Fraction
+    alg = twisted_free_dga(3, 3, 1)
+    model, incl = minimal_model(alg, level=3)
+    for sys_ in (alg, model, incl):
+        assert type(sys_.cutoff) is int
+        for (_, lam, _), t in sys_.tables.items():
+            assert type(lam) is int and type(t.lam) is int
+            assert all(type(q) is int for outs in t.entries.values() for q in outs.values())
+    assert check_relations(alg, 3).ok and check_relations(model, 3).ok
+    assert check_morphism(incl, model, alg, 3).ok
 
 
 def test_splitting_eliminations_follow_degrees(monkeypatch):
