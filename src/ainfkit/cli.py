@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import ainfty, floer, gapped, geomsign, gradedcore, transfer
 from .errors import AinfError, DocumentError
@@ -45,6 +46,28 @@ def _int(text, ctx):
         raise DocumentError(f"bad integer {text!r}: {exc}", ctx)
 
 
+def _json_array(value, ctx, size=None) -> list:
+    """``value``, which must be a JSON array (of ``size`` items, if given)."""
+    if not isinstance(value, list) or size is not None and len(value) != size:
+        raise DocumentError("must be a JSON array" + (f" of {size} items" if size else ""),
+                            ctx)
+    return value
+
+
+def _json_object(value, ctx) -> dict:
+    """``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise DocumentError("must be a JSON object", ctx)
+    return value
+
+
+def _json_string(value, ctx) -> str:
+    """``value``, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise DocumentError(f"{value!r} is not a string", ctx)
+    return value
+
+
 def _frac_str(x) -> str:
     return str(as_fraction(x))
 
@@ -63,10 +86,13 @@ def _element_from_json(data, flavor, cutoff, ctx, space=None) -> dict:
     for label, terms in data.items():
         if space is not None and not space.has(label):
             raise DocumentError(f"undeclared label {label!r}", ctx)
+        lctx = f"{ctx}.{label}"
         try:
-            parsed = [parse_term(t) for t in terms]
+            parsed = [parse_term(_json_string(t, lctx)) for t in _json_array(terms, lctx)]
+        except ZeroDivisionError:
+            raise DocumentError("zero denominator in a term", lctx)
         except ValueError as exc:
-            raise DocumentError(str(exc), f"{ctx}.{label}")
+            raise DocumentError(str(exc), lctx)
         val = NovikovElement.make(parsed, flavor, cutoff)
         if not val.is_zero():
             out[label] = val
@@ -95,33 +121,56 @@ def _tables_to_json(tables) -> list:
 
 def _tables_from_json(data, role, ctx) -> list:
     tables = []
-    for i, tdoc in enumerate(data or []):
+    for i, tdoc in enumerate(_json_array(data, ctx)):
         tctx = f"{ctx}[{i}]"
+        _json_object(tdoc, tctx)
         for fieldname in ("k", "lam", "mu"):
             if fieldname not in tdoc:
                 raise DocumentError(f"table missing {fieldname!r}", tctx)
         k = _int(tdoc["k"], f"{tctx}.k")
         entries = {}
-        for j, e in enumerate(tdoc.get("entries", [])):
-            ectx = f"{tctx}.entries[{j}]"
-            if "output" not in e or "coeff" not in e:
-                raise DocumentError("entry needs inputs/output/coeff", ectx)
-            inputs = tuple(e.get("inputs", []))
-            if len(inputs) != k:
-                raise DocumentError(
-                    f"entry arity {len(inputs)} != k={tdoc['k']}", ectx)
-            tgt = entries.setdefault(inputs, {})
-            tgt[e["output"]] = tgt.get(e["output"], 0) + _frac(e["coeff"], ectx)
-        tables.append(OperationTable(k, _frac(tdoc["lam"], tctx),
-                                     _int(tdoc["mu"], f"{tctx}.mu"),
-                                     tdoc.get("role", role), entries))
+        for j, e in enumerate(_json_array(tdoc.get("entries", []), f"{tctx}.entries")):
+            # checked inline, once per structure constant; the entry's context
+            # is formatted only when a check fails
+            try:
+                if not isinstance(e, dict) or "output" not in e or "coeff" not in e:
+                    raise DocumentError("entry needs inputs/output/coeff")
+                inputs = e.get("inputs", [])
+                output = e["output"]
+                if not isinstance(inputs, list) or not isinstance(output, str):
+                    raise DocumentError("inputs must be an array, output a string")
+                for label in inputs:
+                    if not isinstance(label, str):
+                        raise DocumentError(f"input {label!r} is not a string")
+                inputs = tuple(inputs)
+                if len(inputs) != k:
+                    raise DocumentError(f"entry arity {len(inputs)} != k={tdoc['k']}")
+                tgt = entries.setdefault(inputs, {})
+                tgt[output] = tgt.get(output, 0) + _frac(e["coeff"], None)
+            except DocumentError as exc:
+                raise DocumentError(str(exc), f"{tctx}.entries[{j}]") from None
+        lam = _frac(tdoc["lam"], tctx)
+        mu = _int(tdoc["mu"], f"{tctx}.mu")
+        table_role = _json_string(tdoc.get("role", role), f"{tctx}.role")
+        try:
+            tables.append(OperationTable(k, lam, mu, table_role, entries))
+        except ValueError as exc:  # an unknown role
+            raise DocumentError(str(exc), tctx)
     return tables
+
+
+def _phases(data, ctx):
+    """A phase list, or None when the record has none (absent, null or [])."""
+    if data is None:
+        return None
+    return tuple(_frac(x, ctx) for x in _json_array(data, ctx)) or None
 
 
 def _double_points_from_json(data, ctx) -> list:
     points = []
-    for i, p in enumerate(data or []):
+    for i, p in enumerate(_json_array(data, ctx)):
         pctx = f"{ctx}[{i}]"
+        _json_object(p, pctx)
         for fieldname in ("p_minus", "p_plus", "eta"):
             if fieldname not in p:
                 raise DocumentError(f"double point missing {fieldname!r}", pctx)
@@ -129,10 +178,8 @@ def _double_points_from_json(data, ctx) -> list:
             p_minus=str(p["p_minus"]), p_plus=str(p["p_plus"]),
             eta=_int(p["eta"], f"{pctx}.eta"),
             eps=_int(p["eps"], f"{pctx}.eps") if p.get("eps") is not None else None,
-            phases_minus=tuple(_frac(x, pctx) for x in p["phases_minus"])
-            if p.get("phases_minus") else None,
-            phases_plus=tuple(_frac(x, pctx) for x in p["phases_plus"])
-            if p.get("phases_plus") else None,
+            phases_minus=_phases(p.get("phases_minus"), f"{pctx}.phases_minus"),
+            phases_plus=_phases(p.get("phases_plus"), f"{pctx}.phases_plus"),
             a_value=_frac(p["a_value"], pctx) if p.get("a_value") is not None else None,
             c_shift=_frac(p.get("c", 0), pctx),
             regrade=_int(p.get("d", 0), f"{pctx}.d"),
@@ -160,16 +207,26 @@ def _double_points_to_json(points) -> list:
     return out
 
 
+def _space_from_json(data, kind) -> GradedSpace:
+    if not isinstance(data, list):
+        raise DocumentError(f"{kind} document needs a basis", "basis")
+    basis = []
+    for i, pair in enumerate(data):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DocumentError("must be a JSON array of 2 items", f"basis[{i}]")
+        basis.append((str(pair[0]), _int(pair[1], "basis")))
+    return GradedSpace.make(basis)
+
+
 class PresentationDocument:
     """Parsed input file: exactly one presentation, operation system, or
     geometric-data block, plus named elements and morphisms."""
 
-    def __init__(self, kind, payload, elements, morphisms, raw):
+    def __init__(self, kind, payload, elements, morphisms):
         self.kind = kind          # "presentation" | "system" | "geometric"
         self.payload = payload    # LagrangianPresentation | OperationSystem | GeometricData
         self.elements = elements  # name -> vector
         self.morphisms = morphisms  # name -> (OperationSystem, target doc or None)
-        self.raw = raw
 
     @property
     def algebra(self) -> OperationSystem:
@@ -193,10 +250,14 @@ def parse_document(data: dict) -> PresentationDocument:
     if flavor not in FLAVORS:
         raise DocumentError(f"unknown flavor {flavor!r}", "flavor")
     cutoff = _frac(data.get("cutoff", "1"), "cutoff")
-    monoid = EnergyMonoid.make([
-        (_frac(g[0], f"monoid[{i}]"), _int(g[1], f"monoid[{i}]"))
-        for i, g in enumerate(data.get("monoid", []))
-    ])
+    if cutoff < 0:
+        raise DocumentError("must be >= 0", "cutoff")
+    generators = []
+    for i, g in enumerate(_json_array(data.get("monoid", []), "monoid")):
+        gctx = f"monoid[{i}]"
+        lam, mu = _json_array(g, gctx, 2)
+        generators.append((_frac(lam, gctx), _int(mu, gctx)))
+    monoid = EnergyMonoid.make(generators)
     kind = data.get("kind")
     if kind is None:
         kind = "presentation" if ("double_points" in data or "homology_ranks" in data) \
@@ -204,9 +265,10 @@ def parse_document(data: dict) -> PresentationDocument:
     if kind == "presentation":
         n = _int(data.get("ambient_dim", 0), "ambient_dim")
         ranks = {_int(k, "homology_ranks"): _int(v, f"homology_ranks.{k}")
-                 for k, v in (data.get("homology_ranks") or {}).items()}
-        points = _double_points_from_json(data.get("double_points"), "double_points")
-        tables = _tables_from_json(data.get("tables"), "algebra", "tables")
+                 for k, v in _json_object(data.get("homology_ranks", {}),
+                                          "homology_ranks").items()}
+        points = _double_points_from_json(data.get("double_points", []), "double_points")
+        tables = _tables_from_json(data.get("tables", []), "algebra", "tables")
         try:
             payload = make_presentation(n, ranks, points, monoid, flavor, cutoff,
                                         tables, prefix=data.get("prefix", ""))
@@ -214,32 +276,28 @@ def parse_document(data: dict) -> PresentationDocument:
             raise DocumentError(str(exc))
         space = payload.space
     elif kind == "system":
-        basis = data.get("basis")
-        if not isinstance(basis, list):
-            raise DocumentError("system document needs a basis", "basis")
-        space = GradedSpace.make([(str(l), _int(d, "basis")) for l, d in basis])
-        role = data.get("role", "algebra")
-        tables = _tables_from_json(data.get("tables"), role, "tables")
+        space = _space_from_json(data.get("basis"), kind)
+        role = _json_string(data.get("role", "algebra"), "role")
+        tables = _tables_from_json(data.get("tables", []), role, "tables")
         try:
             payload = OperationSystem(space, space, monoid, flavor, cutoff, role,
                                       {t.key: t for t in tables})
         except (ValueError, AinfError) as exc:
             raise DocumentError(str(exc))
     elif kind == "geometric":
-        basis = data.get("basis")
-        if not isinstance(basis, list):
-            raise DocumentError("geometric document needs a basis", "basis")
-        space = GradedSpace.make([(str(l), _int(d, "basis")) for l, d in basis])
+        space = _space_from_json(data.get("basis"), kind)
         filtration = {str(l): _int(v, f"filtration.{l}")
-                      for l, v in (data.get("filtration") or {}).items()}
+                      for l, v in _json_object(data.get("filtration", {}),
+                                               "filtration").items()}
         declared = set()
         entries = {}
-        for t in _tables_from_json(data.get("tables"), "algebra", "tables"):
+        for t in _tables_from_json(data.get("tables", []), "algebra", "tables"):
             declared.add(t.key)
             entries[t.key] = t.entries
-        for key in data.get("declared", []):
-            declared.add((_int(key[0], "declared"), _frac(key[1], "declared"),
-                          _int(key[2], "declared")))
+        for i, key in enumerate(_json_array(data.get("declared", []), "declared")):
+            k, lam, mu = _json_array(key, f"declared[{i}]", 3)
+            declared.add((_int(k, "declared"), _frac(lam, "declared"),
+                          _int(mu, "declared")))
         payload = GeometricData(space, filtration, monoid, cutoff, flavor,
                                 declared, entries)
     else:
@@ -247,39 +305,53 @@ def parse_document(data: dict) -> PresentationDocument:
 
     elements = {
         name: _element_from_json(vec, flavor, cutoff, f"elements.{name}", space)
-        for name, vec in (data.get("elements") or {}).items()
+        for name, vec in _json_object(data.get("elements", {}), "elements").items()
     }
     morphisms = {}
-    for name, mdoc in (data.get("morphisms") or {}).items():
+    for name, mdoc in _json_object(data.get("morphisms", {}), "morphisms").items():
         mctx = f"morphisms.{name}"
         target_doc = None
         target_space = space
-        if mdoc.get("target"):
+        if _json_object(mdoc, mctx).get("target") is not None:
             target_doc = parse_document(mdoc["target"])
             target_space = target_doc.algebra.source
-        role = mdoc.get("role", "morphism")
-        tables = _tables_from_json(mdoc.get("tables"), role, f"{mctx}.tables")
+        role = _json_string(mdoc.get("role", "morphism"), f"{mctx}.role")
+        tables = _tables_from_json(mdoc.get("tables", []), role, f"{mctx}.tables")
         try:
             sys_ = OperationSystem(space, target_space, monoid, flavor, cutoff,
                                    role, {t.key: t for t in tables})
         except (ValueError, AinfError) as exc:
             raise DocumentError(str(exc), mctx)
         morphisms[name] = (sys_, target_doc)
-    return PresentationDocument(kind, payload, elements, morphisms, data)
+    return PresentationDocument(kind, payload, elements, morphisms)
 
 
-def load(path) -> PresentationDocument:
-    """Read and validate a document; failures carry field context."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+def _read_json(path) -> dict:
+    """The JSON object in the file at ``path``; "-" reads stdin."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8: {exc}", path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}")
-    return parse_document(data)
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply", path) from None
+    if not isinstance(data, dict):
+        raise DocumentError("document must be a JSON object", path)
+    return data
+
+
+def load(path) -> PresentationDocument:
+    """Read and validate a document; failures carry field context."""
+    return parse_document(_read_json(path))
 
 
 def document_json(doc_or_payload, elements=None) -> dict:
@@ -330,15 +402,18 @@ def document_json(doc_or_payload, elements=None) -> dict:
     return out
 
 
+def _is_document(result) -> bool:
+    return isinstance(result, dict) and result.get("kind") in (
+        "presentation", "system", "geometric")
+
+
 def emit_report(result, machine=False) -> str:
     """Byte-stable rendering: fixed key order, rational strings.
 
     Documents (results carrying a "kind") always emit as JSON so that
     commands chain through pipes; plain reports default to key: value text.
     """
-    is_document = isinstance(result, dict) and result.get("kind") in (
-        "presentation", "system", "geometric")
-    if machine or is_document:
+    if machine or _is_document(result):
         return json.dumps(result, sort_keys=True, indent=2, default=str) + "\n"
     if isinstance(result, dict):
         lines = []
@@ -352,245 +427,13 @@ def emit_report(result, machine=False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
-
-# Every command maps one-to-one onto a library operation; the signs command
-# selects among the three sign operations with --kind, and index covers the
-# two index-arithmetic operations.  The coverage test enumerates this table.
-COMMAND_OPERATIONS = {
-    "check": "ainfty.check_relations",
-    "truncate": "gapped.truncate_level",
-    "minimal-model": "transfer.minimal_model",
-    "inverse-strict": "transfer.homotopy_inverse_strict",
-    "ank-from-geo": "transfer.ank_from_geometric",
-    "twist": "floer.twist",
-    "mc-residual": "floer.mc_residual",
-    "mc-solve": "floer.mc_solve",
-    "bc-criteria": "floer.bc_criteria",
-    "gauge": "floer.gauge_act",
-    "hf": "floer.hf_compute",
-    "hf-product": "floer.hf_product",
-    "union": "floer.union_sectors",
-    "rescale": "floer.rescale_regrade",
-    "legendrian-check": "floer.legendrian_validate",
-    "index": "geomsign.eta_from_phases+geomsign.shifted_degree",
-    "vdim": "geomsign.vdim_formulas",
-    "signs": "geomsign.sign_zeta+geomsign.sign_boundary_insertion+geomsign.sign_fibre_product",
-    "preset-whitney": "floer.whitney_preset",
-    "feasible": "floer.acyclicity_feasible",
-    "trees": "transfer.enumerate_trees",
-}
-
+# command handlers: (document or None, parsed flags) -> (exit code, report)
 
 def _named(named: dict, name, what="element"):
     """``named[name]``; a name the document does not define is a DocumentError."""
     if name not in named:
         raise DocumentError(f"no {what} named {name!r} in the document")
     return named[name]
-
-
-def _hf_groups_json(report):
-    return {
-        "cutoff": _frac_str(report.cutoff),
-        "flavor": report.flavor,
-        "stable": report.stable,
-        "parity_collapsed": report.parity_collapsed,
-        "groups": {
-            str(k): {"free": g["free"], "torsion": [_frac_str(v) for v in g["torsion"]]}
-            for k, g in sorted(report.groups.items())
-        },
-    }
-
-
-def _fail_witness(report):
-    out = []
-    for kind, key, witness in report.failures:
-        out.append({
-            "kind": kind,
-            "k": key[0], "lam": _frac_str(key[1]), "mu": key[2],
-            "witness": [list(witness[0]), witness[1]] if witness else None,
-        })
-    return out
-
-
-def dispatch(command, args):
-    """Run one command; returns (exit_code, result)."""
-    doc = load(args.infile) if "infile" in vars(args) else None
-    if command == "check":
-        report = ainfty.check_relations(doc.algebra, args.level)
-        code = 0 if report.ok else 1
-        return code, {"command": "check", "ok": report.ok, "level": args.level,
-                      "failures": _fail_witness(report)}
-    if command == "truncate":
-        out = gapped.truncate_level(doc.algebra, args.level)
-        return 0, document_json(out)
-    if command == "minimal-model":
-        model, incl = transfer.minimal_model(doc.algebra, level=args.level,
-                                             kmax=args.kmax)
-        result = document_json(model)
-        result["inclusion"] = _tables_to_json(incl.tables)
-        return 0, result
-    if command == "inverse-strict":
-        p, target_doc = _named(doc.morphisms, args.morphism, "morphism")
-        target = target_doc.algebra if target_doc else doc.algebra
-        q = transfer.homotopy_inverse_strict(p, doc.algebra, target,
-                                             level=args.level, kmax=args.kmax)
-        composed = ainfty.compose_morphisms(p, q)
-        ident = ainfty.identity_morphism(target)
-        ok = composed.tables == ident.tables or _same_tables(composed, ident)
-        return (0 if ok else 1), {
-            "command": "inverse-strict", "identity_check": ok,
-            "tables": _tables_to_json(q.tables),
-        }
-    if command == "ank-from-geo":
-        if doc.kind != "geometric":
-            raise DocumentError("ank-from-geo needs a geometric document")
-        out = transfer.ank_from_geometric(doc.payload, args.level, args.parity)
-        return 0, document_json(out)
-    if command == "twist":
-        out = floer.twist(doc.algebra, _named(doc.elements, args.element))
-        return 0, document_json(out)
-    if command == "mc-residual":
-        residual, ok = floer.mc_residual(doc.algebra, _named(doc.elements, args.element))
-        return (0 if ok else 1), {
-            "command": "mc-residual", "verified_zero": ok,
-            "residual": _element_to_json(residual),
-        }
-    if command == "mc-solve":
-        out = floer.mc_solve(doc.algebra)
-        if isinstance(out, floer.BoundingCochain):
-            return 0, {"command": "mc-solve", "solved": True,
-                       "bounding_cochain": _element_to_json(out.element)}
-        return 1, {"command": "mc-solve", "solved": False,
-                   "obstruction": {"level": _frac_str(out.level), "mu": out.mu,
-                                   "class": {l: _frac_str(c) for l, c in
-                                             sorted(out.class_vector.items())}},
-                   "note": out.note}
-    if command == "bc-criteria":
-        report = floer.bc_criteria(doc.presentation, exact=args.exact)
-        result = {
-            "command": "bc-criteria",
-            "every_degree0_is_bc": report.every_degree0_is_bc,
-            "zero_is_only_candidate": report.zero_is_only_candidate,
-            "zero_is_bc": report.zero_is_bc,
-            "notes": report.notes,
-        }
-        if report.unique_zero:
-            result["unique bounding cochain"] = "0"
-        return 0, result
-    if command == "gauge":
-        j, target_doc = _named(doc.morphisms, args.morphism, "morphism")
-        target = target_doc.algebra if target_doc else doc.algebra
-        b = _named(doc.elements, args.element)
-        _, solves = floer.mc_residual(doc.algebra, b)
-        jb, transport = floer.gauge_act(j, floer.BoundingCochain(b, certified=solves), target)
-        return 0, {
-            "command": "gauge",
-            "transported": _element_to_json(jb.element),
-            "certified": jb.certified,
-            "transport_entries": {
-                f"{r}<-{c}": str(v) for (r, c), v in sorted(transport.data.items())
-            },
-        }
-    if command == "hf":
-        report = floer.hf_compute(doc.presentation, _named(doc.elements, args.element))
-        result = {"command": "hf"}
-        result.update(_hf_groups_json(report))
-        return 0, result
-    if command == "hf-product":
-        x = _named(doc.elements, args.x)
-        y = _named(doc.elements, args.y)
-        prod, cycle_ok = floer.hf_product(doc.presentation,
-                                          _named(doc.elements, args.element), x, y)
-        return (0 if cycle_ok else 1), {
-            "command": "hf-product", "cycle_certificate": cycle_ok,
-            "product": _element_to_json(prod),
-        }
-    if command == "union":
-        other = load(args.other)
-        cross_points, cross_tables = [], []
-        if args.cross:
-            with open(args.cross, encoding="utf-8") as fh:
-                cross = json.load(fh)
-            cross_points = _double_points_from_json(cross.get("double_points"),
-                                                    "cross.double_points")
-            cross_tables = _tables_from_json(cross.get("tables"), "algebra",
-                                             "cross.tables")
-        union = floer.union_sectors(doc.presentation, other.presentation,
-                                    cross_points, cross_tables)
-        result = document_json(union)
-        result["sectors"] = dict(sorted(union.sectors.items()))
-        return 0, result
-    if command == "rescale":
-        assignments = json.loads(args.assignments)
-        assignments = {
-            tuple(k.split(":")): v for k, v in assignments.items()
-        }
-        b = _named(doc.elements, args.element) if args.element else None
-        report = floer.rescale_regrade(doc.presentation, assignments, b)
-        result = {
-            "command": "rescale",
-            "wall": report.wall,
-            "algebra_wall": report.algebra_wall,
-            "intertwining_checked": report.intertwining_checked,
-        }
-        if report.transported_valuation is not None:
-            result["transported_valuation"] = (
-                "inf" if report.transported_valuation == float("inf")
-                else _frac_str(report.transported_valuation))
-            result["transported"] = _element_to_json(report.transported)
-        if report.presentation is not None:
-            result["presentation"] = document_json(report.presentation)
-        return (1 if (report.wall or report.algebra_wall) else 0), result
-    if command == "legendrian-check":
-        report = floer.legendrian_validate(doc.presentation)
-        return (0 if report.ok else 1), {
-            "command": "legendrian-check", "ok": report.ok,
-            "violations": report.violations,
-        }
-    if command == "index":
-        if args.kind == "eta":
-            eta = _flag_call("--n/--r-minus/--r-plus", geomsign.eta_from_phases,
-                             args.n, args.r_minus, args.r_plus)
-            return 0, {"command": "index", "eta": eta, "partner": args.n - eta}
-        value = _flag_call("--target", geomsign.shifted_degree, args.target, args.a,
-                           n=args.n, eta=args.eta, dim_t=args.dim_t)
-        return 0, {"command": "index", "shifted_degree": value}
-    if command == "vdim":
-        value = _flag_call("--kind/--params", geomsign.vdim_formulas, args.kind,
-                           **args.params)
-        return 0, {"command": "vdim", "kind": args.kind, "value": value}
-    if command == "signs":
-        q = geomsign.SignQuery(
-            n=args.n, i=args.i, j=args.j, k=args.k, k1=args.k1, k2=args.k2,
-            dim_t=args.dim_t,
-            degs=args.degs, eta_prefix=args.eta_prefix, eta_block=args.eta_block,
-            eta_tail=args.eta_tail, eta_by_index=args.eta_by_index,
-            zero_in_I=args.zero_in_i, eta0=args.eta0,
-            i_in_I1=args.i_in_i1, zero_in_I2=args.zero_in_i2, eta_i=args.eta_i,
-            deg_f=args.deg_f,
-        )
-        if args.kind.startswith("zeta"):
-            value = _flag_call("--kind/--k/--degs", geomsign.sign_zeta, args.kind, q)
-        elif args.kind in ("face", "split", "insert", "vcSplit", "familySplit"):
-            value = geomsign.sign_boundary_insertion(args.kind, q)
-        else:
-            value = _flag_call("--kind/--dims", geomsign.sign_fibre_product,
-                               args.kind, *args.dims)
-        return 0, {"command": "signs", "kind": args.kind, "sign": value}
-    if command == "preset-whitney":
-        pres = floer.whitney_preset(args.n, flavor=args.flavor, cutoff=args.cutoff)
-        return 0, document_json(pres)
-    if command == "feasible":
-        ok, bad = floer.acyclicity_feasible(args.dims)
-        return (0 if ok else 1), {"command": "feasible", "feasible": ok,
-                                  "first_failure": bad}
-    if command == "trees":
-        out = _flag_call("--k", transfer.enumerate_trees, args.k, args.mode,
-                         args.low_valence)
-        return 0, {"command": "trees", "count": len(out),
-                   "shapes": [t.shape() for t in out]}
-    raise DocumentError(f"unknown command {command!r}")
 
 
 def _flag_call(flags, fn, *args, **kwargs):
@@ -604,19 +447,212 @@ def _flag_call(flags, fn, *args, **kwargs):
 
 
 def _same_tables(a: OperationSystem, b: OperationSystem) -> bool:
-    keys = set(a.tables) | set(b.tables)
-    for key in keys:
-        ta = a.tables.get(key)
-        tb = b.tables.get(key)
-        ea = ta.entries if ta else {}
-        eb = tb.entries if tb else {}
-        if ea != eb:
-            return False
-    return True
+    """Equal entries at every key; a missing table counts as an empty one."""
+    def stored(s):
+        return {key: t.entries for key, t in s.tables.items() if t.entries}
+    return stored(a) == stored(b)
+
+
+def _check(doc, args):
+    report = ainfty.check_relations(doc.algebra, args.level)
+    failures = []
+    for kind, key, witness in report.failures:
+        failures.append({
+            "kind": kind,
+            "k": key[0], "lam": _frac_str(key[1]), "mu": key[2],
+            "witness": [list(witness[0]), witness[1]] if witness else None,
+        })
+    return (0 if report.ok else 1), {"ok": report.ok, "level": args.level,
+                                     "failures": failures}
+
+
+def _truncate(doc, args):
+    return 0, document_json(gapped.truncate_level(doc.algebra, args.level))
+
+
+def _minimal_model(doc, args):
+    model, incl = transfer.minimal_model(doc.algebra, level=args.level, kmax=args.kmax)
+    result = document_json(model)
+    result["inclusion"] = _tables_to_json(incl.tables)
+    return 0, result
+
+
+def _inverse_strict(doc, args):
+    p, target_doc = _named(doc.morphisms, args.morphism, "morphism")
+    target = target_doc.algebra if target_doc else doc.algebra
+    q = transfer.homotopy_inverse_strict(p, doc.algebra, target,
+                                         level=args.level, kmax=args.kmax)
+    ok = _same_tables(ainfty.compose_morphisms(p, q), ainfty.identity_morphism(target))
+    return (0 if ok else 1), {"identity_check": ok, "tables": _tables_to_json(q.tables)}
+
+
+def _ank_from_geo(doc, args):
+    if doc.kind != "geometric":
+        raise DocumentError("ank-from-geo needs a geometric document")
+    return 0, document_json(transfer.ank_from_geometric(doc.payload, args.level,
+                                                        args.parity))
+
+
+def _twist(doc, args):
+    return 0, document_json(floer.twist(doc.algebra, _named(doc.elements, args.element)))
+
+
+def _mc_residual(doc, args):
+    residual, ok = floer.mc_residual(doc.algebra, _named(doc.elements, args.element))
+    return (0 if ok else 1), {"verified_zero": ok, "residual": _element_to_json(residual)}
+
+
+def _mc_solve(doc, args):
+    out = floer.mc_solve(doc.algebra)
+    if isinstance(out, floer.BoundingCochain):
+        return 0, {"solved": True, "bounding_cochain": _element_to_json(out.element)}
+    return 1, {"solved": False,
+               "obstruction": {"level": _frac_str(out.level), "mu": out.mu,
+                               "class": {l: _frac_str(c) for l, c in
+                                         sorted(out.class_vector.items())}},
+               "note": out.note}
+
+
+def _bc_criteria(doc, args):
+    report = floer.bc_criteria(doc.presentation, exact=args.exact)
+    result = {
+        "every_degree0_is_bc": report.every_degree0_is_bc,
+        "zero_is_only_candidate": report.zero_is_only_candidate,
+        "zero_is_bc": report.zero_is_bc,
+        "notes": report.notes,
+    }
+    if report.unique_zero:
+        result["unique bounding cochain"] = "0"
+    return 0, result
+
+
+def _gauge(doc, args):
+    j, target_doc = _named(doc.morphisms, args.morphism, "morphism")
+    target = target_doc.algebra if target_doc else doc.algebra
+    b = _named(doc.elements, args.element)
+    _, solves = floer.mc_residual(doc.algebra, b)
+    jb, transport = floer.gauge_act(j, floer.BoundingCochain(b, certified=solves), target)
+    return 0, {
+        "transported": _element_to_json(jb.element),
+        "certified": jb.certified,
+        "transport_entries": {
+            f"{r}<-{c}": str(v) for (r, c), v in sorted(transport.data.items())
+        },
+    }
+
+
+def _hf(doc, args):
+    report = floer.hf_compute(doc.presentation, _named(doc.elements, args.element))
+    return 0, {
+        "cutoff": _frac_str(report.cutoff),
+        "flavor": report.flavor,
+        "stable": report.stable,
+        "parity_collapsed": report.parity_collapsed,
+        "groups": {
+            str(k): {"free": g["free"], "torsion": [_frac_str(v) for v in g["torsion"]]}
+            for k, g in sorted(report.groups.items())
+        },
+    }
+
+
+def _hf_product(doc, args):
+    x = _named(doc.elements, args.x)
+    y = _named(doc.elements, args.y)
+    prod, cycle_ok = floer.hf_product(doc.presentation,
+                                      _named(doc.elements, args.element), x, y)
+    return (0 if cycle_ok else 1), {"cycle_certificate": cycle_ok,
+                                    "product": _element_to_json(prod)}
+
+
+def _union(doc, args):
+    other = load(args.other)
+    cross = _read_json(args.cross) if args.cross else {}
+    union = floer.union_sectors(
+        doc.presentation, other.presentation,
+        _double_points_from_json(cross.get("double_points", []), "cross.double_points"),
+        _tables_from_json(cross.get("tables", []), "algebra", "cross.tables"))
+    result = document_json(union)
+    result["sectors"] = dict(sorted(union.sectors.items()))
+    return 0, result
+
+
+def _rescale(doc, args):
+    b = _named(doc.elements, args.element) if args.element else None
+    report = floer.rescale_regrade(doc.presentation, args.assignments, b)
+    result = {
+        "wall": report.wall,
+        "algebra_wall": report.algebra_wall,
+        "intertwining_checked": report.intertwining_checked,
+    }
+    if report.transported_valuation is not None:
+        result["transported_valuation"] = (
+            "inf" if report.transported_valuation == float("inf")
+            else _frac_str(report.transported_valuation))
+        result["transported"] = _element_to_json(report.transported)
+    if report.presentation is not None:
+        result["presentation"] = document_json(report.presentation)
+    return (1 if (report.wall or report.algebra_wall) else 0), result
+
+
+def _legendrian_check(doc, args):
+    report = floer.legendrian_validate(doc.presentation)
+    return (0 if report.ok else 1), {"ok": report.ok, "violations": report.violations}
+
+
+def _index(doc, args):
+    if args.kind == "eta":
+        eta = _flag_call("--n/--r-minus/--r-plus", geomsign.eta_from_phases,
+                         args.n, args.r_minus, args.r_plus)
+        return 0, {"eta": eta, "partner": args.n - eta}
+    value = _flag_call("--target", geomsign.shifted_degree, args.target, args.a,
+                       n=args.n, eta=args.eta, dim_t=args.dim_t)
+    return 0, {"shifted_degree": value}
+
+
+def _vdim(doc, args):
+    value = _flag_call("--kind/--params", geomsign.vdim_formulas, args.kind, **args.params)
+    return 0, {"kind": args.kind, "value": value}
+
+
+def _signs(doc, args):
+    q = geomsign.SignQuery(
+        n=args.n, i=args.i, j=args.j, k=args.k, k1=args.k1, k2=args.k2,
+        dim_t=args.dim_t,
+        degs=args.degs, eta_prefix=args.eta_prefix, eta_block=args.eta_block,
+        eta_tail=args.eta_tail, eta_by_index=args.eta_by_index,
+        zero_in_I=args.zero_in_i, eta0=args.eta0,
+        i_in_I1=args.i_in_i1, zero_in_I2=args.zero_in_i2, eta_i=args.eta_i,
+        deg_f=args.deg_f,
+    )
+    if args.kind.startswith("zeta"):
+        value = _flag_call("--kind/--k/--degs", geomsign.sign_zeta, args.kind, q)
+    elif args.kind in ("face", "split", "insert", "vcSplit", "familySplit"):
+        value = geomsign.sign_boundary_insertion(args.kind, q)
+    else:
+        value = _flag_call("--kind/--dims", geomsign.sign_fibre_product,
+                           args.kind, *args.dims)
+    return 0, {"kind": args.kind, "sign": value}
+
+
+def _preset_whitney(doc, args):
+    pres = _flag_call("--n/--cutoff", floer.whitney_preset, args.n, flavor=args.flavor,
+                      cutoff=args.cutoff)
+    return 0, document_json(pres)
+
+
+def _feasible(doc, args):
+    ok, bad = floer.acyclicity_feasible(args.dims)
+    return (0 if ok else 1), {"feasible": ok, "first_failure": bad}
+
+
+def _trees(doc, args):
+    flags = "--k" if args.mode == "strict" else "--k/--low-valence"
+    out = _flag_call(flags, transfer.enumerate_trees, args.k, args.mode, args.low_valence)
+    return 0, {"count": len(out), "shapes": [t.shape() for t in out]}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# flag types and the command table
 #
 # Flag values are parsed by argparse ``type=`` callables: a value they refuse
 # raises ArgumentTypeError, and argparse exits 2 with a usage message.
@@ -625,7 +661,7 @@ def _rational_arg(text):
     """A rational such as 3/2."""
     try:
         return as_fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
@@ -655,6 +691,8 @@ def _object_arg(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise argparse.ArgumentTypeError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise argparse.ArgumentTypeError(f"not a JSON object: {text!r}")
     return data
@@ -669,103 +707,159 @@ def _int_object_arg(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _assignments_arg(text):
+    """Wall shifts per double point, {"p-:p+": {"c": rational, "d": integer}}."""
+    out = {}
+    for key, shift in _object_arg(text).items():
+        pair = tuple(key.split(":"))
+        if len(pair) != 2:
+            raise argparse.ArgumentTypeError(f"key {key!r} is not of the form 'p-:p+'")
+        if not isinstance(shift, dict):
+            raise argparse.ArgumentTypeError(f"value at {key!r} is not a JSON object")
+        try:
+            out[pair] = {"c": _rational_arg(shift.get("c", 0)),
+                         "d": _int(shift.get("d", 0), "d")}
+        except (argparse.ArgumentTypeError, DocumentError) as exc:
+            raise argparse.ArgumentTypeError(f"value at {key!r}: {exc}") from None
+    return out
+
+
+class Command(NamedTuple):
+    handler: Callable      # (document or None, parsed flags) -> (exit code, report)
+    operations: tuple      # the library operations it reaches
+    help: str
+    reads_document: bool   # from --in
+    flags: tuple = ()      # (flag, add_argument kwargs) pairs
+
+
+def _required(flag):
+    name, kwargs = flag
+    return name, {**kwargs, "required": True}
+
+
+# flags that several commands share; _required(...) where a command needs one
+_LEVEL = ("--level", {"type": int})
+_KMAX = ("--kmax", {"type": int})
+_ELEMENT = ("--element", {})
+_MORPHISM = ("--morphism", {"required": True})
+
+# One operation per command, except that signs selects among three with
+# --kind and index covers two.
+COMMANDS = {
+    "check": Command(_check, ("ainfty.check_relations",),
+                     "verify the A-infinity relations", True, (_required(_LEVEL),)),
+    "truncate": Command(_truncate, ("gapped.truncate_level",),
+                        "keep the tables admitted at a budget level", True,
+                        (_required(_LEVEL),)),
+    "minimal-model": Command(_minimal_model, ("transfer.minimal_model",),
+                             "tree-sum minimal model and inclusion", True, (_LEVEL, _KMAX)),
+    "inverse-strict": Command(_inverse_strict, ("transfer.homotopy_inverse_strict",),
+                              "homotopy inverse of a strict surjective wqe", True,
+                              (_MORPHISM, _LEVEL, _KMAX)),
+    "ank-from-geo": Command(
+        _ank_from_geo, ("transfer.ank_from_geometric",),
+        "assemble an A_{N,0} algebra from geometric tables", True,
+        (_required(_LEVEL), ("--parity", {
+            "type": int, "required": True,
+            "help": "ambient dimension parity entering the edge sign"}))),
+    "twist": Command(_twist, ("floer.twist",), "twist the operations by a named element",
+                     True, (_required(_ELEMENT),)),
+    "mc-residual": Command(_mc_residual, ("floer.mc_residual",),
+                           "Maurer-Cartan residual of a named element", True,
+                           (_required(_ELEMENT),)),
+    "mc-solve": Command(_mc_solve, ("floer.mc_solve",),
+                        "greedy level-by-level Maurer-Cartan solver", True),
+    "bc-criteria": Command(_bc_criteria, ("floer.bc_criteria",),
+                           "existence/uniqueness criteria from ranks and indices", True,
+                           (("--exact", {"action": "store_true"}),)),
+    "gauge": Command(_gauge, ("floer.gauge_act",),
+                     "gauge action of a named morphism on a named element", True,
+                     (_MORPHISM, _required(_ELEMENT))),
+    "hf": Command(_hf, ("floer.hf_compute",), "Floer cohomology of a presentation", True,
+                  (_required(_ELEMENT),)),
+    "hf-product": Command(_hf_product, ("floer.hf_product",),
+                          "signed product of two named cycles", True,
+                          (_required(_ELEMENT), ("--x", {"required": True}),
+                           ("--y", {"required": True}))),
+    "union": Command(_union, ("floer.union_sectors",), "disjoint union with sector tags",
+                     True, (("--other", {"required": True}), ("--cross", {"default": None}))),
+    "rescale": Command(_rescale, ("floer.rescale_regrade",),
+                       "wall-crossing energy shifts and e-regrades", True,
+                       (("--assignments", {
+                           "type": _assignments_arg, "required": True,
+                           "help": 'JSON like {"p-:p+": {"c": "1/4", "d": 0}, ...}'}),
+                        _ELEMENT)),
+    "legendrian-check": Command(_legendrian_check, ("floer.legendrian_validate",),
+                                "a-value pairing and energy lattice check", True),
+    "index": Command(_index, ("geomsign.eta_from_phases", "geomsign.shifted_degree"),
+                     "double-point index and shifted degrees", False, (
+        ("--kind", {"choices": ["eta", "shifted"], "default": "eta"}),
+        ("--n", {"type": int, "default": 0}),
+        ("--r-minus", {"type": _list_arg(_rational_arg), "default": ""}),
+        ("--r-plus", {"type": _list_arg(_rational_arg), "default": ""}),
+        ("--target", {"default": "manifold"}),
+        ("--a", {"type": int, "default": 0}),
+        ("--eta", {"type": int, "default": 0}),
+        ("--dim-t", {"type": int, "default": 0}))),
+    "vdim": Command(_vdim, ("geomsign.vdim_formulas",), "closed-form virtual dimensions",
+                    False, (("--kind", {"required": True}), ("--params", {
+                        "type": _object_arg, "default": "{}",
+                        "help": "JSON parameter object"}))),
+    "signs": Command(_signs, ("geomsign.sign_zeta", "geomsign.sign_boundary_insertion",
+                              "geomsign.sign_fibre_product"),
+                     "orientation sign formulas", False, (
+        ("--kind", {"required": True}),
+        *((f"--{flag}", {"type": int, "default": 0}) for flag in
+          ("n", "i", "j", "k", "k1", "k2", "eta0", "eta-i", "deg-f", "dim-t")),
+        *((f"--{flag}", {"type": _list_arg(_int_arg), "default": ""}) for flag in
+          ("degs", "eta-prefix", "eta-block", "eta-tail", "dims")),
+        ("--eta-by-index", {"type": _int_object_arg, "default": "{}"}),
+        ("--zero-in-I", {"dest": "zero_in_i", "action": "store_true"}),
+        ("--i-in-I1", {"dest": "i_in_i1", "action": "store_true"}),
+        ("--zero-in-I2", {"dest": "zero_in_i2", "action": "store_true"}))),
+    "preset-whitney": Command(_preset_whitney, ("floer.whitney_preset",),
+                              "the immersed-sphere presentation", False, (
+        ("--n", {"type": int, "required": True}),
+        ("--flavor", {"default": "cy0", "choices": list(FLAVORS)}),
+        ("--cutoff", {"type": _rational_arg, "default": "2"}))),
+    "feasible": Command(_feasible, ("floer.acyclicity_feasible",),
+                        "acyclic-differential rank feasibility", False, (("--dims", {
+                            "type": _int_object_arg, "required": True,
+                            "help": 'JSON like {"0": 1, "1": 2}'}),)),
+    "trees": Command(_trees, ("transfer.enumerate_trees",), "enumerate planar rooted trees",
+                     False, (
+        ("--k", {"type": _count_arg, "required": True}),
+        ("--mode", {"choices": ["strict", "filtered"], "default": "strict"}),
+        ("--low-valence", {"type": _count_arg, "default": 0}))),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ainfkit",
         description="gapped filtered A-infinity calculus over truncated Novikov rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--machine", action="store_true",
                        help="emit the machine-readable JSON report")
         p.add_argument("--out", default=None, help="write the report to a file")
-        return p
-
-    def add_doc(name, **kwargs):
-        p = add(name, **kwargs)
-        p.add_argument("--in", dest="infile", default="-",
-                       help="input document (default: stdin)")
-        return p
-
-    p = add_doc("check", help="verify the A-infinity relations")
-    p.add_argument("--level", type=int, required=True)
-    p = add_doc("truncate", help="keep the tables admitted at a budget level")
-    p.add_argument("--level", type=int, required=True)
-    p = add_doc("minimal-model", help="tree-sum minimal model and inclusion")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p = add_doc("inverse-strict", help="homotopy inverse of a strict surjective wqe")
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p = add_doc("ank-from-geo", help="assemble an A_{N,0} algebra from geometric tables")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--parity", type=int, required=True,
-                   help="ambient dimension parity entering the edge sign")
-    p = add_doc("twist", help="twist the operations by a named element")
-    p.add_argument("--element", required=True)
-    p = add_doc("mc-residual", help="Maurer-Cartan residual of a named element")
-    p.add_argument("--element", required=True)
-    add_doc("mc-solve", help="greedy level-by-level Maurer-Cartan solver")
-    p = add_doc("bc-criteria", help="existence/uniqueness criteria from ranks and indices")
-    p.add_argument("--exact", action="store_true")
-    p = add_doc("gauge", help="gauge action of a named morphism on a named element")
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--element", required=True)
-    p = add_doc("hf", help="Floer cohomology of a presentation")
-    p.add_argument("--element", required=True)
-    p = add_doc("hf-product", help="signed product of two named cycles")
-    p.add_argument("--element", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p = add_doc("union", help="disjoint union with sector tags")
-    p.add_argument("--other", required=True)
-    p.add_argument("--cross", default=None)
-    p = add_doc("rescale", help="wall-crossing energy shifts and e-regrades")
-    p.add_argument("--assignments", required=True,
-                   help='JSON like {"p-:p+": {"c": "1/4", "d": 0}, ...}')
-    p.add_argument("--element", default=None)
-    add_doc("legendrian-check", help="a-value pairing and energy lattice check")
-
-    p = add("index", help="double-point index and shifted degrees")
-    p.add_argument("--kind", choices=["eta", "shifted"], default="eta")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--r-minus", type=_list_arg(_rational_arg), default="")
-    p.add_argument("--r-plus", type=_list_arg(_rational_arg), default="")
-    p.add_argument("--target", default="manifold")
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--eta", type=int, default=0)
-    p.add_argument("--dim-t", dest="dim_t", type=int, default=0)
-    p = add("vdim", help="closed-form virtual dimensions")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--params", type=_object_arg, default="{}",
-                   help="JSON parameter object")
-    p = add("signs", help="orientation sign formulas")
-    p.add_argument("--kind", required=True)
-    for flag in ("n", "i", "j", "k", "k1", "k2", "eta0", "eta-i", "deg-f", "dim-t"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int, default=0)
-    for flag in ("degs", "eta-prefix", "eta-block", "eta-tail", "dims"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=_list_arg(_int_arg),
-                       default="")
-    p.add_argument("--eta-by-index", dest="eta_by_index", type=_int_object_arg,
-                   default="{}")
-    p.add_argument("--zero-in-I", dest="zero_in_i", action="store_true")
-    p.add_argument("--i-in-I1", dest="i_in_i1", action="store_true")
-    p.add_argument("--zero-in-I2", dest="zero_in_i2", action="store_true")
-    p = add("preset-whitney", help="the immersed-sphere presentation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--flavor", default="cy0", choices=list(FLAVORS))
-    p.add_argument("--cutoff", type=_rational_arg, default="2")
-    p = add("feasible", help="acyclic-differential rank feasibility")
-    p.add_argument("--dims", type=_int_object_arg, required=True,
-                   help='JSON like {"0": 1, "1": 2}')
-    p = add("trees", help="enumerate planar rooted trees")
-    p.add_argument("--k", type=_count_arg, required=True)
-    p.add_argument("--mode", choices=["strict", "filtered"], default="strict")
-    p.add_argument("--low-valence", dest="low_valence", type=int, default=0)
+        if command.reads_document:
+            p.add_argument("--in", dest="infile", default="-",
+                           help="input document (default: stdin)")
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def dispatch(command, args):
+    """Run one command; returns (exit_code, result)."""
+    entry = COMMANDS[command]
+    code, result = entry.handler(load(args.infile) if entry.reads_document else None, args)
+    if not _is_document(result):
+        result = {"command": command, **result}
+    return code, result
 
 
 def main(argv=None) -> int:
@@ -775,16 +869,17 @@ def main(argv=None) -> int:
         code, result = dispatch(args.command, args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
-    except DocumentError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except AinfError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    text = emit_report(result, machine=getattr(args, "machine", False))
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    text = emit_report(result, machine=args.machine)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror or exc}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return code

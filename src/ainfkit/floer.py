@@ -104,7 +104,15 @@ class LagrangianPresentation:
         return self.algebra.source
 
 
+# Presentations are built eagerly, so their size is bounded up front: at most
+# this many homology generators, and at most this ambient dimension for the
+# preset, whose phase lists have one entry per dimension.
+MAX_GENERATORS = 100_000
+
+
 def presentation_space(n, homology_ranks, double_points, prefix="") -> GradedSpace:
+    if sum(r for r in homology_ranks.values() if r > 0) > MAX_GENERATORS:
+        raise ValueError(f"more than {MAX_GENERATORS} homology generators")
     basis = []
     for d_h in sorted(homology_ranks):
         for i in range(homology_ranks[d_h]):
@@ -131,8 +139,10 @@ def whitney_preset(n: int, flavor="cy0", cutoff=2, generators=((1, 0),),
     The indices computed from the phases are n + 1 and -1, giving generators
     in internal degrees {-2, -1, n-1, n}.  Operations are empty by default.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= MAX_GENERATORS:
+        raise ValueError(f"need 2 <= n <= {MAX_GENERATORS}")
+    if cutoff < 0:
+        raise ValueError("need cutoff >= 0")
     r_minus = [Fraction(-1, 4)] * n
     r_plus = [Fraction(5, 4)] + [Fraction(1, 4)] * (n - 1)
     eta = eta_from_phases(n, r_minus, r_plus)

@@ -60,6 +60,12 @@ class PlanarTree:
 
     children: tuple | None  # None = leaf; tuple of PlanarTree otherwise
     key: tuple | None = None  # (lam, mu) decoration of an internal node
+    _shape: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # built once, from the children's strings
+        object.__setattr__(self, "_shape", "*" if self.children is None else
+                           "(" + "".join(c._shape for c in self.children) + ")")
 
     @property
     def is_leaf(self):
@@ -82,14 +88,65 @@ class PlanarTree:
         return own + sum(c.low_valence_vertices() for c in self.children)
 
     def shape(self):
-        if self.is_leaf:
-            return "*"
-        return "(" + "".join(c.shape() for c in self.children) + ")"
+        return self._shape
 
 
-# Enumerating more strict trees than this is refused.  k = 10 leaves give
-# 103,049 of them, k = 11 give 518,859.
+# Enumerating more trees than this is refused.  k = 10 leaves give 103,049
+# strict trees, k = 11 give 518,859.
 MAX_TREES = 200_000
+
+# The fewest children an internal vertex has in each mode.
+_MIN_CHILDREN = {"strict": 2, "filtered": 0}
+
+
+def _tree_counter(min_children):
+    """count(l, b): how many trees enumerate_trees' trees(l, b) lists, by the
+    same recursion, memoised."""
+
+    @cache
+    def count(leaves, lv_budget):
+        total = 0
+        for m in range(min_children, leaves + lv_budget + 1):
+            rest = lv_budget - 1 if m <= 1 else lv_budget  # m <= 1 is low-valence
+            if rest >= 0:
+                total += combos(leaves, rest, m)
+        return total
+
+    @cache
+    def combos(leaves, lv_budget, m):
+        if m == 0:
+            return int(leaves == lv_budget == 0)
+        total = 0
+        for l1 in range(leaves + 1):
+            for b1 in range(lv_budget + 1):
+                if l1 + b1 and leaves - l1 + lv_budget - b1 >= m - 1:
+                    children = count(l1, b1) + ((l1, b1) == (1, 0))  # the bare leaf
+                    total += children * combos(leaves - l1, lv_budget - b1, m - 1)
+        return total
+
+    return count
+
+
+def _count_trees(k: int, mode: str, low_valence_budget: int) -> int:
+    """How many trees ``enumerate_trees(k, mode, low_valence_budget)`` lists,
+    counted without building them (strict counts are the little Schroeder
+    numbers), or the first count found past MAX_TREES.
+
+    Grafting a tree and a leaf onto a new binary root adds a leaf and keeps
+    the low-valence count, so count(l, b) grows with l.  Sizes are counted
+    upward, which keeps the recursion shallow, and the first count past
+    MAX_TREES is returned at once: a huge k or budget stops there.
+    """
+    count = _tree_counter(_MIN_CHILDREN[mode])
+    total = 0
+    for b in range(low_valence_budget + 1 if mode == "filtered" else 1):
+        for leaves in range(k + 1):
+            if count(leaves, b) > MAX_TREES:
+                return count(leaves, b)
+        total += count(k, b)
+        if total > MAX_TREES:
+            return total
+    return total
 
 
 def enumerate_trees(k: int, mode: str = "strict", low_valence_budget: int = 0):
@@ -101,19 +158,17 @@ def enumerate_trees(k: int, mode: str = "strict", low_valence_budget: int = 0):
     cost at least N * lambda_0).  Deterministic order: by internal vertex
     count, then by shape string.
 
-    The strict trees are counted first, by the little Schroeder numbers
-    (s(1) = s(2) = 1, (n + 1) s(n + 1) = 3 (2n - 1) s(n) - (n - 2) s(n - 1)),
-    and more than MAX_TREES of them raise ValueError.
+    The trees are counted first, and more than MAX_TREES of them raise
+    ValueError.
     """
-    if mode not in ("strict", "filtered"):
+    if mode not in _MIN_CHILDREN:
         raise ValueError(f"unknown mode {mode!r}")
-    prev, count = 1, 1  # s(1), s(2)
-    for n in range(2, k if mode == "strict" else 0):
-        prev, count = count, (3 * (2 * n - 1) * count - (n - 2) * prev) // (n + 1)
-        if count > MAX_TREES:
-            raise ValueError(f"more than {MAX_TREES} strict trees have {k} leaves; "
-                             "refusing to enumerate them")
-    min_children = 2 if mode == "strict" else 0
+    if _count_trees(k, mode, low_valence_budget) > MAX_TREES:
+        within = (f" and at most {low_valence_budget} low-valence vertices"
+                  if mode == "filtered" else "")
+        raise ValueError(f"more than {MAX_TREES} {mode} trees have {k} leaves{within}; "
+                         "refusing to enumerate them")
+    min_children = _MIN_CHILDREN[mode]
     budget = 0 if mode == "strict" else low_valence_budget
 
     # trees(l, b) = trees with exactly l leaves and exactly b low-valence
@@ -148,11 +203,8 @@ def enumerate_trees(k: int, mode: str = "strict", low_valence_budget: int = 0):
                             yield [first, *rest]
 
     # a shape string has one "(" per internal vertex
-    seen = {}
-    for b in range(0, budget + 1):
-        for t in trees(k, b):
-            seen.setdefault(t.shape(), t)
-    return [seen[s] for s in sorted(seen, key=lambda s: (s.count("("), s))]
+    found = [t for b in range(0, budget + 1) for t in trees(k, b)]
+    return sorted(found, key=lambda t: (t._shape.count("("), t._shape))
 
 
 # ---------------------------------------------------------------------------

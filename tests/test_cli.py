@@ -1,14 +1,18 @@
+import importlib
+import io
 import json
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import ainfkit
 from ainfkit.cli import (
-    COMMAND_OPERATIONS,
+    COMMANDS,
     _frac_str,
     document_json,
     emit_report,
@@ -207,20 +211,23 @@ def test_minimal_model_command(tmp_path):
     assert "inclusion" in model
 
 
+def _readme_commands():
+    """The command names in the README's "Commands:" list."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listing = text[text.index("\nCommands: "):]
+    return set(re.findall(r"`([a-z0-9-]+)`", listing[:listing.index("\n\n")]))
+
+
 def test_every_command_reaches_exactly_one_operation():
-    # the dispatch table is a bijection between commands and designated
+    # the command table is a bijection between commands and designated
     # operations; every named operation exists in the library
-    commands = set(COMMAND_OPERATIONS)
-    assert len(commands) == 21
-    targets = list(COMMAND_OPERATIONS.values())
+    assert set(COMMANDS) == _readme_commands()
+    targets = [op for command in COMMANDS.values() for op in command.operations]
     assert len(set(targets)) == len(targets)
-    for target in targets:
-        for dotted in target.split("+"):
-            module_name, func = dotted.split(".")
-            module = getattr(ainfkit, "cli").__dict__[module_name] if False else None
-            import importlib
-            module = importlib.import_module(f"ainfkit.{module_name}")
-            assert callable(getattr(module, func)), dotted
+    for dotted in targets:
+        module_name, func = dotted.split(".")
+        module = importlib.import_module(f"ainfkit.{module_name}")
+        assert callable(getattr(module, func)), dotted
 
 
 def test_command_operations_match_argparse():
@@ -228,7 +235,7 @@ def test_command_operations_match_argparse():
     parser = _build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, __import__("argparse")._SubParsersAction))
-    assert set(sub.choices) == set(COMMAND_OPERATIONS)
+    assert set(sub.choices) == set(COMMANDS)
 
 
 def test_emit_report_deterministic():
@@ -321,22 +328,20 @@ def test_inverse_strict_command():
     assert json.loads(out.stdout)["identity_check"] is True
 
 
+GEOMETRIC_DOC = {
+    "kind": "geometric", "flavor": "nov0", "cutoff": "2",
+    "monoid": [["1", 0]],
+    "basis": [["x", 0], ["y", 1]],
+    "filtration": {"x": 0, "y": 0},
+    "tables": [{"k": 1, "lam": "0", "mu": 0, "role": "algebra",
+                "entries": [{"inputs": ["x"], "output": "y", "coeff": "1"}]}],
+    # every admissible key up to N' = 3
+    "declared": [[k, str(lam), 0] for k in range(0, 6) for lam in (0, 1, 2)],
+}
+
+
 def test_ank_from_geo_command():
-    doc = {
-        "kind": "geometric", "flavor": "nov0", "cutoff": "2",
-        "monoid": [["1", 0]],
-        "basis": [["x", 0], ["y", 1]],
-        "filtration": {"x": 0, "y": 0},
-        "tables": [{"k": 1, "lam": "0", "mu": 0, "role": "algebra",
-                    "entries": [{"inputs": ["x"], "output": "y", "coeff": "1"}]}],
-        "declared": [],
-    }
-    # declare every admissible key up to N' = 3
-    declared = []
-    for k in range(0, 6):
-        for lam in (0, 1, 2):
-            declared.append([k, str(lam), 0])
-    doc["declared"] = declared
+    doc = GEOMETRIC_DOC
     out = run_cli(["ank-from-geo", "--level", "1", "--parity", "3"],
                   json.dumps(doc))
     assert out.returncode == 0
@@ -433,15 +438,93 @@ def test_oversized_monoid_exits_2():
     (["vdim", "--kind", "main"], "--kind/--params"),
     (["index", "--n", "2"], "--n/--r-minus/--r-plus"),
     (["signs", "--kind", "swap"], "--kind/--dims"),
+    (["preset-whitney", "--n", "0"], "--n/--cutoff"),
+    (["preset-whitney", "--n", "2", "--cutoff", "-1"], "--n/--cutoff"),
+    (["trees", "--k", "3", "--mode", "filtered", "--low-valence", "-1"], "--low-valence"),
+    # wall shifts: a JSON object {"p-:p+": {"c": rational, "d": integer}}
+    (["rescale", "--assignments", "notjson"], "--assignments"),
+    (["rescale", "--assignments", "[1]"], "--assignments"),
+    (["rescale", "--assignments", '{"x": {"c": "1/4"}}'], "--assignments"),
+    (["rescale", "--assignments", '{"p-:p+": 5}'], "--assignments"),
+    (["rescale", "--assignments", '{"p-:p+": {"c": 0.25}}'], "--assignments"),
+    (["rescale", "--assignments", '{"p-:p+": {"c": "1/4", "d": "x"}}'], "--assignments"),
+    (["vdim", "--kind", "main", "--params", "[" * 100_000 + "]" * 100_000], "--params"),
 ], ids=["r-minus-word", "r-minus-zero-denominator", "cutoff", "degs", "params",
         "dims-list", "dims-key", "dims-value", "k-negative", "vdim-unknown-kind",
-        "vdim-missing-params", "index-missing-phases", "signs-missing-dims"])
+        "vdim-missing-params", "index-missing-phases", "signs-missing-dims",
+        "whitney-n-too-small", "whitney-negative-cutoff", "low-valence-negative",
+        "assignments-not-json", "assignments-list", "assignments-key", "assignments-value",
+        "assignments-float-c", "assignments-word-d", "params-nested-too-deeply"])
 def test_bad_flag_value_exits_2(capsys, args, flag):
     with pytest.raises(SystemExit) as exc:
         ainfkit.cli.main(args)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, doc, message", [
+    (["check", "--level", "1", "--in", "/nonexistent"], None,
+     "cannot read /nonexistent: No such file or directory"),
+    (["union", "--other", "/nonexistent"], PRESENTATION_DOC,
+     "cannot read /nonexistent: No such file or directory"),
+    (["union", "--other", "-", "--cross", "/nonexistent"], PRESENTATION_DOC,
+     "cannot read /nonexistent: No such file or directory"),
+    (["trees", "--k", "3", "--out", "/nonexistent/report.json"], None,
+     "cannot write /nonexistent/report.json: No such file or directory"),
+    (["union", "--other", "-", "--cross", "{bad}"], PRESENTATION_DOC, "not valid JSON"),
+    (["union", "--other", "-", "--cross", "{list}"], PRESENTATION_DOC,
+     "document must be a JSON object"),
+    (["check", "--level", "1", "--in", "{deep}"], None, "JSON nested too deeply"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("tables",), [5]),
+     "tables[0]: must be a JSON object"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("tables", 0, "entries"), [5]),
+     "tables[0].entries[0]: entry needs inputs/output/coeff"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("morphisms",), {"f": [1]}),
+     "morphisms.f: must be a JSON object"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("basis",), [["x"]]),
+     "basis[0]: must be a JSON array of 2 items"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("monoid",), [["1"]]),
+     "monoid[0]: must be a JSON array of 2 items"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("elements",), {"b": {"x": 5}}),
+     "elements.b.x: must be a JSON array"),
+    (["check", "--level", "1"], _with(GEOMETRIC_DOC, ("declared",), [[1]]),
+     "declared[0]: must be a JSON array of 3 items"),
+    (["check", "--level", "1"],
+     _with(PRESENTATION_DOC, ("double_points", 0, "phases_minus"), 5),
+     "double_points[0].phases_minus: must be a JSON array"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("cutoff",), -1), "cutoff: must be >= 0"),
+    # a falsy value of the wrong type is no empty container
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("tables",), {}),
+     "tables: must be a JSON array"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("elements",), []),
+     "elements: must be a JSON object"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("morphisms",), False),
+     "morphisms: must be a JSON object"),
+    (["check", "--level", "1"], _with(PRESENTATION_DOC, ("double_points",), ""),
+     "double_points: must be a JSON array"),
+    (["check", "--level", "1"], _with(PRESENTATION_DOC, ("homology_ranks",), []),
+     "homology_ranks: must be a JSON object"),
+], ids=["in-missing", "other-missing", "cross-missing", "out-unwritable", "cross-not-json",
+        "cross-list", "in-nested-too-deeply",
+        "tables", "entries", "morphisms", "basis", "monoid", "elements", "declared",
+        "phases", "negative-cutoff", "tables-empty-object", "elements-empty-array",
+        "morphisms-false", "double-points-empty-string", "homology-ranks-empty-array"])
+def test_bad_file_or_document_shape_exits_2(tmp_path, capsys, monkeypatch, args, doc,
+                                            message):
+    # "{bad}", "{list}" and "{deep}" name files holding invalid JSON, a JSON
+    # array and arrays nested past the decoder's recursion limit
+    files = {"bad": "{not json", "list": "[1]", "deep": "[" * 100_000 + "]" * 100_000}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    args = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in args]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    if "union" in args:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        args += ["--in", str(tmp_path / "doc.json")]
+    assert ainfkit.cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_a_float_never_renders_as_a_rational():
@@ -458,6 +541,15 @@ def test_trees_past_the_count_bound_exit_2_at_once(capsys):
         ainfkit.cli.main(["trees", "--k", "40"])
     assert exc.value.code == 2 and time.perf_counter() - start < 1
     assert "error: argument --k: more than 200000 strict trees" in capsys.readouterr().err
+
+
+def test_filtered_trees_past_the_count_bound_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        ainfkit.cli.main(["trees", "--k", "4", "--mode", "filtered", "--low-valence", "5"])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1
+    assert "error: argument --k/--low-valence: more than 200000 filtered trees" in \
+        capsys.readouterr().err
 
 
 def test_trees_at_the_largest_allowed_k(capsys):

@@ -23,7 +23,7 @@ from ainfkit import (
 )
 from ainfkit.errors import MalformedMorphismError, MissingDataError, NotAComplexError
 from ainfkit.gapped import monoid_elements
-from ainfkit.transfer import GeometricData
+from ainfkit.transfer import MAX_TREES, GeometricData, _count_trees
 from conftest import (
     checked,
     heisenberg_algebra,
@@ -97,9 +97,30 @@ def test_strict_tree_counts_little_schroeder():
 
 def test_filtered_tree_counts_match_brute_force():
     for k in range(0, 5):
-        for budget in range(0, 3):
+        for budget in range(0, 4):
             got = len(enumerate_trees(k, "filtered", budget))
             assert got == brute_force_tree_count(k, "filtered", budget), (k, budget)
+            assert _count_trees(k, "filtered", budget) == got, (k, budget)
+
+
+def _little_schroeder(n_max):
+    """s(0..n_max): s(1) = s(2) = 1, (n + 1) s(n + 1) = 3 (2n - 1) s(n) - (n - 2) s(n - 1)."""
+    s = [0, 1, 1]
+    for n in range(2, n_max):
+        s.append((3 * (2 * n - 1) * s[n] - (n - 2) * s[n - 1]) // (n + 1))
+    return s
+
+
+def test_strict_tree_count_is_little_schroeder_up_to_the_bound():
+    # the bare leaf is not listed, so k = 1 counts no trees
+    assert [_count_trees(k, "strict", 0) for k in range(11)] == \
+        [0, 0] + _little_schroeder(10)[2:]
+    # k = 11 has 518,859; no size past the first count over the bound is counted
+    for k in (11, 12, 10**6):
+        assert _count_trees(k, "strict", 0) > MAX_TREES
+    assert _count_trees(10**6, "filtered", 10**6) > MAX_TREES
+    with pytest.raises(ValueError, match="unknown mode"):
+        enumerate_trees(3, "loose")
 
 
 def test_tree_list_is_duplicate_free_and_ordered():
