@@ -680,6 +680,20 @@ def _count_arg(text):
     return value
 
 
+# The largest --level admitted.  A level bounds the arity and norm of the
+# keys that check and the tree sums visit, and their work grows with it: on a
+# two-generator system, level 1,000 takes a few hundredths of a second.
+MAX_LEVEL = 1_000
+
+
+def _level_arg(text):
+    """An integer in [0, MAX_LEVEL]."""
+    value = _count_arg(text)
+    if value > MAX_LEVEL:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_LEVEL}: {text!r}")
+    return value
+
+
 def _list_arg(parse):
     """Comma-separated values, each read by ``parse``; the empty string is []."""
     return lambda text: [parse(x) for x in text.split(",")] if text else []
@@ -738,7 +752,7 @@ def _required(flag):
 
 
 # flags that several commands share; _required(...) where a command needs one
-_LEVEL = ("--level", {"type": int})
+_LEVEL = ("--level", {"type": _level_arg})
 _KMAX = ("--kmax", {"type": int})
 _ELEMENT = ("--element", {})
 _MORPHISM = ("--morphism", {"required": True})

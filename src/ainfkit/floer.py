@@ -290,7 +290,8 @@ def mc_solve(alg: OperationSystem):
     level solves m_1^{0,0}(x) = -residual over Q, accumulating corrections
     supported on the monoid's keys.  Returns a certified BoundingCochain, or
     the first Obstruction (level plus residual class in degree-one
-    cohomology).
+    cohomology).  m_1^{0,0} is row-reduced once per e-power, into a
+    ``linalg.solver`` that every level of that e-power uses.
 
     The residual at a level is the part of sum_k m_k(b, ..., b) at exactly
     that energy.  b has valuation > 0, so the only insertion that puts a
@@ -304,6 +305,7 @@ def mc_solve(alg: OperationSystem):
     d = _linear(alg.table(1, 0, 0))
     slots = _slot_specs(space, {})
     terms = {}  # label -> [(q, level, mu)]
+    solvers = {}  # mu -> the solver of m_1^{0,0} from degree -2mu to 1 - 2mu
     for level in alg.monoid.positive_energies(alg.cutoff):
         by_mu = {mu: e[()] for (_, _, mu), e in _twist_tables(alg, slots, 0, level).items()
                  if e[()]}
@@ -314,14 +316,14 @@ def mc_solve(alg: OperationSystem):
             target = by_mu[mu]
             dom = space.labels_of_degree(-2 * mu)
             cod = space.labels_of_degree(1 - 2 * mu)
-            rhs = [-target.get(out, 0) for out in cod]
-            sol = linalg.solve(_q_matrix(d, dom, cod), rhs, len(dom))
+            if mu not in solvers:
+                solvers[mu] = linalg.solver(_q_matrix(d, dom, cod), len(dom))
+            sol = solvers[mu]([-target.get(out, 0) for out in cod])
             if sol is None:
                 cls = _cohomology_class(target, space, d, 1 - 2 * mu)
                 return Obstruction(level, mu, cls)
             for l, q in zip(dom, sol):
                 if q:
-                    q = as_fraction(q)
                     slots[l][(0, level, mu)] = [((), q)]
                     terms.setdefault(l, []).append((q, level, mu))
     b = {l: NovikovElement.make(t, alg.flavor, alg.cutoff) for l, t in terms.items()}

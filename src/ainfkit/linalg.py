@@ -90,25 +90,32 @@ def kernel_basis(mat, n_cols):
     return basis
 
 
-def solve(mat, rhs, n_cols):
-    """One solution x of mat @ x = rhs, or None.  Deterministic (free vars 0).
+def solver(mat, n_cols):
+    """The function rhs -> one solution x of mat @ x = rhs, or None.
 
-    ``n_cols`` is the number of unknowns, which a matrix without rows does
-    not carry; the zero vector solves that case.
+    ``[mat | I]`` is row-reduced once to ``[R | E]`` with E @ mat = R, so a
+    right-hand side b is solvable iff the rows of E below the rank of mat
+    annihilate it, and then x is E @ b on the pivot columns and 0 on the free
+    ones (deterministic: free vars 0), the answer the reduced form of
+    ``[mat | b]`` gives.  ``n_cols`` is the number of unknowns, which a
+    matrix without rows does not carry; the zero vector solves that case.
     """
     if not mat:
-        return [0] * n_cols
-    aug = [list(row) + [c] for row, c in zip(mat, rhs)]
-    rref, pivots = row_reduce(aug)
-    for r in range(len(rref)):
-        if all(rref[r][c] == 0 for c in range(n_cols)) and rref[r][n_cols] != 0:
+        return lambda rhs: [0] * n_cols
+    m = len(mat)
+    rref, pivots = row_reduce([list(row) + unit for row, unit in zip(mat, identity(m))])
+    rank = sum(1 for pc in pivots if pc < n_cols)
+    left = [_sparse(row[n_cols:]) for row in rref]
+
+    def solve_for(rhs):
+        if any(sum(x * rhs[j] for j, x in left[r].items()) for r in range(rank, m)):
             return None
-    x = [0] * n_cols
-    for r, pc in enumerate(pivots):
-        if pc == n_cols:
-            return None
-        x[pc] = rref[r][n_cols]
-    return x
+        x = [0] * n_cols
+        for r in range(rank):
+            x[pivots[r]] = as_fraction(sum(y * rhs[j] for j, y in left[r].items()))
+        return x
+
+    return solve_for
 
 
 def extend_to_complement(inside, ambient_dim, candidates=None):

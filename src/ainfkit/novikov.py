@@ -35,7 +35,9 @@ _INTEGER_LATTICE = {"novZ", "novN"}
 
 def as_fraction(x):
     """The canonical form of an exact rational: an int when it is integral,
-    otherwise a Fraction.  Strings are parsed; floats and bools are refused."""
+    otherwise a Fraction.  Strings are parsed, but not in exponent notation,
+    which would let a few characters stand for an integer of any length;
+    floats and bools are refused."""
     t = type(x)
     if t is int:
         return x
@@ -45,6 +47,8 @@ def as_fraction(x):
         try:
             return int(x)
         except ValueError:
+            if "e" in x or "E" in x:
+                raise ValueError(f"exponent notation is not accepted: {x!r}") from None
             return as_fraction(Fraction(x))
     raise TypeError(f"not an exact rational: {x!r}")
 

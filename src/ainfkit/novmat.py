@@ -8,6 +8,7 @@ statement is mod F^{>E}.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,12 +91,13 @@ class NovMatrix:
         """
         if set(self.rows) != set(self.cols) and len(self.rows) != len(self.cols):
             raise NotInvertibleError("matrix is not square")
-        scale, pivots, carried = _eliminate(self, inverse=True)
+        scale, pivots, rows = _eliminate(self, inverse=True)
         out = NovMatrix(self.cols, self.rows, self.flavor, self.cutoff)
         for r0, c0, _ in pivots:
-            for c, p in carried[r0].items():
+            row = rows[r0]
+            for c, p in row.carried.items():
                 out.data[(c0, c)] = NovikovElement.make(
-                    ((q, Fraction(n, scale), mu) for (n, mu), q in p.items()),
+                    ((Fraction(q, row.den), Fraction(n, scale), mu) for (n, mu), q in p.items()),
                     self.flavor, self.cutoff)
         return out
 
@@ -156,65 +158,128 @@ def _fold(tables, k, flavor, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# the elimination kernel: an entry is {(n, mu): coeff} with n = lam * scale an
+# the elimination kernel: an entry is {(n, mu): q} with n = lam * scale an
 # integer, and every shift and product drops the terms with n > top =
-# E * scale, as NovikovElement arithmetic at cutoff E does
+# E * scale, as NovikovElement arithmetic at cutoff E does.  A row holds its
+# coefficients as integers over one positive denominator.
+
+@dataclass(slots=True)
+class _Row:
+    """The rationals entries / den, and the carried row of the identity over
+    the same denominator (empty unless ``inverse``)."""
+
+    den: int
+    entries: dict  # col -> {(n, mu): int}
+    carried: dict  # identity col -> {(n, mu): int}
+
+    def parts(self):
+        return self.entries, self.carried
+
+    def reduce(self):
+        """Divide the denominator and every numerator by their gcd, so the
+        integers are the reduced rationals over their least common
+        denominator."""
+        if self.den == 1:
+            return
+        g = math.gcd(self.den, *(q for part in self.parts() for p in part.values()
+                                 for q in p.values()))
+        if g > 1:
+            self.den //= g
+            for part in self.parts():
+                for c, p in part.items():
+                    part[c] = {key: q // g for key, q in p.items()}
+
+
+def _integer_row(entries):
+    """A row of rational entries {col: {(n, mu): q}} as a ``_Row``, scaled to
+    integers over the least common denominator; nonzero rationals are units,
+    so the scaling changes no pivot."""
+    den = math.lcm(*(q.denominator for p in entries.values() for q in p.values()))
+    scaled = {c: {key: q.numerator * (den // q.denominator) for key, q in p.items()}
+              for c, p in entries.items()}
+    return _Row(den, scaled, {})
+
 
 def _eliminate(matrix: NovMatrix, inverse=False):
-    """Valuation-pivot elimination on sparse rows {col: entry}.
+    """Valuation-pivot elimination on sparse integer rows (``_Row``).
 
     A pivot is the live entry of least valuation v, ties broken by str(row),
-    then str(col); its row is divided by the unit pivot / T^v, and each live
-    row with an entry a in the pivot column loses (a / T^v) times it.  With
-    ``inverse`` a pivot must have v = 0 (NotInvertibleError when no live
-    row has one), the identity is carried along, and the pivoted rows are
-    eliminated too (Gauss-Jordan).
+    then str(col); each live row keeps its least (v, str(col)) and recomputes
+    it only when it changes.  The pivot row is multiplied by the inverse of
+    the unit pivot / T^v (``_unit_inverse``, integers W over d), which turns
+    (D0, N0) into (d, N0 W).  Each live row (D, N) with an entry a in the
+    pivot column loses (a / T^v) times it: it becomes (N d - (a / T^v) P) /
+    (D d), reduced by the gcd.  With ``inverse`` a pivot must have v = 0
+    (NotInvertibleError when no live row has one), the identity is carried
+    along, and the pivoted rows are eliminated too (Gauss-Jordan).
 
-    Returns (scale, [(row, col, v * scale)] in pivot order, carried rows).
+    Returns (scale, [(row, col, v * scale)] in pivot order, {pivot row:
+    _Row}), the last empty unless ``inverse``.
     """
     scale = math.lcm(matrix.cutoff.denominator, *(
         lam.denominator for v in matrix.data.values() for _, lam, _ in v.terms))
     top = math.floor(matrix.cutoff * scale)
-    live = {r: {} for r in matrix.rows}
+    entries = {r: {} for r in matrix.rows}
     for (r, c), v in matrix.data.items():
         if v.terms:
-            live.setdefault(r, {})[c] = {(int(lam * scale), mu): q for q, lam, mu in v.terms}
+            entries.setdefault(r, {})[c] = {
+                (lam.numerator * (scale // lam.denominator), mu): q for q, lam, mu in v.terms}
+    live = {r: _integer_row(row) for r, row in entries.items()}
+    if inverse:
+        for r, row in live.items():
+            row.carried[r] = {(0, 0): row.den}
     name = {x: str(x) for key in matrix.data for x in key}
-    carried = {r: {r: {(0, 0): 1}} for r in live} if inverse else {}
+
+    def least(row):
+        """The row's candidate (v, col) that sorts first, or None."""
+        return min(((min(p)[0], c) for c, p in row.entries.items()
+                    if not inverse or min(p)[0] == 0),
+                   key=lambda e: (e[0], name[e[1]]), default=None)
+
+    keys = {r: least(row) for r, row in live.items()}
     done, pivots = {}, []
     while live:
-        entries = [(min(p)[0], r, c) for r, row in live.items() for c, p in row.items()]
-        if inverse:
-            entries = [e for e in entries if e[0] == 0]
-            if not entries:
+        best = min(((k[0], r, k[1]) for r, k in keys.items() if k is not None),
+                   key=lambda e: (e[0], name[e[1]], name[e[2]]), default=None)
+        if best is None:
+            if inverse:
                 raise NotInvertibleError("energy-0 part is not invertible")
-        if not entries:
             break
-        v, r0, c0 = min(entries, key=lambda e: (e[0], name[e[1]], name[e[2]]))
-        row0 = live.pop(r0)
-        unit_inv = _invert({(n - v, mu): q for (n, mu), q in row0.pop(c0).items()
-                            if n - v <= top}, top)
-        pivot_rows = (row0, carried[r0]) if inverse else (row0,)
-        for part in pivot_rows:
+        v, r0, c0 = best
+        pivot = live.pop(r0)
+        del keys[r0]
+        w, pivot.den = _unit_inverse({(n - v, mu): q for (n, mu), q in
+                                      pivot.entries.pop(c0).items() if n - v <= top}, top)
+        for part in pivot.parts():
             for c, p in part.items():
-                part[c] = _mul(p, unit_inv, top)
+                part[c] = _mul(p, w, top)
+        pivot.reduce()
+        d = pivot.den
         for r, row in [*live.items(), *done.items()]:
-            a = row.pop(c0, None)
-            if a is not None:
-                factor = {(n - v, mu): -q for (n, mu), q in a.items() if n - v <= top}
-                for part, source in zip((row, carried.get(r)), pivot_rows):
-                    for c, p in source.items():
-                        part[c] = _mul(factor, p, top, dict(part.get(c, ())))
-                        if not part[c]:
-                            del part[c]
+            a = row.entries.pop(c0, None)
+            if a is None:
+                continue
+            factor = {(n - v, mu): -q for (n, mu), q in a.items() if n - v <= top}
+            row.den *= d
+            for part, source in zip(row.parts(), pivot.parts()):
+                if d != 1:
+                    for c, p in part.items():
+                        part[c] = {key: q * d for key, q in p.items()}
+                for c, p in source.items():
+                    part[c] = _mul(factor, p, top, part.get(c))
+                    if not part[c]:
+                        del part[c]
+            row.reduce()
+            if r in keys:
+                keys[r] = least(row)
         if inverse:
-            done[r0] = row0
+            done[r0] = pivot
         pivots.append((r0, c0, v))
-    return scale, pivots, carried
+    return scale, pivots, done
 
 
 def _mul(a, b, top, acc=None):
-    """acc + a * b, terms past ``top`` dropped."""
+    """acc + a * b, terms past ``top`` dropped; ``acc`` is updated in place."""
     acc = {} if acc is None else acc
     for (n1, m1), q1 in a.items():
         for (n2, m2), q2 in b.items():
@@ -224,16 +289,38 @@ def _mul(a, b, top, acc=None):
     return {key: q for key, q in acc.items() if q}
 
 
-def _invert(u, top):
-    """Inverse of a valuation-0 entry: the inverse of its leading monomial
-    times the geometric series in the rest, whose energies are positive."""
-    (_, m0), q0 = min(u.items())
-    if sum(1 for n, _ in u if n == 0) > 1:
+def _unit_inverse(u, top):
+    """(W, d) with u * W = d mod terms past ``top``, d > 0: the inverse of a
+    valuation-0 integer entry {(n, mu): int} as integers over d.
+
+    With u = c0 e^m0 + (terms of energy > 0), the energy-n part of the
+    inverse is w_n = -(1/c0) e^-m0 sum_{k >= 1} u_k w_{n-k}, over the L
+    energy levels that sums of u's energies reach within ``top``.  Over d =
+    c0^L every w_n is an integer: the i-th level has denominator c0^(i+1).
+    """
+    lead = [(mu, q) for (n, mu), q in u.items() if n == 0]
+    if len(lead) != 1:
         raise NotInvertibleError("leading energy level is not a single monomial")
-    inv0 = as_fraction(Fraction(1, q0))
-    step = {(n, mu - m0): -q * inv0 for (n, mu), q in u.items() if n}
-    acc = power = {(0, 0): 1}
-    while power:
-        power = _mul(power, step, top)
-        acc = _mul(power, {(0, 0): 1}, top, acc)
-    return {(n, mu - m0): q * inv0 for (n, mu), q in acc.items()}
+    (m0, c0), = lead
+    rest = [(n, mu - m0, q) for (n, mu), q in u.items() if n]
+    steps = sorted({n for n, _, _ in rest})
+    levels, frontier = [], [0]
+    while frontier:
+        n = heapq.heappop(frontier)
+        if levels and levels[-1] == n:
+            continue
+        levels.append(n)
+        for k in steps:
+            if n + k > top:
+                break
+            heapq.heappush(frontier, n + k)
+    d = c0 ** len(levels)
+    w = {0: {-m0: d // c0}}
+    for n in levels[1:]:
+        acc = {}
+        for k, mk, q in rest:
+            for mu, x in w.get(n - k, {}).items():
+                acc[mu + mk] = acc.get(mu + mk, 0) + q * x
+        w[n] = {mu: -s // c0 for mu, s in acc.items() if s}
+    sign = -1 if d < 0 else 1
+    return {(n, mu): sign * x for n, level in w.items() for mu, x in level.items()}, sign * d

@@ -453,6 +453,10 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
         c_vecs[dd] = [rows[p_] for p_ in pivots]
         dc_vecs[dd + 1] = [linalg.mat_vec(mats[dd], v) for v in c_vecs[dd]]
 
+    # one solver per degree for [C | dC] and for p_1^{0,0}: a solver reduces
+    # [mat | I], which costs more than one right-hand side's [mat | b]
+    coord_solvers, section_solvers = {}, {}
+
     # contraction H_K of the kernel subcomplex: solve coords in [C | dC]
     def h_kernel(dd, vec_dict):
         dom = by_deg.get(dd, [])
@@ -461,9 +465,10 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
             if any(vec_dict.values()):
                 raise AinfError("kernel subcomplex is not acyclic")
             return {}
-        rhs = [vec_dict.get(l, 0) for l in dom]
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(dom))]
-        coords = linalg.solve(mat, rhs, len(cols))
+        if dd not in coord_solvers:
+            mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(dom))]
+            coord_solvers[dd] = linalg.solver(mat, len(cols))
+        coords = coord_solvers[dd]([vec_dict.get(l, 0) for l in dom])
         if coords is None:
             raise AinfError("vector not in the kernel subcomplex")
         out = {}
@@ -476,8 +481,9 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
         """A solution x of p_1^{0,0} x = coeff y, as a vector on degree dd."""
         dom = by_deg.get(dd, [])
         cod = p.target.labels_of_degree(dd)
-        x = linalg.solve(_q_matrix(p1, dom, cod),
-                         [coeff if out == y else 0 for out in cod], len(dom))
+        if dd not in section_solvers:
+            section_solvers[dd] = linalg.solver(_q_matrix(p1, dom, cod), len(dom))
+        x = section_solvers[dd]([coeff if out == y else 0 for out in cod])
         if x is None:
             raise MalformedMorphismError(f"p_1^(0,0) misses {y}")
         return {l: c for l, c in zip(dom, x) if c}

@@ -449,12 +449,22 @@ def test_oversized_monoid_exits_2():
     (["rescale", "--assignments", '{"p-:p+": {"c": 0.25}}'], "--assignments"),
     (["rescale", "--assignments", '{"p-:p+": {"c": "1/4", "d": "x"}}'], "--assignments"),
     (["vdim", "--kind", "main", "--params", "[" * 100_000 + "]" * 100_000], "--params"),
+    # exponent notation would let a few characters stand for a huge integer
+    (["preset-whitney", "--n", "2", "--cutoff", "1e5000"], "--cutoff"),
+    # levels outside [0, MAX_LEVEL]
+    *[([cmd, "--level", level], "--level")
+      for cmd in ("check", "truncate", "minimal-model", "inverse-strict", "ank-from-geo")
+      for level in ("-1", str(ainfkit.cli.MAX_LEVEL + 1))],
 ], ids=["r-minus-word", "r-minus-zero-denominator", "cutoff", "degs", "params",
         "dims-list", "dims-key", "dims-value", "k-negative", "vdim-unknown-kind",
         "vdim-missing-params", "index-missing-phases", "signs-missing-dims",
         "whitney-n-too-small", "whitney-negative-cutoff", "low-valence-negative",
         "assignments-not-json", "assignments-list", "assignments-key", "assignments-value",
-        "assignments-float-c", "assignments-word-d", "params-nested-too-deeply"])
+        "assignments-float-c", "assignments-word-d", "params-nested-too-deeply",
+        "cutoff-exponent",
+        *[f"{cmd}-level-{side}"
+          for cmd in ("check", "truncate", "minimal-model", "inverse-strict", "ank-from-geo")
+          for side in ("negative", "too-large")]])
 def test_bad_flag_value_exits_2(capsys, args, flag):
     with pytest.raises(SystemExit) as exc:
         ainfkit.cli.main(args)
@@ -494,6 +504,8 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
      _with(PRESENTATION_DOC, ("double_points", 0, "phases_minus"), 5),
      "double_points[0].phases_minus: must be a JSON array"),
     (["check", "--level", "1"], _with(TWO_GEN_DOC, ("cutoff",), -1), "cutoff: must be >= 0"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("cutoff",), "1e5000"),
+     "exponent notation is not accepted"),
     # a falsy value of the wrong type is no empty container
     (["check", "--level", "1"], _with(TWO_GEN_DOC, ("tables",), {}),
      "tables: must be a JSON array"),
@@ -508,7 +520,7 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
 ], ids=["in-missing", "other-missing", "cross-missing", "out-unwritable", "cross-not-json",
         "cross-list", "in-nested-too-deeply",
         "tables", "entries", "morphisms", "basis", "monoid", "elements", "declared",
-        "phases", "negative-cutoff", "tables-empty-object", "elements-empty-array",
+        "phases", "negative-cutoff", "exponent-cutoff", "tables-empty-object", "elements-empty-array",
         "morphisms-false", "double-points-empty-string", "homology-ranks-empty-array"])
 def test_bad_file_or_document_shape_exits_2(tmp_path, capsys, monkeypatch, args, doc,
                                             message):

@@ -183,7 +183,7 @@ def _mc_solve_oracle(alg):
             dom = space.labels_of_degree(-2 * mu)
             cod = space.labels_of_degree(1 - 2 * mu)
             rhs = [-target.get(out, 0) for out in cod]
-            sol = linalg.solve(_q_matrix(d, dom, cod), rhs, len(dom))
+            sol = linalg.solver(_q_matrix(d, dom, cod), len(dom))(rhs)
             if sol is None:
                 cls = _cohomology_class(target, space, d, 1 - 2 * mu)
                 return Obstruction(level, mu, cls)
@@ -729,7 +729,7 @@ def _reduced_eq(pres, b, x, y):
     keys = sorted(keys, key=str)
     mat = [[col.get(k, F(0)) for col in expanded_cols] for k in keys]
     rhs = [target.get(k, F(0)) for k in keys]
-    return linalg.solve(mat, rhs, len(expanded_cols)) is not None
+    return linalg.solver(mat, len(expanded_cols))(rhs) is not None
 
 
 def test_product_boundary_collapses():
@@ -1133,3 +1133,20 @@ def test_truncate_then_check(rng):
     for level in (0, 1, 2):
         cut = truncate_level(alg, level)
         assert check_relations(cut, level).ok
+
+
+def test_mc_solve_row_reduces_m1_once_per_e_power(monkeypatch):
+    """m_2(x, x) = y puts a residual at every level of the two-generator
+    fixture, so three levels are solved against the one e^0 block of
+    m_1^{0,0}, which is row-reduced once."""
+    from ainfkit import linalg
+    alg = two_generator_algebra()
+    alg = alg.with_tables(list(alg.tables.values())
+                          + [OperationTable(2, F(0), 0, "algebra", {("x", "x"): {"y": F(1)}})])
+    calls = []
+    original = linalg.row_reduce
+    monkeypatch.setattr(linalg, "row_reduce", lambda mat: calls.append(mat) or original(mat))
+    sol = mc_solve(alg)
+    assert sol.certified
+    assert sorted(t[1] for t in sol.element["x"].terms) == [1, 2, 3]
+    assert len(calls) == 1

@@ -103,28 +103,47 @@ def systems(draw):
     return n, draw(matrices(cols=st.just(n)))
 
 
+def sympy_solution(mat, rhs, n):
+    """The solution with free variables 0, read off sympy's reduced form of
+    [mat | rhs], or None when the last column is a pivot."""
+    if not mat:
+        return [0] * n
+    rref, pivots = to_sympy([row + [b] for row, b in zip(mat, rhs)]).rref()
+    if n in pivots:
+        return None
+    x = [0] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = F(int(rref[r, n].p), int(rref[r, n].q))
+    return x
+
+
 @settings(max_examples=30, deadline=None)
 @given(systems(), st.data())
 @example((0, [[], []]), None)
 @example((3, []), None)
 @example((0, []), None)
 def test_solve_matches_sympy(system, data):
+    """One reduction of [mat | I] serves consistent and inconsistent
+    right-hand sides alike, each with the answer sympy's reduced form of
+    [mat | rhs] gives."""
     n, mat = system
-    if data is None:
-        rhs = [F(1), F(0)][:len(mat)]
-    elif data.draw(st.booleans()):  # consistent by construction
-        rhs = product(mat, [data.draw(ENTRIES) for _ in range(n)])
-    else:
-        rhs = [data.draw(ENTRIES) for _ in mat]
-    x = linalg.solve(mat, rhs, n)
-    augmented = [row + [b] for row, b in zip(mat, rhs)]
-    solvable = rank_oracle(mat, n) == rank_oracle(augmented, n + 1)
-    if x is None:
-        assert not solvable
-    else:
-        assert solvable
-        assert len(x) == n
-        assert product(mat, x) == rhs
+    solve_for = linalg.solver(mat, n)
+    sides = [[F(1), F(0)][:len(mat)], [F(0)] * len(mat)] if data is None else [
+        product(mat, [data.draw(ENTRIES) for _ in range(n)])  # consistent
+        if data.draw(st.booleans()) else [data.draw(ENTRIES) for _ in mat]
+        for _ in range(4)]
+    for rhs in sides:
+        x = solve_for(rhs)
+        assert x == sympy_solution(mat, rhs, n)
+        augmented = [row + [b] for row, b in zip(mat, rhs)]
+        solvable = rank_oracle(mat, n) == rank_oracle(augmented, n + 1)
+        if x is None:
+            assert not solvable
+        else:
+            assert solvable
+            assert len(x) == n
+            assert product(mat, x) == rhs
+            assert all(type(q) in (int, F) for q in x)
 
 
 @settings(max_examples=25, deadline=None)

@@ -113,12 +113,19 @@ def test_term_encoding_round_trip():
 
 
 def test_as_fraction_is_the_canonical_form():
-    got = [as_fraction(x) for x in (F(4, 2), F(3, 2), -5, "7", "6/4", "-8/4", "1e3")]
-    assert got == [2, F(3, 2), -5, 7, F(3, 2), -2, 1000]
-    assert [type(x) for x in got] == [int, F, int, int, F, int, int]
+    got = [as_fraction(x) for x in (F(4, 2), F(3, 2), -5, "7", "6/4", "-8/4", "0.25")]
+    assert got == [2, F(3, 2), -5, 7, F(3, 2), -2, F(1, 4)]
+    assert [type(x) for x in got] == [int, F, int, int, F, int, F]
     for bad in (0.5, 1.0, True):
         with pytest.raises(TypeError):
             as_fraction(bad)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5e3", "2E-1", "1e1000000"])
+def test_as_fraction_refuses_exponent_notation(text):
+    # a few characters of exponent would stand for an integer of any length
+    with pytest.raises(ValueError, match="exponent notation"):
+        as_fraction(text)
 
 
 def test_integral_terms_are_ints():

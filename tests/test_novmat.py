@@ -7,6 +7,7 @@ entry through ``NovikovElement`` arithmetic, so they pin the pivot rule, the
 truncation at the cutoff and the errors of the kernel.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from ainfkit.novikov import (
     nov_mul,
     nov_valuation,
 )
-from ainfkit.novmat import NovMatrix, smith_valuations
+from ainfkit.novmat import NovMatrix, _eliminate, _mul, _unit_inverse, smith_valuations
 from conftest import is_canonical_rational
 
 
@@ -268,3 +269,118 @@ def test_inverse_of_an_integral_entry_keeps_int_coefficients():
     terms = inv.get("c", "r").terms
     assert terms == ((1, 0, 0), (-2, 1, 0), (4, 2, 0), (-8, 3, 0))
     assert all(type(x) is int for term in terms for x in term)
+
+
+# ---------------------------------------------------------------------------
+# rows over one common denominator: coefficients whose denominators meet
+
+COEFFS = [F(1, 2), F(-1, 2), F(2, 3), F(-2, 3), 3, -5]
+
+
+@st.composite
+def denominator_matrices(draw, square=False):
+    """6-10-row matrices over nov0 or nov with coefficients in COEFFS, about
+    half the entries set, so that the pivots divide by 2, 3 and 5 and the
+    rows' denominators grow and cancel.  With ``square`` the matrix is often
+    a unit at energy 0 on a permutation plus terms of positive energy, which
+    is invertible."""
+    flavor = draw(st.sampled_from(["nov0", "nov"]))
+    cutoff = draw(st.sampled_from([F(3, 2), F(2), F(3)]))
+    unit_part = square and draw(st.booleans())
+    energies = [F(1, 2), 1, F(3, 2), 2] + ([] if unit_part else [0])
+    energies += [F(-1, 2)] if flavor == "nov" and not unit_part else []
+    n = draw(st.integers(6, 10))
+    m = n if square else draw(st.integers(6, 10))
+    rows = tuple(f"r{i}" for i in range(n))
+    cols = tuple(f"c{j}" for j in range(m))
+    terms = {}
+    for r in rows:
+        for c in cols:
+            if draw(st.booleans()):
+                terms[(r, c)] = draw(st.lists(
+                    st.tuples(st.sampled_from(COEFFS), st.sampled_from(energies),
+                              st.sampled_from([-1, 0, 0, 1])), min_size=1, max_size=2))
+    if unit_part:
+        for i, j in enumerate(draw(st.permutations(range(n)))):
+            terms.setdefault((rows[i], cols[j]), []).append((draw(st.sampled_from(COEFFS)), 0, 0))
+    mat = NovMatrix(rows, cols, flavor, cutoff)
+    for (r, c), t in terms.items():
+        mat.set(r, c, NovikovElement.make(t, flavor, cutoff))
+    return mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(denominator_matrices())
+def test_smith_valuations_with_denominators_match_dense_oracle(mat):
+    assert _outcome(smith_valuations, mat) == _outcome(dense_smith_valuations, mat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(denominator_matrices(square=True))
+def test_inverse_with_denominators_matches_dense_oracle(mat):
+    got = _outcome(NovMatrix.inverse, mat)
+    want = _outcome(dense_inverse, mat)
+    if want == "NotInvertibleError":
+        assert got == want
+        return
+    assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+    if _nonnegative(mat):
+        assert mat.matmul(got).data == NovMatrix.identity(mat.rows, mat.flavor, mat.cutoff).data
+
+
+@st.composite
+def units(draw):
+    """(u, top): a valuation-0 integer entry {(n, mu): int} with one term at
+    energy 0, and the energy cutoff."""
+    top = draw(st.integers(0, 12))
+    m0 = draw(st.integers(-1, 1))
+    u = {(0, m0): draw(st.sampled_from([1, -1, 2, -3, 5, 6]))}
+    for _ in range(draw(st.integers(0, 4))):
+        u[(draw(st.integers(1, 5)), draw(st.integers(-1, 1)))] = draw(
+            st.sampled_from([1, -1, 2, -2, 3, 7]))
+    return u, top
+
+
+@settings(max_examples=200, deadline=None)
+@given(units())
+def test_recurrence_inverse_times_its_unit_is_one(unit):
+    # mod F^{>E}: every energy is >= 0, so truncated products are exact
+    u, top = unit
+    w, d = _unit_inverse(u, top)
+    assert d > 0 and all(type(x) is int for x in w.values())
+    assert _mul(u, w, top) == {(0, 0): d}
+
+
+def test_recurrence_inverse_refuses_a_leading_level_of_two_monomials():
+    with pytest.raises(NotInvertibleError):
+        _unit_inverse({(0, 0): 1, (0, 1): 1, (1, 0): 2}, 3)
+
+
+def test_pivot_ties_go_to_the_least_column_name_after_a_row_changes():
+    # eliminating (r0, c0) appends c1 to r1 after c2; both have valuation 0,
+    # and the rule takes c1
+    mat = NovMatrix(("r0", "r1"), ("c0", "c1", "c2"), "nov0", 2)
+    for key in (("r0", "c0"), ("r0", "c1"), ("r1", "c0"), ("r1", "c2")):
+        mat.set(*key, NovikovElement.unit("nov0", 2))
+    assert _eliminate(mat)[1] == [("r0", "c0", 0), ("r1", "c1", 0)]
+
+
+def dense_nov0(seed, n=24, cutoff=F(3)):
+    """A dense n x n nov0 matrix with up to three terms per entry, rarely at
+    energy 0, so the Smith divisors are not all 0."""
+    rng = random.Random(seed)
+    rows = tuple(f"r{i}" for i in range(n))
+    cols = tuple(f"c{j}" for j in range(n))
+    mat = NovMatrix(rows, cols, "nov0", cutoff)
+    for r in rows:
+        for c in cols:
+            terms = [(rng.choice([-5, -2, -1, 1, 2, 3, F(1, 2), F(-2, 3)]),
+                      rng.choice([0] + [F(1, 2), 1, F(3, 2), 2, F(5, 2), 3] * 8), 0)
+                     for _ in range(rng.randint(1, 3))]
+            mat.set(r, c, NovikovElement.make(terms, "nov0", cutoff))
+    return mat
+
+
+def test_dense_24x24_divisors_are_unchanged():
+    # recorded with the Fraction kernel that the integer rows replaced
+    assert smith_valuations(dense_nov0(1)) == [0] * 11 + [F(1, 2)] * 13
