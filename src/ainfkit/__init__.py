@@ -28,9 +28,6 @@ from .gradedcore import (
     relation_defect,
 )
 from .ainfty import (
-    BarWord,
-    bar_differential,
-    bar_transport,
     check_homotopy,
     check_morphism,
     check_relations,

@@ -1,5 +1,5 @@
-"""The filtered A-infinity calculus: relation checking, the bar complex,
-morphisms, composition, homotopies, and weak homotopy equivalence.
+"""The filtered A-infinity calculus: relation checking, morphisms,
+composition, homotopies, and weak homotopy equivalence.
 
 All verifications run componentwise: for each target key (k, lam, mu) the
 relevant identity is assembled as a sparse rational table by stitching stored
@@ -32,7 +32,6 @@ from . import linalg
 from .errors import MalformedMorphismError
 from .gapped import _budgeted_keys, validate_gapped
 from .gradedcore import (
-    GradedSpace,
     OperationSystem,
     OperationTable,
     _add_scaled,
@@ -42,11 +41,9 @@ from .gradedcore import (
     _insertion_sum,
     _linear,
     _producers,
-    _q_matrix,
-    prefix_degree_sign,
     relation_defect,
 )
-from .novikov import NovikovElement, as_fraction, nov_add
+from .novikov import as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -131,104 +128,6 @@ def check_relations(alg: OperationSystem, level: int) -> CheckReport:
         if defect:
             failures.append(("relation", (k, lam, mu), _first_witness(defect)))
     return CheckReport(not failures, failures, note=f"level {level}")
-
-
-# ---------------------------------------------------------------------------
-# bar complex
-
-@dataclass(frozen=True)
-class BarWord:
-    """Tensor word of basis labels with a Novikov coefficient."""
-
-    coeff: NovikovElement
-    letters: tuple
-
-    def degree(self, space: GradedSpace) -> int:
-        return sum(space.degree(l) for l in self.letters)
-
-
-def _merge_words(words):
-    acc = {}
-    for w in words:
-        if w.letters in acc:
-            acc[w.letters] = nov_add(acc[w.letters], w.coeff)
-        else:
-            acc[w.letters] = w.coeff
-    return [BarWord(c, ls) for ls, c in sorted(acc.items()) if not c.is_zero()]
-
-
-def bar_differential(alg: OperationSystem, word: BarWord):
-    """The coderivation d-bar on one word, as a merged list of words.
-
-    Insertion of m_k at position l carries (-1)^(deg a_1 + ... + deg a_{l-1});
-    on the empty word, d-bar gives the length-one word m_0.
-    """
-    out = []
-    n = len(word.letters)
-    for (k, lam, mu), table in alg.tables.items():
-        for l in range(1, n - k + 2):
-            block = word.letters[l - 1: l - 1 + k]
-            outs = table.entries.get(block)
-            if not outs:
-                continue
-            sign = prefix_degree_sign(alg.source, word.letters[: l - 1])
-            scalar = word.coeff.shift(lam, mu).scale(sign)
-            if scalar.is_zero():
-                continue
-            for out_label, q in outs.items():
-                ww = word.letters[: l - 1] + (out_label,) + word.letters[l - 1 + k:]
-                out.append(BarWord(scalar.scale(q), ww))
-    return _merge_words(out)
-
-
-def bar_transport(f: OperationSystem, word: BarWord):
-    """The coalgebra morphism f-bar on one word: sum over block splittings
-    (empty blocks insert f_0 letters), merged.  Truncation at the cutoff makes
-    the f_0 insertions finite."""
-    results = []
-
-    def go(rest, letters_acc, coeff):
-        if coeff.is_zero():
-            return
-        if not rest:
-            results.append(BarWord(coeff, tuple(letters_acc)))
-            # further trailing f_0 blocks
-            _emit_empty(rest, letters_acc, coeff, trailing=True)
-            return
-        # empty block (f_0 insertion)
-        _emit_empty(rest, letters_acc, coeff, trailing=False)
-        # nonempty block
-        for s in range(1, len(rest) + 1):
-            block = tuple(rest[:s])
-            for (kk, lam, mu), table in f.tables.items():
-                if kk != s:
-                    continue
-                outs = table.entries.get(block)
-                if not outs:
-                    continue
-                scalar = coeff.shift(lam, mu)
-                for out_label, q in outs.items():
-                    go(rest[s:], letters_acc + [out_label], scalar.scale(q))
-
-    def _emit_empty(rest, letters_acc, coeff, trailing):
-        for (kk, lam, mu), table in f.tables.items():
-            if kk != 0:
-                continue
-            outs = table.entries.get(())
-            if not outs:
-                continue
-            scalar = coeff.shift(lam, mu)
-            if scalar.is_zero():
-                continue
-            for out_label, q in outs.items():
-                if trailing:
-                    results.append(BarWord(scalar.scale(q), tuple(letters_acc + [out_label])))
-                    _emit_empty(rest, letters_acc + [out_label], scalar.scale(q), trailing=True)
-                else:
-                    go(rest, letters_acc + [out_label], scalar.scale(q))
-
-    go(list(word.letters), [], word.coeff)
-    return _merge_words(results)
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +275,15 @@ def is_weak_homotopy_equiv(f: OperationSystem, A: OperationSystem,
     cert = []
     ok = True
     for d in degrees:
-        domA = A.source.labels_of_degree(d)
-        codA = A.source.labels_of_degree(d + 1)
-        prevA = A.source.labels_of_degree(d - 1)
-        domB = B.target.labels_of_degree(d)
-        codB = B.target.labels_of_degree(d + 1)
-        prevB = B.target.labels_of_degree(d - 1)
-
-        zA = linalg.kernel_basis(_q_matrix(dA, domA, codA), len(domA))
-        hA = len(zA) - linalg.rank(_q_matrix(dA, prevA, domA))
-        zB = linalg.kernel_basis(_q_matrix(dB, domB, codB), len(domB))
-        imB = _q_matrix(dB, prevB, domB)
-        rB = linalg.rank(imB)
-        hB = len(zB) - rB
+        zA = linalg.kernel_basis(dA, A.source.labels_of_degree(d))
+        hA = len(zA) - len(linalg.independent(
+            [dA[l] for l in A.source.labels_of_degree(d - 1) if l in dA]))
+        zB = linalg.kernel_basis(dB, B.target.labels_of_degree(d))
+        imB = [dB[l] for l in B.target.labels_of_degree(d - 1) if l in dB]
+        hB = len(zB) - len(linalg.independent(imB))
 
         # induced map: images of cycle basis vectors, modulo boundaries of B
-        fz = [_apply(f1, dict(zip(domA, z))) for z in zA]
-        rk = linalg.rank([row + [v.get(out, 0) for v in fz]
-                          for row, out in zip(imB, domB)]) - rB
+        rk = len(linalg.independent([_apply(f1, z) for z in zA], inside=imB))
         cert.append((d, hA, hB, rk))
         if hA != hB or rk != hA:
             ok = False

@@ -171,11 +171,6 @@ def _linear(table) -> dict:
     return {l: outs for (l,), outs in table.entries.items()} if table else {}
 
 
-def _q_matrix(matrix: dict, dom, cod):
-    """Dense rows, one per ``cod`` label, of ``matrix`` on the ``dom`` labels."""
-    return [[matrix.get(l, {}).get(out, 0) for l in dom] for out in cod]
-
-
 def _check_square_zero(d: dict):
     """Raise NotAComplexError unless the linear map d squares to zero."""
     for label, outs in d.items():
@@ -415,8 +410,8 @@ def cohomology_ranks(space: GradedSpace, d_table: OperationTable) -> dict:
     _check_square_zero(dmap)
     ranks = {}
     degs = space.degrees()
-    rank_at = {d: linalg.rank(_q_matrix(dmap, space.labels_of_degree(d),
-                                        space.labels_of_degree(d + 1)))
+    rank_at = {d: len(linalg.independent([dmap[l] for l in space.labels_of_degree(d)
+                                          if l in dmap]))
                for d in degs}
     for d in degs:
         b = len(space.labels_of_degree(d)) - rank_at[d] - rank_at.get(d - 1, 0)

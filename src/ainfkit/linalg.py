@@ -1,10 +1,12 @@
-"""Small exact linear algebra over Q with deterministic leftmost pivoting.
+"""Small exact linear algebra over Q on the library's sparse formats.
 
-Matrices are lists of rows, rows are lists of exact rationals: ints, and
-Fractions where a pivot division leaves a denominator.  Everything here is
-row reduction, done on sparse rows {column: nonzero entry}: a pivot row is
-normalised, and eliminated with, over its nonzero columns only, so the cost
-follows the nonzeros of the matrix rather than its shape.
+A vector is ``{label: q}`` with exact rationals: ints, and Fractions where a
+pivot division leaves a denominator.  A linear map is ``{label: image
+vector}``, the ``gradedcore._linear`` form, read on the domain labels the
+caller lists in order; that order, never the sort order of the labels, picks
+every pivot.  Everything here is row reduction on sparse rows: a pivot row is
+normalised, and eliminated with, over its nonzero entries only, so the cost
+follows the nonzeros of the map rather than its shape.
 """
 
 from fractions import Fraction
@@ -12,21 +14,18 @@ from fractions import Fraction
 from .novikov import as_fraction
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+class _Unit:
+    """The label of the identity column that ``solver`` puts beside the
+    equation of one output label; it equals no label of the caller's."""
 
+    __slots__ = ("out",)
 
-def mat_vec(a, v):
-    nonzero = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(row[j] * x for j, x in nonzero) for row in a]
-
-
-def _sparse(row):
-    return {j: x for j, x in enumerate(row) if x}
+    def __init__(self, out):
+        self.out = out
 
 
 def _eliminate(row, pivot_row, c):
-    """row -= row[c] * pivot_row, over the pivot row's nonzero columns only."""
+    """row -= row[c] * pivot_row, over the pivot row's nonzero entries only."""
     f = row[c]
     for j, y in pivot_row.items():
         x = row.get(j, 0) - f * y
@@ -41,98 +40,54 @@ def _normalised(row, c):
     return {j: x * inv for j, x in row.items()}
 
 
-def row_reduce(mat):
-    """Reduced row echelon form; returns (rref, pivot column list)."""
-    a = [_sparse(row) for row in mat]
-    rows = len(a)
-    cols = len(mat[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if c in a[i]), None)
+def _equations(matrix, dom):
+    """The rows of ``matrix`` on ``dom``: {output label: {domain label: q}}."""
+    rows = {}
+    for l in dom:
+        for out, q in matrix.get(l, {}).items():
+            if q:
+                rows.setdefault(out, {})[l] = q
+    return rows
+
+
+def row_reduce(vectors, order):
+    """Reduced echelon basis of the span of ``vectors``, as {pivot: row} in
+    pivot order; each pivot is the leftmost label in ``order`` that a row
+    still has.  ``order`` lists every label the vectors use."""
+    rows = [r for r in ({l: q for l, q in v.items() if q} for v in vectors) if r]
+    echelon = {}
+    for c in order:
+        r = len(echelon)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        a[r] = _normalised(a[r], c)
-        for i in range(rows):
-            if i != r and c in a[i]:
-                _eliminate(a[i], a[r], c)
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return [[row.get(j, 0) for j in range(cols)] for row in a], pivots
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        # later pivots eliminate inside this row in place, so it ends reduced
+        rows[r] = echelon[c] = _normalised(rows[r], c)
+        for i, row in enumerate(rows):
+            if i != r and c in row:
+                _eliminate(row, rows[r], c)
+    return echelon
 
 
-def rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(row_reduce(mat)[1])
+def independent(vectors, inside=()):
+    """Indexes of the ``vectors`` that enlarge the span of ``inside`` and of
+    the vectors before them.
 
-
-def kernel_basis(mat, n_cols):
-    """Basis of the kernel of the linear map with matrix ``mat`` (rows = outputs).
-
-    Columns index the domain.  Deterministic: free columns in increasing order.
+    That is the greedy complement of span(inside), the pivot columns of the
+    map whose images are ``vectors`` in their order, and, with ``inside``
+    empty, as many indexes as the rank.  One echelon basis {leading column:
+    row} is kept, with columns numbered as labels are first seen, and each
+    vector is reduced against it once: it enlarges the span iff a nonzero
+    remainder is left.
     """
-    if not mat:
-        return identity(n_cols)
-    rref, pivots = row_reduce(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * n_cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solver(mat, n_cols):
-    """The function rhs -> one solution x of mat @ x = rhs, or None.
-
-    ``[mat | I]`` is row-reduced once to ``[R | E]`` with E @ mat = R, so a
-    right-hand side b is solvable iff the rows of E below the rank of mat
-    annihilate it, and then x is E @ b on the pivot columns and 0 on the free
-    ones (deterministic: free vars 0), the answer the reduced form of
-    ``[mat | b]`` gives.  ``n_cols`` is the number of unknowns, which a
-    matrix without rows does not carry; the zero vector solves that case.
-    """
-    if not mat:
-        return lambda rhs: [0] * n_cols
-    m = len(mat)
-    rref, pivots = row_reduce([list(row) + unit for row, unit in zip(mat, identity(m))])
-    rank = sum(1 for pc in pivots if pc < n_cols)
-    left = [_sparse(row[n_cols:]) for row in rref]
-
-    def solve_for(rhs):
-        if any(sum(x * rhs[j] for j, x in left[r].items()) for r in range(rank, m)):
-            return None
-        x = [0] * n_cols
-        for r in range(rank):
-            x[pivots[r]] = as_fraction(sum(y * rhs[j] for j, y in left[r].items()))
-        return x
-
-    return solve_for
-
-
-def extend_to_complement(inside, ambient_dim, candidates=None):
-    """Greedily extend the row space of ``inside`` by candidate vectors.
-
-    Returns the list of candidate vectors (default: standard basis, leftmost
-    first) that enlarge the span; their span is a complement of span(inside)
-    inside span(inside + chosen candidates).  One echelon basis
-    {leading column: row} is kept, and each candidate is reduced against it
-    once: it enlarges the span iff a nonzero remainder is left.
-    """
-    if candidates is None:
-        candidates = identity(ambient_dim)
+    column = {}
     echelon = {}
 
     def enlarges(vec):
-        row = _sparse(vec)
+        row = {column.setdefault(l, len(column)): q for l, q in vec.items() if q}
         while row:
             c = min(row)
             if c not in echelon:
@@ -143,16 +98,60 @@ def extend_to_complement(inside, ambient_dim, candidates=None):
 
     for v in inside:
         enlarges(v)
-    return [list(cand) for cand in candidates if enlarges(cand)]
+    return [i for i, v in enumerate(vectors) if enlarges(v)]
 
 
-def invert(mat):
-    """Inverse of a square matrix, or None if it is singular or not square."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        return None
-    aug = [list(row) + unit for row, unit in zip(mat, identity(n))]
-    rref, pivots = row_reduce(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in rref]
+def kernel_basis(matrix, dom):
+    """Basis of the kernel of ``matrix`` on the labels ``dom``.
+
+    One vector per free label (one whose image lies in the span of the
+    images before it), in ``dom`` order: 1 there, 0 at every other free
+    label.
+    """
+    echelon = row_reduce(_equations(matrix, dom).values(), dom)
+    basis = []
+    for f in dom:
+        if f not in echelon:
+            v = {f: 1}
+            for p, row in echelon.items():
+                if f in row:
+                    v[p] = -row[f]
+            basis.append(v)
+    return basis
+
+
+def solver(matrix, dom):
+    """The function rhs -> one x on ``dom`` with matrix(x) = rhs, or None.
+
+    The equations, one per label some image reaches, are row-reduced once
+    beside an identity block, to ``[R | E]`` with E @ matrix = R.  A
+    right-hand side b is solvable iff it is zero at every label no image
+    reaches and the rows of E below the rank of matrix annihilate it; then
+    x is E @ b on the pivot labels and 0 on the free ones (deterministic:
+    free vars 0), the answer the reduced form of ``[matrix | b]`` gives.
+    """
+    rows = _equations(matrix, dom)
+    units = [_Unit(out) for out in rows]
+    echelon = row_reduce([{**row, u: 1} for row, u in zip(rows.values(), units)],
+                         [*dom, *units])
+    pivots, checks = [], []
+    for p, row in echelon.items():
+        left = {u.out: q for u, q in row.items() if isinstance(u, _Unit)}
+        if isinstance(p, _Unit):
+            checks.append(left)
+        else:
+            pivots.append((p, left))
+
+    def solve_for(rhs):
+        if any(q and out not in rows for out, q in rhs.items()):
+            return None
+        if any(sum(left[out] * q for out, q in rhs.items() if out in left) for left in checks):
+            return None
+        x = {}
+        for p, left in pivots:
+            v = sum(left[out] * q for out, q in rhs.items() if out in left)
+            if v:
+                x[p] = as_fraction(v)
+        return x
+
+    return solve_for

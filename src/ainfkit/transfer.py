@@ -44,7 +44,6 @@ from .gradedcore import (
     _fill_slots,
     _linear,
     _producers,
-    _q_matrix,
 )
 from .ainfty import is_weak_homotopy_equiv
 from .novikov import as_fraction
@@ -224,55 +223,50 @@ class Splitting:
     include: dict  # b_label -> {a_label: rational}
     project: dict  # a_label -> {b_label: rational}
     h: dict        # a_label -> {a_label: rational}
-    c_labels: list = field(default_factory=list)  # informational
 
 
 def _assemble_splitting(space: GradedSpace, b_named, c_vecs, dc_vecs) -> Splitting:
     """Build include / project / h from per-degree column data.
 
     ``b_named[d]`` is a list of (label, vector) pairs, ``c_vecs[d]`` and
-    ``dc_vecs[d]`` lists of vectors, all in coordinates of the degree-d
-    labels; together the columns must be a basis of each degree.  The
-    three maps hold canonical rationals (``as_fraction``).
+    ``dc_vecs[d]`` lists of vectors, all on the degree-d labels; together
+    the columns must be a basis of each degree.  The three maps hold
+    canonical rationals (``as_fraction``).
     """
     degrees = space.degrees()
-    by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
     include, project, h = {}, {}, {}
     b_basis = []
     for dd in degrees:
         for label, v in b_named.get(dd, []):
             b_basis.append((label, dd))
-            include[label] = {by_deg[dd][j]: as_fraction(v[j]) for j in range(len(v)) if v[j]}
+            include[label] = {a: as_fraction(q) for a, q in v.items()}
     for dd in degrees:
-        dom = by_deg.get(dd, [])
+        dom = space.labels_of_degree(dd)
         if not dom:
             continue
-        cols = (
-            [(("b", lbl), v) for lbl, v in b_named.get(dd, [])]
-            + [(("c", i), v) for i, v in enumerate(c_vecs.get(dd, []))]
-            + [(("dc", i), v) for i, v in enumerate(dc_vecs.get(dd, []))]
-        )
-        m = [[col[1][i] for col in cols] for i in range(len(dom))]
-        minv = linalg.invert(m)
-        if minv is None:
+        cols = {
+            **{("b", lbl): v for lbl, v in b_named.get(dd, [])},
+            **{("c", i): v for i, v in enumerate(c_vecs.get(dd, []))},
+            **{("dc", i): v for i, v in enumerate(dc_vecs.get(dd, []))},
+        }
+        # the coordinates of each degree-d label in the columns
+        coords_of = linalg.solver(cols, list(cols))
+        coords = [coords_of({a_label: 1}) for a_label in dom]
+        if len(cols) != len(dom) or None in coords:
             raise AinfError("splitting decomposition is not a direct sum")
-        for i, a_label in enumerate(dom):
-            coords = [minv[r][i] for r in range(len(cols))]
+        for a_label, coord in zip(dom, coords):
             pr, hv = {}, {}
-            for (tag_kind, tag), coord in zip((c[0] for c in cols), coords):
-                if not coord:
-                    continue
+            for (tag_kind, tag), q in coord.items():
                 if tag_kind == "b":
-                    pr[tag] = as_fraction(coord)
+                    pr[tag] = q
                 elif tag_kind == "dc":
                     # H(d c_i) = c_i, one degree down
-                    _add_scaled(hv, dict(zip(by_deg[dd - 1], c_vecs[dd - 1][tag])), coord)
+                    _add_scaled(hv, c_vecs[dd - 1][tag], q)
             if pr:
                 project[a_label] = pr
             if hv:
                 h[a_label] = {t: as_fraction(q) for t, q in hv.items()}
-    c_labels = [f"c{dd}:{i}" for dd in degrees for i in range(len(c_vecs.get(dd, [])))]
-    return Splitting(space, GradedSpace.make(b_basis), include, project, h, c_labels)
+    return Splitting(space, GradedSpace.make(b_basis), include, project, h)
 
 
 def splitting(alg: OperationSystem) -> Splitting:
@@ -287,28 +281,18 @@ def splitting(alg: OperationSystem) -> Splitting:
     _check_square_zero(d)
     space = alg.source
     degrees = space.degrees()
-    by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
-    mats = {dd: _q_matrix(d, by_deg[dd], space.labels_of_degree(dd + 1))
-            for dd in degrees}
     c_vecs, dc_vecs, b_named = {}, {}, {}
     for dd in degrees:
-        _, pivots = linalg.row_reduce(mats[dd])
-        c_vecs[dd] = [
-            [1 if j == p else 0 for j in range(len(by_deg[dd]))]
-            for p in pivots
-        ]
-        dc_vecs[dd + 1] = [linalg.mat_vec(mats[dd], v) for v in c_vecs[dd]]
+        dom = space.labels_of_degree(dd)
+        pivots = [dom[j] for j in linalg.independent([d.get(l, {}) for l in dom])]
+        c_vecs[dd] = [{l: 1} for l in pivots]
+        dc_vecs[dd + 1] = [d[l] for l in pivots]
     counter = 0
     for dd in degrees:
-        dom = by_deg[dd]
-        inside = c_vecs[dd] + dc_vecs.get(dd, [])
-        kb = linalg.kernel_basis(mats[dd], len(dom))
-        chosen = linalg.extend_to_complement(inside, len(dom), kb)
-        named = []
-        for v in chosen:
-            named.append((f"h{counter}", v))
-            counter += 1
-        b_named[dd] = named
+        kb = linalg.kernel_basis(d, space.labels_of_degree(dd))
+        chosen = linalg.independent(kb, inside=c_vecs[dd] + dc_vecs.get(dd, []))
+        b_named[dd] = [(f"h{counter + i}", kb[j]) for i, j in enumerate(chosen)]
+        counter += len(chosen)
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
 
 
@@ -437,21 +421,15 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
     dD = _linear(D.table(1, 0, 0))
     space = alg.source
     degrees = sorted(set(space.degrees()) | set(D.source.degrees()))
-    by_deg = {dd: space.labels_of_degree(dd) for dd in degrees}
-    mats = {dd: _q_matrix(d, by_deg[dd], space.labels_of_degree(dd + 1))
-            for dd in degrees}
 
     # kernel of p_1^{0,0} per degree, then C inside it via pivots of d|_K
     c_vecs, dc_vecs = {}, {}
     for dd in degrees:
-        dom = by_deg[dd]
-        rows = linalg.kernel_basis(
-            _q_matrix(p1, dom, p.target.labels_of_degree(dd)), len(dom))
-        dK = [linalg.mat_vec(mats[dd], v) for v in rows]
-        cols = [list(col) for col in zip(*dK)]
-        _, pivots = linalg.row_reduce(cols)
-        c_vecs[dd] = [rows[p_] for p_ in pivots]
-        dc_vecs[dd + 1] = [linalg.mat_vec(mats[dd], v) for v in c_vecs[dd]]
+        kernel = linalg.kernel_basis(p1, space.labels_of_degree(dd))
+        dK = [_apply(d, v) for v in kernel]
+        pivots = linalg.independent(dK)
+        c_vecs[dd] = [kernel[j] for j in pivots]
+        dc_vecs[dd + 1] = [dK[j] for j in pivots]
 
     # one solver per degree for [C | dC] and for p_1^{0,0}: a solver reduces
     # [mat | I], which costs more than one right-hand side's [mat | b]
@@ -459,39 +437,35 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
 
     # contraction H_K of the kernel subcomplex: solve coords in [C | dC]
     def h_kernel(dd, vec_dict):
-        dom = by_deg.get(dd, [])
         cols = c_vecs.get(dd, []) + dc_vecs.get(dd, [])
         if not cols:
             if any(vec_dict.values()):
                 raise AinfError("kernel subcomplex is not acyclic")
             return {}
         if dd not in coord_solvers:
-            mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(dom))]
-            coord_solvers[dd] = linalg.solver(mat, len(cols))
-        coords = coord_solvers[dd]([vec_dict.get(l, 0) for l in dom])
+            coord_solvers[dd] = linalg.solver(dict(enumerate(cols)), range(len(cols)))
+        coords = coord_solvers[dd](vec_dict)
         if coords is None:
             raise AinfError("vector not in the kernel subcomplex")
         out = {}
         n_c = len(c_vecs.get(dd, []))
-        for coord, cvec in zip(coords[n_c:], c_vecs.get(dd - 1, [])):
-            _add_scaled(out, dict(zip(by_deg[dd - 1], cvec)), coord)
+        for j, coord in coords.items():
+            if j >= n_c:
+                _add_scaled(out, c_vecs[dd - 1][j - n_c], coord)
         return out
 
     def section(y, dd, coeff):
         """A solution x of p_1^{0,0} x = coeff y, as a vector on degree dd."""
-        dom = by_deg.get(dd, [])
-        cod = p.target.labels_of_degree(dd)
         if dd not in section_solvers:
-            section_solvers[dd] = linalg.solver(_q_matrix(p1, dom, cod), len(dom))
-        x = section_solvers[dd]([coeff if out == y else 0 for out in cod])
+            section_solvers[dd] = linalg.solver(p1, space.labels_of_degree(dd))
+        x = section_solvers[dd]({y: coeff})
         if x is None:
             raise MalformedMorphismError(f"p_1^(0,0) misses {y}")
-        return {l: c for l, c in zip(dom, x) if c}
+        return x
 
     # corrected chain section s of p_1^{0,0}
     b_named = {}
     for dd in degrees:
-        dom = by_deg[dd]
         named = []
         for y in D.source.labels_of_degree(dd):
             s0 = section(y, dd, 1)
@@ -500,7 +474,7 @@ def splitting_for_projection(alg: OperationSystem, p: OperationSystem,
             for y2, c in dD.get(y, {}).items():
                 _add_scaled(defect, section(y2, dd + 1, c), -1)
             s_vec = _add_scaled(s0, h_kernel(dd + 1, defect) if defect else {}, -1)
-            named.append((f"s_{y}", [s_vec.get(l, 0) for l in dom]))
+            named.append((f"s_{y}", s_vec))
         if named:
             b_named[dd] = named
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
@@ -520,8 +494,8 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
     p1 = _linear(p.table(1, 0, 0))
     # surjectivity of p_1^{0,0} degreewise
     for dd in D.source.degrees():
-        cod = D.source.labels_of_degree(dd)
-        if linalg.rank(_q_matrix(p1, A.source.labels_of_degree(dd), cod)) != len(cod):
+        images = [p1[a] for a in A.source.labels_of_degree(dd) if a in p1]
+        if len(linalg.independent(images)) != len(D.source.labels_of_degree(dd)):
             raise MalformedMorphismError(f"p_1^(0,0) is not surjective in degree {dd}")
     ok, cert = is_weak_homotopy_equiv(p, A, D)
     if not ok:
@@ -618,19 +592,18 @@ def filtration_splitting(geo: GeometricData, level: int) -> Splitting:
     c_vecs, dc_vecs, b_named = {}, {}, {}
     for dd in degrees:
         dom = space.labels_of_degree(dd)
-        cod = space.labels_of_degree(dd + 1)
+        cod = set(space.labels_of_degree(dd + 1))
         high = [l for l in dom if l not in low_set]
-        # quotient differential: d followed by killing the low coordinates
-        qmat = _q_matrix(d, high, [out for out in cod if out not in low_set])
-        _, pivots = linalg.row_reduce(qmat)
-        c_vecs[dd] = [
-            [1 if l == high[p] else 0 for l in dom] for p in pivots
-        ]
-        dc_vecs[dd + 1] = [linalg.mat_vec(_q_matrix(d, dom, cod), v) for v in c_vecs[dd]]
-        b_named[dd] = [
-            (l, [1 if x == l else 0 for x in dom])
-            for l in dom if l in low_set
-        ]
+        # d on the high labels, its outputs kept in degree dd + 1 (geometric
+        # tables are not degree-checked)
+        d_high = [{out: q for out, q in d.get(l, {}).items() if out in cod} for l in high]
+        # pivots of the quotient differential: d followed by killing the low
+        # coordinates
+        pivots = linalg.independent(
+            [{out: q for out, q in v.items() if out not in low_set} for v in d_high])
+        c_vecs[dd] = [{high[j]: 1} for j in pivots]
+        dc_vecs[dd + 1] = [d_high[j] for j in pivots]
+        b_named[dd] = [(l, {l: 1}) for l in dom if l in low_set]
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
 
 

@@ -35,6 +35,19 @@ def two_generator_algebra(flavor="nov0", cutoff=F(3)):
     return OperationSystem.algebra(space, G, flavor, cutoff, tables)
 
 
+def unsorted_basis_algebra(curvature=None):
+    """d(x) = y1 + y2 and d(u1) = d(u2) = z on a basis that lists y2 before y1
+    and u2 before u1, against the sort order of the labels, with
+    ``curvature`` ({label: q} in degree 1) as m_0 at T^1."""
+    space = GradedSpace.make([("x", 0), ("y2", 1), ("y1", 1), ("u2", 3), ("u1", 3), ("z", 4)])
+    tables = [OperationTable(1, F(0), 0, "algebra", {("x",): {"y1": F(1), "y2": F(1)},
+                                                     ("u2",): {"z": F(1)},
+                                                     ("u1",): {"z": F(1)}})]
+    if curvature:
+        tables.append(OperationTable(0, F(1), 0, "algebra", {(): curvature}))
+    return OperationSystem.algebra(space, EnergyMonoid.make([(1, 0)]), "nov0", F(3), tables)
+
+
 def three_generator_algebra(flavor="nov0", cutoff=F(3)):
     """The same with an extra closed generator z in degree 0."""
     G = EnergyMonoid.make([(1, 0)])
@@ -205,13 +218,13 @@ def random_rich_algebra(rng, kmax=3):
 def strict_conjugate(alg, phi):
     """Transport the operations along an invertible degree-0 Q-map phi:
     m'_k = phi^{-1} m_k phi^{x k}.  phi: {label: {label: coeff}} columns."""
-    from ainfkit.linalg import invert
+    from ainfkit.linalg import solver
 
     labels = list(alg.source.labels)
-    idx = {l: i for i, l in enumerate(labels)}
-    mat = [[phi.get(c, {}).get(r, F(0)) for c in labels] for r in labels]
-    inv = invert(mat)
-    assert inv is not None, "phi must be invertible"
+    # inv[r] = phi^{-1}(r), the solution of phi(x) = r
+    phi_solver = solver(phi, labels)
+    inv = {r: phi_solver({r: F(1)}) for r in labels}
+    assert None not in inv.values(), "phi must be invertible"
     tables = []
     for (k, lam, mu), t in alg.tables.items():
         entries = {}
@@ -230,11 +243,7 @@ def strict_conjugate(alg, phi):
                     coeff *= c
                     new_inputs.append(src)
                 for out_label, q in outs.items():
-                    r = idx[out_label]
-                    for j, lab in enumerate(labels):
-                        c2 = inv[j][r]
-                        if not c2:
-                            continue
+                    for lab, c2 in inv[out_label].items():
                         tgt = entries.setdefault(tuple(new_inputs), {})
                         val = tgt.get(lab, F(0)) + coeff * q * c2
                         if val:

@@ -54,6 +54,7 @@ from conftest import (
     random_operations,
     three_generator_algebra,
     two_generator_algebra,
+    unsorted_basis_algebra,
 )
 
 E = F(3)
@@ -166,7 +167,7 @@ def _mc_solve_oracle(alg):
     oracle: it recomputes the whole ``mc_residual`` at every level."""
     from ainfkit import linalg
     from ainfkit.floer import _cohomology_class
-    from ainfkit.gradedcore import _linear, _q_matrix
+    from ainfkit.gradedcore import _linear
 
     space = alg.source
     d = _linear(alg.table(1, 0, 0))
@@ -180,18 +181,14 @@ def _mc_solve_oracle(alg):
                     by_mu.setdefault(mu, {})[label] = coeff
         for mu in sorted(by_mu):
             target = by_mu[mu]
-            dom = space.labels_of_degree(-2 * mu)
-            cod = space.labels_of_degree(1 - 2 * mu)
-            rhs = [-target.get(out, 0) for out in cod]
-            sol = linalg.solver(_q_matrix(d, dom, cod), len(dom))(rhs)
+            rhs = {out: -q for out, q in target.items()}
+            sol = linalg.solver(d, space.labels_of_degree(-2 * mu))(rhs)
             if sol is None:
                 cls = _cohomology_class(target, space, d, 1 - 2 * mu)
                 return Obstruction(level, mu, cls)
             delta = {}
-            for j, l in enumerate(dom):
-                if sol[j]:
-                    delta[l] = NovikovElement.monomial(sol[j], level, mu,
-                                                       alg.flavor, alg.cutoff)
+            for l, q in sol.items():
+                delta[l] = NovikovElement.monomial(q, level, mu, alg.flavor, alg.cutoff)
             b = vec_add(b, delta)
     residual, ok = mc_residual(alg, b)
     if not ok:
@@ -721,15 +718,10 @@ def _reduced_eq(pres, b, x, y):
                 out[(l, lam, mu)] = out.get((l, lam, mu), F(0)) + q
         return out
 
-    keys = set()
     expanded_cols = [expand(c) for c in cols]
     target = expand(diff)
-    for d in expanded_cols + [target]:
-        keys.update(d)
-    keys = sorted(keys, key=str)
-    mat = [[col.get(k, F(0)) for col in expanded_cols] for k in keys]
-    rhs = [target.get(k, F(0)) for k in keys]
-    return linalg.solver(mat, len(expanded_cols))(rhs) is not None
+    return linalg.solver(dict(enumerate(expanded_cols)),
+                         range(len(expanded_cols)))(target) is not None
 
 
 def test_product_boundary_collapses():
@@ -1135,6 +1127,32 @@ def test_truncate_then_check(rng):
         assert check_relations(cut, level).ok
 
 
+def test_mc_obstruction_class_follows_the_basis_order():
+    # d(x) = y1 + y2 with y2 listed first: y2 is the pivot of the image, so a
+    # curvature class is reduced onto y1 (a pivot on y1, the first label in
+    # sort order, would give -y2 and -3*y2); values recorded with the
+    # dense-matrix linear algebra this replaced
+    for curvature, cls in (({"y1": F(1)}, {"y1": 1}),
+                           ({"y1": F(1), "y2": F(-2)}, {"y1": 3})):
+        sol = mc_solve(unsorted_basis_algebra(curvature))
+        assert isinstance(sol, Obstruction)
+        assert (sol.level, sol.mu, sol.class_vector) == (1, 0, cls)
+
+
+def test_twist_refuses_curvature_at_zero_energy():
+    # m_0^{0,0} != 0 survives every insertion of b, and the twist refuses it
+    # with the gapped-validation message
+    space = GradedSpace.make([("x", 0), ("y", 1)])
+    alg = OperationSystem.algebra(space, G, "nov0", E, [
+        OperationTable(0, F(0), 0, "algebra", {(): {"y": F(1)}})])
+    b = {"x": NovikovElement.make([(F(1), F(1), 0)], "nov0", E)}
+    for element in ({}, b):
+        with pytest.raises(AinfError) as info:
+            twist(alg, element)
+        assert str(info.value) == ("twist output failed gapped validation: gapped: FAIL\n"
+                                   "  - (ii) m_0^{0,0} != 0")
+
+
 def test_mc_solve_row_reduces_m1_once_per_e_power(monkeypatch):
     """m_2(x, x) = y puts a residual at every level of the two-generator
     fixture, so three levels are solved against the one e^0 block of
@@ -1145,7 +1163,8 @@ def test_mc_solve_row_reduces_m1_once_per_e_power(monkeypatch):
                           + [OperationTable(2, F(0), 0, "algebra", {("x", "x"): {"y": F(1)}})])
     calls = []
     original = linalg.row_reduce
-    monkeypatch.setattr(linalg, "row_reduce", lambda mat: calls.append(mat) or original(mat))
+    monkeypatch.setattr(linalg, "row_reduce",
+                        lambda vectors, order: calls.append(vectors) or original(vectors, order))
     sol = mc_solve(alg)
     assert sol.certified
     assert sorted(t[1] for t in sol.element["x"].terms) == [1, 2, 3]

@@ -19,7 +19,7 @@ from ainfkit import (
     relation_defect,
 )
 from ainfkit.errors import DegreeError, NotAComplexError, UnknownBasisError
-from ainfkit.gradedcore import _fill_slots
+from ainfkit.gradedcore import _apply, _fill_slots
 from conftest import (
     random_complex,
     random_degree_preserving_iso,
@@ -227,3 +227,11 @@ def test_zero_space_is_legal():
     space = GradedSpace.make([])
     alg = OperationSystem.algebra(space, G, "nov0", E, [])
     assert alg.source.is_zero()
+
+
+def test_apply_skips_nothing_but_zeros():
+    matrix = {"a": {"u": F(1)}, "b": {"u": F(2), "v": F(-1)}, "c": {"v": F(3)}}
+    assert _apply(matrix, {"b": F(1)}) == {"u": F(2), "v": F(-1)}
+    assert _apply(matrix, {"a": F(1), "c": F(2)}) == {"u": F(1), "v": F(6)}
+    assert _apply(matrix, {"a": F(2), "b": F(-1)}) == {"v": F(1)}
+    assert _apply({}, {"a": F(1)}) == {}

@@ -34,6 +34,7 @@ from conftest import (
     truncated_free_dga,
     twisted_free_dga,
     two_generator_algebra,
+    unsorted_basis_algebra,
 )
 
 E = F(3)
@@ -596,6 +597,18 @@ def test_integral_constants_stay_python_ints():
     assert check_morphism(incl, model, alg, 3).ok
 
 
+def test_splitting_follows_the_basis_order():
+    # y2 is listed before y1 and u2 before u1: the degree-1 representative is
+    # y2 and the degree-3 one is u1 - u2, with u2 the pivot of d(u1) = d(u2)
+    # = z (the sort order of the labels would give y1 and u2 - u1); values
+    # recorded with the dense-matrix linear algebra this replaced
+    split = splitting(unsorted_basis_algebra())
+    assert split.b_space.basis == (("h0", 1), ("h1", 3))
+    assert split.include == {"h0": {"y2": 1}, "h1": {"u1": 1, "u2": -1}}
+    assert split.project == {"y2": {"h0": 1}, "y1": {"h0": -1}, "u1": {"h1": 1}}
+    assert split.h == {"y1": {"x": 1}, "z": {"u2": 1}}
+
+
 def test_splitting_eliminations_follow_degrees(monkeypatch):
     # 85-vector basis of T(a0..a3)/(length > 3) in four degrees; re-ranking
     # the whole matrix for every complement candidate makes 90 reductions
@@ -604,9 +617,9 @@ def test_splitting_eliminations_follow_degrees(monkeypatch):
     calls = []
     row_reduce = linalg.row_reduce
 
-    def counted(mat):
-        calls.append(len(mat))
-        return row_reduce(mat)
+    def counted(vectors, order):
+        calls.append(len(order))
+        return row_reduce(vectors, order)
 
     monkeypatch.setattr(linalg, "row_reduce", counted)
     split = splitting(alg)
@@ -615,13 +628,17 @@ def test_splitting_eliminations_follow_degrees(monkeypatch):
     assert len(calls) <= 3 * len(alg.source.degrees())
 
 
-@pytest.mark.parametrize("c_vecs, dc_vecs", [
-    ({0: []}, {}),                                  # no columns for x
-    ({0: [[F(1)], [F(1)]]}, {}),                    # two columns, one label
-], ids=["too-few", "too-many"])
-def test_splitting_that_is_not_a_direct_sum_is_refused(c_vecs, dc_vecs):
+@pytest.mark.parametrize("labels, c_vecs", [
+    (["x"], []),                                    # no columns for x
+    (["x"], [{"x": F(1)}, {"x": F(1)}]),            # two columns, one label
+    (["x", "y"], []),                               # no columns, two labels
+    (["x", "y"], [{"x": F(1)}]),                    # one column, two labels
+    (["x", "y"], [{"x": F(1)}, {"y": F(1)}, {"x": F(1), "y": F(1)}]),
+    (["x", "y"], [{"x": F(1), "y": F(1)}, {"x": F(2), "y": F(2)}]),  # singular
+], ids=["too-few", "too-many", "2x0", "2x1", "2x3", "singular"])
+def test_splitting_that_is_not_a_direct_sum_is_refused(labels, c_vecs):
     from ainfkit.errors import AinfError
     from ainfkit.transfer import _assemble_splitting
-    space = GradedSpace.make([("x", 0)])
+    space = GradedSpace.make([(l, 0) for l in labels])
     with pytest.raises(AinfError, match="not a direct sum"):
-        _assemble_splitting(space, {}, c_vecs, dc_vecs)
+        _assemble_splitting(space, {}, {0: c_vecs}, {})
