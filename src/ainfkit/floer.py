@@ -204,28 +204,24 @@ def _slot_specs(space, b):
     return slots
 
 
-def _twist_tables(sys, slots, max_ext=math.inf, level=None):
+def _twist_tables(sys, slots, max_ext=math.inf):
     """Every insertion of b into the stored tables of ``sys``.
 
     ``slots`` are b's ``_slot_specs``.  Each slot of a stored entry takes
     either b or an external input, with at most ``max_ext`` external slots; a
-    branch stops once its energy passes the cutoff, or ``level`` when one is
-    given, and then only the insertions of total energy exactly ``level``
-    are kept.  Returns {(k, lam, mu): {external inputs: {out: q}}} with k the
-    number of external slots.
+    branch stops once its energy passes the cutoff.  Returns {(k, lam, mu):
+    {external inputs: {out: q}}} with k the number of external slots.
     """
-    top = sys.cutoff if level is None else level
     acc = {}
     for (_, lam0, mu0), table in sys.tables.items():
-        budget = top - lam0
+        budget = sys.cutoff - lam0
         if budget < 0:
             continue
         for in_labels, outs in table.entries.items():
             specs = [slots[label] for label in in_labels]
             for (k, l, m), ext, coeff in _fill_slots(specs, max_ext, budget):
-                if level is None or l == budget:
-                    _add_scaled(acc.setdefault((k, lam0 + l, mu0 + m), {})
-                                .setdefault(ext, {}), outs, coeff)
+                _add_scaled(acc.setdefault((k, lam0 + l, mu0 + m), {})
+                            .setdefault(ext, {}), outs, coeff)
     return acc
 
 
@@ -296,24 +292,40 @@ def mc_solve(alg: OperationSystem):
     The residual at a level is the part of sum_k m_k(b, ..., b) at exactly
     that energy.  b has valuation > 0, so the only insertion that puts a
     term of b at the level itself back at the level is m_1^{0,0} of it: the
-    residual depends on the terms below the level alone.  Each level
-    therefore enumerates only the b-insertions of its own energy, on slot
-    specs that every solved term joins in place, and one full
-    ``mc_residual`` at the end certifies the result.
+    residual depends on the terms below the level alone.  So each
+    b-insertion is enumerated once, when its highest-level terms are solved,
+    and added to the residual of the level it lands on: in an entry reading
+    a label with new terms, slot j takes the new terms, the slots before it
+    the terms below the level and the slots after it any solved term.  The
+    one full walk of the tables is the ``mc_residual`` that certifies the
+    result.
     """
     space = alg.source
     d = _linear(alg.table(1, 0, 0))
-    slots = _slot_specs(space, {})
+    entries = []  # the stored entries of arity >= 1, as (lam, mu, inputs, outs)
+    readers = {}  # label -> the indexes of the entries that read it
+    pending = {}  # lam -> mu -> {out: q}, the residual found so far at lam
+    for (k, lam0, mu0), table in alg.tables.items():
+        for in_labels, outs in table.entries.items():
+            if k:
+                for label in in_labels:
+                    readers.setdefault(label, set()).add(len(entries))
+                entries.append((lam0, mu0, in_labels, outs))
+            elif lam0 > 0:  # m_0^{0,0} is left to the certifying residual
+                _add_scaled(pending.setdefault(lam0, {}).setdefault(mu0, {}), outs)
+    solved = {label: {} for label in space.labels}  # slot specs of b's terms
     terms = {}  # label -> [(q, level, mu)]
     solvers = {}  # mu -> the solver of m_1^{0,0} from degree -2mu to 1 - 2mu
     for level in alg.monoid.positive_energies(alg.cutoff):
-        by_mu = {mu: e[()] for (_, _, mu), e in _twist_tables(alg, slots, 0, level).items()
-                 if e[()]}
+        by_mu = pending.pop(level, {})
+        new = {}  # label -> slot spec of its terms at this level
         for mu in sorted(by_mu):
+            target = by_mu[mu]
+            if not target:
+                continue
             bad = _term_violations(level, mu, alg.flavor)
             if bad:  # e.g. a novZ table at T^(1/2): the residual is off the ring
                 raise ValueError(bad[0])
-            target = by_mu[mu]
             if mu not in solvers:
                 solvers[mu] = linalg.solver(d, space.labels_of_degree(-2 * mu))
             sol = solvers[mu]({out: -q for out, q in target.items()})
@@ -321,8 +333,22 @@ def mc_solve(alg: OperationSystem):
                 cls = _cohomology_class(target, space, d, 1 - 2 * mu)
                 return Obstruction(level, mu, cls)
             for l, q in sol.items():
-                slots[l][(0, level, mu)] = [((), q)]
+                new.setdefault(l, {})[(0, level, mu)] = [((), q)]
                 terms.setdefault(l, []).append((q, level, mu))
+        below = {l: solved[l] for l in new}
+        for l, spec in new.items():
+            solved[l] = {**below[l], **spec}
+        for i in sorted({i for l in new for i in readers.get(l, ())}):
+            lam0, mu0, in_labels, outs = entries[i]
+            for j, label in enumerate(in_labels):
+                if label not in new:
+                    continue
+                specs = [below.get(x, solved[x]) for x in in_labels[:j]]
+                specs += [new[label], *(solved[x] for x in in_labels[j + 1:])]
+                for (_, l, m), _, coeff in _fill_slots(specs, 0, alg.cutoff - lam0):
+                    if lam0 + l > level:  # else m_1^{0,0} of a new term
+                        _add_scaled(pending.setdefault(lam0 + l, {})
+                                    .setdefault(mu0 + m, {}), outs, coeff)
     b = {l: NovikovElement.make(t, alg.flavor, alg.cutoff) for l, t in terms.items()}
     residual, ok = mc_residual(alg, b)
     if not ok:
@@ -567,16 +593,15 @@ def union_sectors(presA: LagrangianPresentation, presB: LagrangianPresentation,
     if presA.algebra.flavor != presB.algebra.flavor or \
             presA.algebra.cutoff != presB.algebra.cutoff:
         raise AinfError("presentations live over different rings")
-    labels_a = set(presA.space.labels)
-    labels_b = set(presB.space.labels)
-    if labels_a & labels_b:
-        raise AinfError(f"label collision: {sorted(labels_a & labels_b)}")
+    common = set(presA.space.labels) & set(presB.space.labels)
+    if common:
+        raise AinfError(f"label collision: {sorted(common)}")
     if any(t.role != "algebra" for t in cross_tables):
         raise AinfError("cross tables must be algebra tables")
     cross_points = list(cross_points)
     _validate_double_points(presA.n, cross_points)
-    sector = {l: "AA" for l in labels_a}
-    sector.update({l: "BB" for l in labels_b})
+    sector = {l: "AA" for l in presA.space.labels}
+    sector.update({l: "BB" for l in presB.space.labels})
     seen_pairs = set()
     basis = list(presA.space.basis) + list(presB.space.basis)
     for dp in cross_points:

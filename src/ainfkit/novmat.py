@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotInvertibleError
-from .novikov import NovikovElement, as_fraction, nov_add, nov_mul
+from .novikov import NovikovElement, _term_violations, as_fraction, nov_add, nov_mul
 
 
 @dataclass
@@ -142,19 +142,32 @@ def smith_valuations(matrix: NovMatrix):
 
 def _fold(tables, k, flavor, cutoff):
     """The arity-k part of {(k, lam, mu): {inputs: {out: q}}} as {inputs:
-    vector}, one Novikov element per output."""
+    vector}, one Novikov element per output.
+
+    The table keys are distinct, so no two terms of one output share a
+    (lam, mu) and nothing merges: each key is canonicalized and checked
+    against ``flavor`` once, keys past the cutoff and zero coefficients are
+    skipped, and each output's terms are sorted into its element."""
+    cutoff = as_fraction(cutoff)
     terms = {}
     for (kk, lam, mu), entries in tables.items():
         if kk != k:
             continue
+        lam, mu = as_fraction(lam), int(mu)
+        if lam > cutoff:
+            continue
+        bad = _term_violations(lam, mu, flavor)
         for ext, outs in entries.items():
+            by_out = terms.setdefault(ext, {})
             for out_label, q in outs.items():
-                terms.setdefault(ext, {}).setdefault(out_label, []).append((q, lam, mu))
-    folded = {}
-    for ext, by_out in terms.items():
-        vec = {l: NovikovElement.make(t, flavor, cutoff) for l, t in by_out.items()}
-        folded[ext] = {l: v for l, v in vec.items() if not v.is_zero()}
-    return folded
+                if q:
+                    if bad:
+                        raise ValueError(bad[0])
+                    by_out.setdefault(out_label, []).append((lam, mu, as_fraction(q)))
+    return {ext: {l: NovikovElement(flavor, cutoff,
+                                    tuple((q, lam, mu) for lam, mu, q in sorted(t)))
+                  for l, t in by_out.items()}
+            for ext, by_out in terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,81 @@ def test_mc_solve_matches_the_per_level_residual_oracle(alg):
         assert got == want
 
 
+def _insertion_counts(alg):
+    """(mc_solve's result, the b-insertions it enumerates before its
+    certifying residual, the b-insertions of one mc_residual of a certified
+    result).  An insertion fills at least one slot: an m_0 entry is counted
+    by neither, since the solver reads it without filling slots."""
+    from ainfkit import floer
+    count, marks = [0], []
+    fill, residual = floer._fill_slots, floer.mc_residual
+
+    def counted_fill(specs, *args):
+        for filling in fill(specs, *args):
+            count[0] += bool(specs)
+            yield filling
+
+    def marked_residual(alg, b):
+        marks.append(count[0])
+        return residual(alg, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floer, "_fill_slots", counted_fill)
+        mp.setattr(floer, "mc_residual", marked_residual)
+        sol = mc_solve(alg)
+        if not isinstance(sol, BoundingCochain):
+            return sol, count[0], None
+        floer.mc_residual(alg, sol.element)
+    return sol, marks[0], count[0] - marks[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(curved_algebras())
+def test_mc_solve_enumerates_each_b_insertion_once(alg):
+    sol, in_solve, in_residual = _insertion_counts(alg)
+    if isinstance(sol, BoundingCochain):
+        assert in_solve == in_residual
+
+
+def test_mc_solve_meets_old_and_new_terms_in_every_slot_order():
+    """m_2 and m_3 over a step of 1/2 give x and z terms at six levels, so
+    every insertion mixes terms solved at different levels, in every slot
+    order; the result is the oracle's and each insertion is enumerated
+    once."""
+    half = EnergyMonoid.make([(F(1, 2), 0)])
+    space = GradedSpace.make([("x", 0), ("z", 0), ("y", 1), ("w", 1)])
+    alg = OperationSystem.algebra(space, half, "nov0", E, [
+        OperationTable(0, F(1, 2), 0, "algebra", {(): {"y": F(1), "w": F(1)}}),
+        OperationTable(1, F(0), 0, "algebra", {("x",): {"y": F(1)}, ("z",): {"w": F(2)}}),
+        OperationTable(2, F(0), 0, "algebra", {("x", "z"): {"y": F(1)},
+                                               ("z", "x"): {"w": F(-1)}}),
+        OperationTable(3, F(0), 0, "algebra", {("x", "x", "x"): {"w": F(1)},
+                                               ("x", "z", "x"): {"y": F(1, 3)}}),
+        OperationTable(2, F(1, 2), 0, "algebra", {("z", "z"): {"y": F(2)}}),
+    ])
+    sol, in_solve, in_residual = _insertion_counts(alg)
+    assert sol.certified and sol.element == _mc_solve_oracle(alg).element
+    assert [len(sol.element[l].terms) for l in ("x", "z")] == [6, 6]
+    assert in_solve == in_residual > 0
+
+
+def test_tables_off_the_flavor_lattice_are_refused_when_folded():
+    # the flavor check of mc_residual, NovMatrix.from_linear_tables and
+    # hf_compute, as test_mc_solve_refuses_a_residual_off_the_flavor_lattice
+    # pins it for mc_solve
+    space = GradedSpace.make([("u", 0), ("v", 1)])
+    half = EnergyMonoid.make([(F(1, 2), 0)])
+    curved = OperationSystem.algebra(space, half, "novZ", E, [
+        OperationTable(0, F(1, 2), 0, "algebra", {(): {"v": F(1)}})])
+    linear = OperationSystem.algebra(space, half, "novZ", E, [
+        OperationTable(1, F(1, 2), 0, "algebra", {("u",): {"v": F(1)}})])
+    for refused in (lambda: mc_residual(curved, {}),
+                    lambda: NovMatrix.from_linear_tables(linear),
+                    lambda: hf_compute(_pres_from_system(linear), {})):
+        with pytest.raises(ValueError, match="not in the novZ lattice"):
+            refused()
+
+
 def _system_rationals(sys_):
     return [sys_.cutoff] + [x for (_, lam, _), t in sys_.tables.items()
                             for x in (lam, t.lam, *(q for outs in t.entries.values()
@@ -276,12 +351,14 @@ def test_every_rational_out_is_canonical(alg):
 
 def test_mc_solve_computes_the_full_residual_once(monkeypatch):
     from ainfkit import floer
-    calls = []
-    original = floer.mc_residual
+    calls, walks = [], []
+    original, walk = floer.mc_residual, floer._twist_tables
     monkeypatch.setattr(floer, "mc_residual",
                         lambda alg, b: calls.append(b) or original(alg, b))
+    monkeypatch.setattr(floer, "_twist_tables",
+                        lambda *args: walks.append(args) or walk(*args))
     sol = mc_solve(two_generator_algebra())
-    assert sol.certified and len(calls) == 1
+    assert sol.certified and len(calls) == 1 and len(walks) == 1
     assert len(two_generator_algebra().monoid.positive_energies(E)) == 3
 
 
@@ -800,6 +877,7 @@ def test_union_cross_generators_and_sectors():
     assert union.sectors["x:y"] == "AB"
     assert union.sectors["y:x"] == "BA"
     assert union.sectors["A.h0_0"] == "AA"
+    assert tuple(union.sectors) == union.space.labels
     hfU = hf_compute(union, {})
     # torsion appears (only) from the mixed-sector differential
     torsion = {k: g["torsion"] for k, g in hfU.groups.items() if g["torsion"]}
