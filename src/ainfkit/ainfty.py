@@ -40,7 +40,8 @@ from .gradedcore import (
     _fill_slots,
     _insertion_sum,
     _linear,
-    _producers,
+    _nonzero,
+    _producers_of,
     relation_defect,
 )
 from .novikov import as_fraction
@@ -64,27 +65,30 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _first_witness(defect: dict):
-    return min(defect.keys()) if defect else None
+def _check_keys(kind: str, fam: OperationSystem, level: int, defect_at) -> CheckReport:
+    """Evaluate ``defect_at(k, lam, mu)`` on every budgeted key of ``fam``:
+    lam <= cutoff and norm((lam, mu)) + k - 1 <= level.  The witness of a
+    failing key is the least (inputs, output) pair of its defect table."""
+    failures = []
+    for k, (lam, mu) in sorted(_budgeted_keys(fam.monoid, fam.cutoff, level)):
+        defect = defect_at(k, lam, mu)
+        if defect:
+            inputs = min(defect)
+            failures.append((kind, (k, lam, mu), (inputs, min(defect[inputs]))))
+    return CheckReport(not failures, failures, note=f"level {level}")
 
 
 # ---------------------------------------------------------------------------
 # generic stitching helpers
 
-def _producers_of(fam: OperationSystem) -> dict:
-    """The family's entries indexed by output label (``_producers``)."""
-    return _producers({key: t.entries for key, t in fam.tables.items()})
-
-
-def _block_sum(n_alg: OperationSystem, families_for_slot, k, key):
-    """sum over n_r entries with slots filled by block producers.
+def _block_sum(out: dict, n_alg: OperationSystem, families_for_slot, k, key, coeff=1):
+    """out += coeff * (sum over n_r entries with slots filled by block producers).
 
     ``families_for_slot(r)`` yields one or more lists of r producer indexes,
     one per slot; for morphisms there is a single choice (all slots f), for
     homotopies one choice per position of the H-block.
     """
     lam, mu = key
-    out = {}
     for (r, lam0, mu0), table in n_alg.tables.items():
         rest = (k, lam - lam0, mu - mu0)
         if rest[1] < 0:
@@ -94,20 +98,9 @@ def _block_sum(n_alg: OperationSystem, families_for_slot, k, key):
                 specs = [index.get(l) for index, l in zip(slot_indexes, in_labels)]
                 if not all(specs):
                     continue
-                for _, inputs, coeff in _fill_slots(specs, k, rest[1], rest):
-                    for out_label, q in outs.items():
-                        dkey = (inputs, out_label)
-                        c = out.get(dkey)
-                        c = coeff * q if c is None else c + coeff * q
-                        if c:
-                            out[dkey] = c
-                        else:
-                            out.pop(dkey, None)
+                for _, inputs, c in _fill_slots(specs, k, rest[1], rest):
+                    _add_scaled(out.setdefault(inputs, {}), outs, coeff * c)
     return out
-
-
-def _table_sub(a: dict, b: dict) -> dict:
-    return _add_scaled(dict(a), b, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,50 +115,43 @@ def check_relations(alg: OperationSystem, level: int) -> CheckReport:
     gapped = validate_gapped(alg)
     if not gapped.ok:
         return CheckReport(False, [("gapped", (0, 0, 0), f) for f in gapped.failures])
-    failures = []
-    for k, (lam, mu) in sorted(_budgeted_keys(alg.monoid, alg.cutoff, level)):
-        defect = relation_defect(alg, k, lam, mu)
-        if defect:
-            failures.append(("relation", (k, lam, mu), _first_witness(defect)))
-    return CheckReport(not failures, failures, note=f"level {level}")
+    producers = _producers_of(alg)
+    return _check_keys("relation", alg, level,
+                       lambda k, lam, mu: relation_defect(alg, k, lam, mu, producers))
 
 
 # ---------------------------------------------------------------------------
 # morphisms
 
-def _require_morphism(f: OperationSystem):
-    if f.role != "morphism":
-        raise MalformedMorphismError(f"role {f.role!r} is not a morphism")
-    t = f.table(0, 0, 0)
+def _require(fam: OperationSystem, role: str, A: OperationSystem, B: OperationSystem):
+    """Raise MalformedMorphismError unless ``fam`` is a ``role`` family from
+    A's basis to B's basis whose (0, 0, 0) table is zero."""
+    if fam.role != role:
+        raise MalformedMorphismError(f"role {fam.role!r} is not a {role}")
+    t = fam.table(0, 0, 0)
     if t is not None and t.entries:
-        raise MalformedMorphismError("f_0^{0,0} != 0")
+        raise MalformedMorphismError(f"the (0, 0, 0) table of the {role} is nonzero")
+    if fam.source.basis != A.source.basis or fam.target.basis != B.source.basis:
+        raise MalformedMorphismError(f"{role} does not run from A's basis to B's basis")
 
 
 def morphism_defect(f: OperationSystem, A: OperationSystem, B: OperationSystem,
                     k, lam, mu, producers=None) -> dict:
-    """LHS - RHS of the filtered morphism relation at one key.  ``producers``
-    is ``_producers_of(f)``, passed by a caller that checks many keys."""
-    lhs = _insertion_sum(f, A, k, lam, mu)
-    if producers is None:
-        producers = _producers_of(f)
-
-    def families(r):
-        yield [producers] * r
-
-    rhs = _block_sum(B, families, k, (as_fraction(lam), mu))
-    return _table_sub(lhs, rhs)
+    """LHS - RHS of the filtered morphism relation at one key, as a table
+    {inputs: {out: q}}.  ``producers`` is ``_producers_of`` of (f, A), passed
+    by a caller that checks many keys."""
+    f_prod, a_prod = map(_producers_of, (f, A)) if producers is None else producers
+    key = (as_fraction(lam), mu)
+    out = _insertion_sum({}, f, A, a_prod, k, key)
+    return _nonzero(_block_sum(out, B, lambda r: [[f_prod] * r], k, key, -1))
 
 
 def check_morphism(f: OperationSystem, A: OperationSystem, B: OperationSystem,
                    level: int) -> CheckReport:
-    _require_morphism(f)
-    failures = []
-    producers = _producers_of(f)
-    for k, (lam, mu) in sorted(_budgeted_keys(f.monoid, f.cutoff, level)):
-        defect = morphism_defect(f, A, B, k, lam, mu, producers)
-        if defect:
-            failures.append(("morphism", (k, lam, mu), _first_witness(defect)))
-    return CheckReport(not failures, failures, note=f"level {level}")
+    _require(f, "morphism", A, B)
+    producers = (_producers_of(f), _producers_of(A))
+    return _check_keys("morphism", f, level,
+                       lambda k, lam, mu: morphism_defect(f, A, B, k, lam, mu, producers))
 
 
 def identity_morphism(A: OperationSystem) -> OperationSystem:
@@ -190,13 +176,10 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
                 continue
             for (k, lam, mu), inputs, coeff in _fill_slots(specs, math.inf, f.cutoff - lam0):
                 _add_scaled(acc[(k, lam0 + lam, mu0 + mu)].setdefault(inputs, {}), outs, coeff)
-    tables = [
-        OperationTable(k, lam, mu, "morphism",
-                       {i: o for i, o in entries.items() if o})
-        for (k, lam, mu), entries in acc.items()
-    ]
+    tables = [OperationTable(k, lam, mu, "morphism", entries)
+              for (k, lam, mu), entries in acc.items()]
     return OperationSystem.morphism(f.source, g.target, f.monoid, f.flavor,
-                                    f.cutoff, [t for t in tables if t.entries])
+                                    f.cutoff, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -205,43 +188,34 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
 def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
                     A: OperationSystem, B: OperationSystem, k, lam, mu,
                     producers=None) -> dict:
-    """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H).
-    ``producers`` is ``_producers_of`` of (f, g, H), passed by a caller that
-    checks many keys."""
+    """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H),
+    as a table {inputs: {out: q}}.  ``producers`` is ``_producers_of`` of
+    (f, g, H, A), passed by a caller that checks many keys."""
+    f_prod, g_prod, h_prod, a_prod = (map(_producers_of, (f, g, H, A))
+                                      if producers is None else producers)
     key = (as_fraction(lam), mu)
-    target = {}
+    out = {}
     for fam, sign in ((f, 1), (g, -1)):
-        t = fam.table(k, key[0], key[1])
-        if t is None:
-            continue
-        for inputs, outs in t.entries.items():
-            _add_scaled(target, {(inputs, o): q for o, q in outs.items()}, sign)
-    f_prod, g_prod, h_prod = (map(_producers_of, (f, g, H)) if producers is None
-                              else producers)
+        t = fam.table(k, *key)
+        if t is not None:
+            for inputs, outs in t.entries.items():
+                _add_scaled(out.setdefault(inputs, {}), outs, sign)
 
     def families(r):
         for t in range(r):
             yield [f_prod] * t + [h_prod] + [g_prod] * (r - 1 - t)
 
-    sum1 = _block_sum(B, families, k, key)
-    sum2 = _insertion_sum(H, A, k, *key)
-    return _table_sub(_table_sub(target, sum1), sum2)
+    _block_sum(out, B, families, k, key, -1)
+    return _nonzero(_insertion_sum(out, H, A, a_prod, k, key, -1))
 
 
 def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
                    A: OperationSystem, B: OperationSystem, level: int) -> CheckReport:
-    if H.role != "homotopy":
-        raise MalformedMorphismError(f"role {H.role!r} is not a homotopy")
-    t = H.table(0, 0, 0)
-    if t is not None and t.entries:
-        raise MalformedMorphismError("H_0^{0,0} != 0")
-    failures = []
-    producers = [_producers_of(fam) for fam in (f, g, H)]
-    for k, (lam, mu) in sorted(_budgeted_keys(H.monoid, H.cutoff, level)):
-        defect = homotopy_defect(H, f, g, A, B, k, lam, mu, producers)
-        if defect:
-            failures.append(("homotopy", (k, lam, mu), _first_witness(defect)))
-    return CheckReport(not failures, failures, note=f"level {level}")
+    for fam, role in ((H, "homotopy"), (f, "morphism"), (g, "morphism")):
+        _require(fam, role, A, B)
+    producers = [_producers_of(fam) for fam in (f, g, H, A)]
+    return _check_keys("homotopy", H, level,
+                       lambda k, lam, mu: homotopy_defect(H, f, g, A, B, k, lam, mu, producers))
 
 
 def whisker_strict(h: OperationSystem, H: OperationSystem) -> OperationSystem:
@@ -255,7 +229,7 @@ def whisker_strict(h: OperationSystem, H: OperationSystem) -> OperationSystem:
     tables = [OperationTable(k, lam, mu, "homotopy", e)
               for (k, lam, mu), e in out.items()]
     return OperationSystem.homotopy(H.source, h.target, H.monoid, H.flavor,
-                                    H.cutoff, [t for t in tables if t.entries])
+                                    H.cutoff, tables)
 
 
 # ---------------------------------------------------------------------------

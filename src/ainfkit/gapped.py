@@ -182,23 +182,14 @@ class GappedReport:
 
 
 def validate_gapped(alg) -> GappedReport:
-    """Check (i) keys lie in G, (ii) m_0^{0,0} = 0, (iii) degree shifts hold.
+    """Check (ii) m_0^{0,0} = 0.
 
-    (iii) is enforced at construction; re-checked here so that a report on
-    hand-assembled data is complete.
+    (i), every key lies in G, and (iii), every degree shift holds, are
+    enforced by the OperationSystem constructor; (ii) is the one condition
+    that a system can be built without.
     """
-    from .gradedcore import _check_table_degrees  # cycle-free at call time
-
-    failures = []
-    for (k, lam, mu), table in alg.tables.items():
-        if not alg.monoid.contains((lam, mu)):
-            failures.append(f"(i) key (k={k}, lam={lam}, mu={mu}) is not in G")
-        if (k, lam, mu) == (0, 0, 0) and table.entries:
-            failures.append("(ii) m_0^{0,0} != 0")
-        try:
-            _check_table_degrees(table, alg.source, alg.target)
-        except Exception as exc:  # DegreeError
-            failures.append(f"(iii) {exc}")
+    t = alg.tables.get((0, 0, 0))
+    failures = ["(ii) m_0^{0,0} != 0"] if t is not None and t.entries else []
     return GappedReport(not failures, failures)
 
 

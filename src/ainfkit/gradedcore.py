@@ -3,7 +3,9 @@ Koszul-signed defect tensor of the filtered A-infinity relations.
 
 An OperationSystem stores one family of multilinear maps (the m_k of an
 algebra, the f_k of a morphism, or the H_k of a homotopy) as sparse rational
-tables indexed by (arity k, energy lam, e-power mu).  Degree shifts per role:
+tables indexed by (arity k, energy lam, e-power mu).  Every table has one
+format, {input label tuple: {output label: coeff}}, and so has every relation
+defect.  Degree shifts per role:
 
     algebra    deg(out) = sum deg(in) + 1 - 2*mu
     morphism   deg(out) = sum deg(in)     - 2*mu
@@ -114,6 +116,11 @@ def _producers(tables: dict, index: dict | None = None) -> dict:
             for label, q in outs.items():
                 index.setdefault(label, {}).setdefault(key, []).append((inputs, q))
     return index
+
+
+def _producers_of(fam) -> dict:
+    """An OperationSystem's entries indexed by output label (``_producers``)."""
+    return _producers({key: t.entries for key, t in fam.tables.items()})
 
 
 def _fill_slots(specs, k_budget, lam_budget, total=None):
@@ -272,13 +279,6 @@ class OperationSystem:
     def table(self, k, lam, mu) -> OperationTable | None:
         return self.tables.get((k, as_fraction(lam), mu))
 
-    def q_apply(self, k, lam, mu, labels) -> dict:
-        """Single-table application to a basis tuple; {} if table absent."""
-        t = self.table(k, lam, mu)
-        if t is None:
-            return {}
-        return dict(t.entries.get(tuple(labels), {}))
-
     def with_tables(self, tables):
         return OperationSystem(self.source, self.target, self.monoid, self.flavor,
                                self.cutoff, self.role, {t.key: t for t in tables})
@@ -341,65 +341,59 @@ def apply_operation(sys: OperationSystem, k: int, inputs) -> dict:
     return {l: x for l, x in out.items() if not x.is_zero()}
 
 
-def prefix_degree_sign(space: GradedSpace, labels) -> int:
-    """(-1)^(sum of degrees of ``labels``)."""
-    return -1 if sum(space.degree(l) for l in labels) % 2 else 1
+def _insertion_sum(out: dict, outer: OperationSystem, inner: OperationSystem,
+                   producers: dict, k: int, key, coeff=1) -> dict:
+    """out += coeff * sum (-1)^(deg prefix) outer_{k1}(..., inner_{k2}(block), ...)
 
-
-def _insertion_sum(outer: OperationSystem, inner: OperationSystem, k: int, lam, mu) -> dict:
-    """sum_{i, splits} (-1)^(deg prefix) outer_{k1}(..., inner_{k2}(block), ...)
-
-    at the key (k, lam, mu), as a sparse table {(input tuple, output label):
-    coeff} over the inner system's source basis.  This is the left side of
-    the algebra and morphism relations and the second sum of the homotopy
-    relation, depending on which families are passed.  Each inner table is
-    indexed by output label once, so an outer slot costs one dict hit plus
-    the inner entries that produce its label.
+    over insertion positions and splits at (k, lam, mu), with ``key`` =
+    (lam, mu), over the inner system's source basis.  This is the left side
+    of the algebra and morphism relations and the second sum of the homotopy
+    relation, depending on which families are passed.  ``producers`` is
+    ``_producers_of(inner)``: each outer table fixes the one inner key that
+    completes (k, lam, mu), so an outer slot costs one index hit plus the
+    inner entries that produce its label at that key.
     """
-    lam = as_fraction(lam)
-    space = inner.source
-    out = {}
-    for (k2, lam2, mu2), inner_t in inner.tables.items():
-        lam1, mu1 = lam - lam2, mu - mu2
-        k1 = k - k2 + 1
-        if lam1 < 0 or k1 < 1 or not outer.monoid.contains((lam1, mu1)):
+    lam, mu = key
+    degree = inner.source.degree
+    for (k1, lam1, mu1), outer_t in outer.tables.items():
+        inner_key = (k - k1 + 1, lam - lam1, mu - mu1)
+        if inner_key not in inner.tables:
             continue
-        outer_t = outer.table(k1, lam1, mu1)
-        if outer_t is None:
-            continue
-        producers = {}
-        for in_inner, out_inner in inner_t.entries.items():
-            for label, q_in in out_inner.items():
-                producers.setdefault(label, []).append((in_inner, q_in))
         for in_outer, out_outer in outer_t.entries.items():
+            sign = coeff
             for i, slot_label in enumerate(in_outer):
-                blocks = producers.get(slot_label)
-                if blocks is None:
-                    continue
-                sign = prefix_degree_sign(space, in_outer[:i])
-                for in_inner, q_in in blocks:
-                    full = in_outer[:i] + in_inner + in_outer[i + 1:]
-                    for out_label, q_out in out_outer.items():
-                        key = (full, out_label)
-                        c = out.get(key, 0) + sign * q_in * q_out
-                        if c:
-                            out[key] = c
-                        else:
-                            out.pop(key, None)
+                groups = producers.get(slot_label)
+                blocks = groups.get(inner_key) if groups else None
+                if blocks:
+                    prefix, suffix = in_outer[:i], in_outer[i + 1:]
+                    for in_inner, q_in in blocks:
+                        _add_scaled(out.setdefault(prefix + in_inner + suffix, {}),
+                                    out_outer, sign * q_in)
+                if degree(slot_label) % 2:
+                    sign = -sign
     return out
 
 
-def relation_defect(alg: OperationSystem, k: int, lam, mu) -> dict:
+def _nonzero(table: dict) -> dict:
+    """``table`` without the inputs whose outputs have all cancelled."""
+    return {inputs: outs for inputs, outs in table.items() if outs}
+
+
+def relation_defect(alg: OperationSystem, k: int, lam, mu, producers=None) -> dict:
     """Left side of the filtered A-infinity relation at (k, lam, mu).
 
-    Returns the sparse defect table {(input tuple, output label): coeff}; the
-    relation at this key holds iff the table is empty.  Assembled by stitching
-    pairs of stored table entries through an output-label index, so the cost
-    follows the pairs of entries that actually compose, not (basis^k).
+    Returns the defect as a table in the library's one sparse format,
+    {input tuple: {output label: coeff}}; the relation at this key holds iff
+    the table is empty.  Assembled by stitching pairs of stored table entries
+    through the output-label index ``producers`` (``_producers_of(alg)``,
+    passed by a caller that checks many keys), so the cost follows the pairs
+    of entries that actually compose, not basis^k.
     """
     if alg.role != "algebra":
         raise ValueError("relation_defect needs an algebra")
-    return _insertion_sum(alg, alg, k, lam, mu)
+    if producers is None:
+        producers = _producers_of(alg)
+    return _nonzero(_insertion_sum({}, alg, alg, producers, k, (as_fraction(lam), mu)))
 
 
 def cohomology_ranks(space: GradedSpace, d_table: OperationTable) -> dict:

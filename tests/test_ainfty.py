@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -16,22 +17,27 @@ from ainfkit import (
     compose_morphisms,
     identity_morphism,
     is_weak_homotopy_equiv,
+    minimal_model,
     whisker_strict,
 )
 from ainfkit.errors import MalformedMorphismError
-from ainfkit.gradedcore import prefix_degree_sign
+from ainfkit.ainfty import morphism_defect
+from ainfkit.gapped import monoid_elements
+from ainfkit.gradedcore import relation_defect
 from ainfkit.novikov import nov_add
 from conftest import (
     checked,
     heisenberg_algebra,
     random_curved_algebra,
     random_element,
+    random_operations,
     three_generator_algebra,
     two_generator_algebra,
 )
 
 E = F(3)
 G = EnergyMonoid.make([(1, 0)])
+MIXED = GradedSpace.make([("a", -1), ("b", 0), ("c", 0), ("d", 1), ("e", 2)])
 
 
 def unit(flavor="nov0", cutoff=E):
@@ -53,9 +59,44 @@ def test_degree_violating_m0_rejected_upstream():
         OperationSystem.algebra(space, G, "nov0", E, [bad])
 
 
+def prefix_degree_sign(space: GradedSpace, labels) -> int:
+    """(-1)^(sum of degrees of ``labels``)."""
+    return -1 if sum(space.degree(l) for l in labels) % 2 else 1
+
+
+def q_apply(sys, k, lam, mu, labels) -> dict:
+    """One stored table applied to a basis tuple; {} if the table is absent."""
+    t = sys.tables.get((k, lam, mu))
+    return dict(t.entries.get(tuple(labels), {})) if t else {}
+
+
+def nested(pair_keyed: dict) -> dict:
+    """{(inputs, out): q} as the library's table form {inputs: {out: q}}."""
+    out = {}
+    for (inputs, out_label), q in pair_keyed.items():
+        out.setdefault(inputs, {})[out_label] = q
+    return out
+
+
+def flipped(sys, key, inputs):
+    """A copy of ``sys`` with one structure constant negated: the first
+    output of entry ``inputs`` of the table at ``key``."""
+    tables = {k: OperationTable(*k, t.role, {i: dict(o) for i, o in t.entries.items()})
+              for k, t in sys.tables.items()}
+    outs = tables[key].entries[inputs]
+    out = min(outs)
+    outs[out] = -outs[out]
+    return sys.with_tables(tables.values())
+
+
+def every_flip(sys):
+    """``flipped`` at every stored entry of ``sys``."""
+    return [flipped(sys, key, inputs)
+            for key, t in sorted(sys.tables.items()) for inputs in sorted(t.entries)]
+
+
 def brute_force_defect(alg, k, lam, mu):
     """Independent evaluator: iterate every basis tuple and every insertion."""
-    from ainfkit.gapped import monoid_elements
     space = alg.source
     labels = list(space.labels)
     import itertools
@@ -70,13 +111,13 @@ def brute_force_defect(alg, k, lam, mu):
                 k1 = k - k2 + 1
                 for i in range(1, k1 + 1):
                     block = tup[i - 1: i - 1 + k2]
-                    inner = alg.q_apply(k2, lam2, mu2, block)
+                    inner = q_apply(alg, k2, lam2, mu2, block)
                     if not inner:
                         continue
                     sign = (-1) ** (sum(space.degree(l) for l in tup[: i - 1]) % 2)
                     for mid, c1 in inner.items():
                         outer_in = tup[: i - 1] + (mid,) + tup[i - 1 + k2:]
-                        for out_label, c2 in alg.q_apply(k1, lam1, mu1, outer_in).items():
+                        for out_label, c2 in q_apply(alg, k1, lam1, mu1, outer_in).items():
                             acc[out_label] = acc.get(out_label, F(0)) + sign * c1 * c2
         for out_label, c in acc.items():
             if c:
@@ -103,14 +144,20 @@ def test_perturbed_structure_constant_fails_with_witness():
 
 
 def test_random_defects_match_brute_force(rng):
-    from ainfkit.gradedcore import relation_defect
-    for _ in range(5):
-        alg = random_curved_algebra(rng)
-        from ainfkit.gapped import monoid_elements
+    # valid algebras give empty defects; negating one structure constant of
+    # the Heisenberg dga gives nonzero ones, which must agree entry by entry,
+    # and so must those of random operations up to arity 3 (no relations)
+    algebras = [random_curved_algebra(rng) for _ in range(5)]
+    algebras += every_flip(heisenberg_algebra())
+    algebras += [random_operations(rng, MIXED, G, "algebra") for _ in range(2)]
+    nonzero = 0
+    for alg in algebras:
         for lam, mu in monoid_elements(alg.monoid, alg.cutoff):
-            for k in range(0, 3):
-                assert relation_defect(alg, k, lam, mu) == \
-                    brute_force_defect(alg, k, lam, mu)
+            for k in range(0, 4):
+                defect = relation_defect(alg, k, lam, mu)
+                assert defect == nested(brute_force_defect(alg, k, lam, mu))
+                nonzero += bool(defect)
+    assert nonzero >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +350,92 @@ def test_identity_between_different_products_fails_at_k2():
     assert any(key[0] == 2 for _, key, _ in report.failures)
 
 
+def test_morphism_check_refuses_foreign_bases():
+    # f runs from Heisenberg's basis to itself, not to B's basis
+    heis, two = heisenberg_algebra(), two_generator_algebra()
+    f = identity_morphism(heis)
+    with pytest.raises(MalformedMorphismError):
+        check_morphism(f, heis, two, 2)
+    with pytest.raises(MalformedMorphismError):
+        check_morphism(f, two, heis, 2)
+    H = OperationSystem.homotopy(heis.source, heis.source, heis.monoid, heis.flavor,
+                                 heis.cutoff, [])
+    with pytest.raises(MalformedMorphismError):
+        check_homotopy(H, f, f, heis, two, 2)
+    g = identity_morphism(two)
+    with pytest.raises(MalformedMorphismError):
+        check_homotopy(H, f, g, heis, heis, 2)
+
+
+def _f_words(f, tup, lam_left):
+    """Every splitting of ``tup`` into blocks, empty ones included, with f
+    applied to each block at a key of energy at most ``lam_left``: yields
+    (output word, coefficient, energy, e-power)."""
+    if not tup:
+        yield (), 1, 0, 0
+    for s in range(len(tup) + 1):
+        for lam1, mu1 in monoid_elements(f.monoid, lam_left):
+            if s == 0 and lam1 == 0:
+                continue  # f_0 at energy zero: no such table in a morphism
+            for label, c in q_apply(f, s, lam1, mu1, tup[:s]).items():
+                for word, c2, lam2, mu2 in _f_words(f, tup[s:], lam_left - lam1):
+                    yield (label,) + word, c * c2, lam1 + lam2, mu1 + mu2
+
+
+def brute_force_morphism_defect(f, A, B, k, lam, mu):
+    """Independent evaluator of the morphism relation: for every basis tuple,
+    every insertion of m_A into f minus every block splitting through
+    n_B(f(...), ..., f(...)), as {inputs: {out: q}}."""
+    space = A.source
+    out = {}
+    for tup in itertools.product(space.labels, repeat=k):
+        acc = {}
+        for lam2, mu2 in monoid_elements(A.monoid, lam):
+            for k2 in range(0, k + 1):
+                k1 = k - k2 + 1
+                for i in range(1, k1 + 1):
+                    inner = q_apply(A, k2, lam2, mu2, tup[i - 1: i - 1 + k2])
+                    sign = prefix_degree_sign(space, tup[: i - 1])
+                    for mid, c1 in inner.items():
+                        outer_in = tup[: i - 1] + (mid,) + tup[i - 1 + k2:]
+                        for o, c2 in q_apply(f, k1, lam - lam2, mu - mu2, outer_in).items():
+                            acc[o] = acc.get(o, 0) + sign * c1 * c2
+        for word, c, lam1, mu1 in _f_words(f, tup, lam):
+            for o, c2 in q_apply(B, len(word), lam - lam1, mu - mu1, word).items():
+                acc[o] = acc.get(o, 0) - c * c2
+        acc = {o: c for o, c in acc.items() if c}
+        if acc:
+            out[tup] = acc
+    return out
+
+
+def test_morphism_defects_match_brute_force(rng):
+    # the inclusion of a minimal model, the identity and a twist morphism
+    # (with f_0 = b) give empty defects; negating one of their structure
+    # constants gives nonzero ones
+    alg = heisenberg_algebra()
+    model, incl = minimal_model(alg, kmax=3)
+    base = checked(two_generator_algebra())
+    twisted, f_b = _random_morphism(rng, base)
+    src = OperationSystem.algebra(base.source, twisted.monoid, base.flavor, base.cutoff,
+                                  twisted.tables.values())
+    tgt = OperationSystem.algebra(base.source, twisted.monoid, base.flavor, base.cutoff,
+                                  base.tables.values())
+    cases = [(f, model, alg) for f in [incl] + every_flip(incl)]
+    cases += [(f, alg, alg) for f in [identity_morphism(alg)] + every_flip(identity_morphism(alg))]
+    cases += [(f, src, tgt) for f in [f_b] + every_flip(f_b)]
+    A, B = (random_operations(rng, MIXED, G, "algebra", draws=12) for _ in range(2))
+    cases += [(random_operations(rng, MIXED, G, "morphism", draws=12), A, B) for _ in range(2)]
+    nonzero = 0
+    for f, A, B in cases:
+        for lam, mu in monoid_elements(f.monoid, f.cutoff):
+            for k in range(0, 4):
+                defect = morphism_defect(f, A, B, k, lam, mu)
+                assert defect == brute_force_morphism_defect(f, A, B, k, lam, mu)
+                nonzero += bool(defect)
+    assert nonzero >= 10
+
+
 def test_compose_identity_and_strict():
     alg = checked(two_generator_algebra())
     ident = identity_morphism(alg)
@@ -442,8 +575,8 @@ def test_classical_chain_homotopy():
 
 
 def test_checks_index_producers_once_per_check(monkeypatch):
-    """check_morphism and check_homotopy index each family's producers once,
-    and still evaluate the public defect once per budgeted key."""
+    """Each check indexes each family's producers once, and still evaluates
+    the public defect once per budgeted key."""
     from ainfkit import ainfty
     from ainfkit.gapped import _budgeted_keys
     calls = Counter()
@@ -454,18 +587,21 @@ def test_checks_index_producers_once_per_check(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_producers_of", "morphism_defect", "homotopy_defect"):
+    for name in ("_producers_of", "relation_defect", "morphism_defect", "homotopy_defect"):
         monkeypatch.setattr(ainfty, name, counted(name, getattr(ainfty, name)))
     alg = heisenberg_algebra()
     f = identity_morphism(alg)
     keys = len(list(_budgeted_keys(alg.monoid, alg.cutoff, 3)))
+    assert check_relations(alg, 3).ok
+    assert calls == {"_producers_of": 1, "relation_defect": keys}
+    calls.clear()
     assert check_morphism(f, alg, alg, 3).ok
-    assert calls == {"_producers_of": 1, "morphism_defect": keys}
+    assert calls == {"_producers_of": 2, "morphism_defect": keys}
     calls.clear()
     H = OperationSystem.homotopy(alg.source, alg.source, alg.monoid, alg.flavor,
                                  alg.cutoff, [])
     assert check_homotopy(H, f, f, alg, alg, 3).ok
-    assert calls == {"_producers_of": 3, "homotopy_defect": keys}
+    assert calls == {"_producers_of": 4, "homotopy_defect": keys}
 
 
 def test_whiskering_strict():

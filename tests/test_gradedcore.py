@@ -123,7 +123,7 @@ def test_relation_defect_nonzero_reported():
     d = OperationTable(1, F(0), 0, "algebra", {("a",): {"b": F(1)}, ("b",): {"c": F(1)}})
     alg = OperationSystem.algebra(space, G, "nov0", E, [d])
     defect = relation_defect(alg, 1, F(0), 0)
-    assert defect == {(("a",), "c"): F(1)}
+    assert defect == {("a",): {"c": 1}}
 
 
 def test_cohomology_ranks():
