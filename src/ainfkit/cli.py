@@ -215,7 +215,10 @@ def _space_from_json(data, kind) -> GradedSpace:
         if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError("must be a JSON array of 2 items", f"basis[{i}]")
         basis.append((str(pair[0]), _int(pair[1], "basis")))
-    return GradedSpace.make(basis)
+    try:
+        return GradedSpace.make(basis)
+    except ValueError as exc:  # a repeated label
+        raise DocumentError(str(exc), "basis") from None
 
 
 class PresentationDocument:

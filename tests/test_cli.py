@@ -494,6 +494,8 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
      "morphisms.f: must be a JSON object"),
     (["check", "--level", "1"], _with(TWO_GEN_DOC, ("basis",), [["x"]]),
      "basis[0]: must be a JSON array of 2 items"),
+    (["check", "--level", "1"], _with(TWO_GEN_DOC, ("basis", 1, 0), "x"),
+     "basis: duplicate basis labels"),
     (["check", "--level", "1"], _with(TWO_GEN_DOC, ("monoid",), [["1"]]),
      "monoid[0]: must be a JSON array of 2 items"),
     (["check", "--level", "1"], _with(TWO_GEN_DOC, ("elements",), {"b": {"x": 5}}),
@@ -519,7 +521,8 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
      "homology_ranks: must be a JSON object"),
 ], ids=["in-missing", "other-missing", "cross-missing", "out-unwritable", "cross-not-json",
         "cross-list", "in-nested-too-deeply",
-        "tables", "entries", "morphisms", "basis", "monoid", "elements", "declared",
+        "tables", "entries", "morphisms", "basis", "basis-duplicate-label", "monoid",
+        "elements", "declared",
         "phases", "negative-cutoff", "exponent-cutoff", "tables-empty-object", "elements-empty-array",
         "morphisms-false", "double-points-empty-string", "homology-ranks-empty-array"])
 def test_bad_file_or_document_shape_exits_2(tmp_path, capsys, monkeypatch, args, doc,
