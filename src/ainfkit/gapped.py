@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +35,14 @@ ZERO_KEY = (0, 0)
 @dataclass(frozen=True)
 class EnergyMonoid:
     generators: tuple  # of (lam, mu), lam > 0 strictly, deduplicated, sorted
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the caches hash a monoid at every lookup; hash its Fractions once
+        object.__setattr__(self, "_hash", hash(self.generators))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(generators) -> "EnergyMonoid":
@@ -158,11 +166,22 @@ def monoid_norm(G: EnergyMonoid, key) -> int:
     return d + math.floor(lam)
 
 
+def _element_norms(G: EnergyMonoid, bound) -> list:
+    """(element, norm) for every monoid element with lam <= bound, in
+    ascending order, read from G's table in one pass."""
+    elements = monoid_elements(G, bound)
+    # an element list can outlive its table in the caches, and a table made
+    # anew has not been grown yet
+    table = _table(G)
+    table.grow(elements[-1][0])
+    return [(key, table.length[key] + math.floor(key[0])) for key in elements]
+
+
 def _budgeted_keys(G: EnergyMonoid, bound, level: int):
     """Every (k, (lam, mu)) with lam <= bound and norm + k - 1 <= level,
     element by element in ascending order and by arity within an element."""
-    for key in monoid_elements(G, bound):
-        for k in range(level + 2 - monoid_norm(G, key)):
+    for key, norm in _element_norms(G, bound):
+        for k in range(level + 2 - norm):
             yield k, key
 
 

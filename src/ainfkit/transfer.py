@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AinfError, MalformedMorphismError, MissingDataError
-from .gapped import ZERO_KEY, EnergyMonoid, _budgeted_keys, monoid_elements, monoid_norm
+from .gapped import ZERO_KEY, EnergyMonoid, _budgeted_keys, _element_norms, monoid_elements
 from .gradedcore import (
     GradedSpace,
     OperationSystem,
@@ -352,6 +352,41 @@ class _TreeEngine:
         return result, applied
 
 
+def _reachable(vertex_keys, k_bound: int, cutoff) -> set:
+    """The (k, (lam, mu)) pairs where a decorated tree with at most k_bound
+    leaves and energy at most ``cutoff`` can land: a root vertex (m, kv) of
+    ``vertex_keys`` whose m slots each hold a leaf (1, (0, 0)) or a subtree
+    at a pair already reached.
+
+    Labels and coefficients are ignored, so this is a superset of the pairs
+    where _TreeEngine.S is nonempty.  An arity-0 subtree (a curvature tree)
+    adds energy and no arity.  The fixpoint is semi-naive: ``fills[j]`` holds
+    the (arity, lam, mu) sums of j slot fillers, and each pass adds only the
+    sums with a filler reached in the pass before, which are the pass's new
+    pairs combined with the j - 1 fillers' sums.
+    """
+    by_arity = {}
+    for m, (lam, mu) in vertex_keys:
+        by_arity.setdefault(m, []).append((lam, mu))
+    fills = [{(0, 0, 0)}] + [set() for _ in range(max(by_arity, default=0))]
+    fresh = [set(f) for f in fills]
+    new = [(1, 0, 0)]  # the leaf
+    reached = set()
+    while True:
+        for j in range(1, len(fills)):
+            fresh[j] = {(k + k1, lam + l1, mu + m1)
+                        for k, lam, mu in new for k1, l1, m1 in fills[j - 1]
+                        if k + k1 <= k_bound and lam + l1 <= cutoff} - fills[j]
+            fills[j] |= fresh[j]
+        new = {(k, lam + l1, mu + m1) for m, roots in by_arity.items()
+               for k, lam, mu in fresh[m] for l1, m1 in roots
+               if lam + l1 <= cutoff} - reached
+        if not new:
+            return {(k, (lam, mu)) for k, lam, mu in reached}
+        reached |= new
+        fresh[0] = set()
+
+
 def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     """Tree-sum transfer onto a splitting of (A, m_1^{0,0}).
 
@@ -378,17 +413,24 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     else:
         keys = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
                 for k in range(kmax + 1))
+    # a sum anywhere else is empty, and an empty sum adds nothing to the
+    # engine's index, so skipping it changes no later sum
+    reachable = _reachable(engine.vertex_keys, kmax if level is None else level + 1,
+                           alg.cutoff)
     n_tables, i_tables = [], []
     for k, key in keys:
-        s, i_entries = engine.S(k, key)
-        n_entries = _apply_each(split.project, s)
         if (k, key) == (1, ZERO_KEY):
-            # S is empty here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0} is
-            # the plain inclusion
+            # no tree lands here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0}
+            # is the plain inclusion
             d = _linear(alg.table(1, 0, 0))
             n_entries = {(b,): _apply(split.project, _apply(d, vec))
                          for b, vec in split.include.items()}
             i_entries = {(b,): vec for b, vec in split.include.items()}
+        elif (k, key) in reachable:
+            s, i_entries = engine.S(k, key)
+            n_entries = _apply_each(split.project, s)
+        else:
+            continue
         n_entries = {i: o for i, o in n_entries.items() if o}
         i_entries = {i: o for i, o in i_entries.items() if o}
         if n_entries:
@@ -624,15 +666,15 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
     edge_matrix = {a: {t: sign * c for t, c in vec.items()} for a, vec in split.h.items()}
     leaf_table = {(l,): {l: 1} for l, _ in split.b_space.basis}
     max_arity = max((k for k, _, _ in geo.declared), default=0)
-    elements = monoid_elements(geo.monoid, geo.cutoff)
-    members = set(elements)
+    norms = _element_norms(geo.monoid, geo.cutoff)
+    members = {kv for kv, _ in norms}
     # declared tables with entries, and every undeclared key inside the N'
     # budget, whose lookup raises MissingDataError
     declared = {(k, (as_fraction(lam), int(mu))) for k, lam, mu in geo.declared}
     vertex_keys = {(m, kv) for m, kv in declared if kv in members and geo.table(m, kv)}
     vertex_keys.update(
-        (m, kv) for kv in elements for m in range(max_arity + 1)
-        if monoid_norm(geo.monoid, kv) + m - 1 <= n_prime and geo.table(m, kv) is None)
+        (m, kv) for kv, norm in norms for m in range(max_arity + 1)
+        if norm + m - 1 <= n_prime and geo.table(m, kv) is None)
 
     def vertex(m, kv):
         t = geo.table(m, kv)

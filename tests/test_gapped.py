@@ -270,3 +270,42 @@ def test_gapped_caches_stay_bounded():
     # equal monoids share one table
     assert gapped._table(EnergyMonoid.make([(1, 0), (F(1, 2), 1)])) is \
         gapped._table(EnergyMonoid.make([(F(1, 2), 1), (1, 0)]))
+
+
+def test_budgeted_keys_survive_an_evicted_table():
+    # monoid_elements keeps more monoids than _table: a cached element list
+    # can come back with a table made anew, which has not been grown
+    G = EnergyMonoid.make([(1, 0), (F(1, 3), 1)])
+    bound, level = F(5, 2), 4
+    elements = monoid_elements(G, bound)
+    for i in range(gapped.CACHED_MONOIDS + 4):
+        monoid_elements(EnergyMonoid.make([(1, 0), (F(1, i + 5), 1)]), 1)
+    assert gapped._table(G).bound == 0
+    hits = monoid_elements.cache_info().hits
+    keys = list(gapped._budgeted_keys(G, bound, level))
+    assert monoid_elements.cache_info().hits == hits + 1
+    assert keys == [(k, key) for key in elements for k in range(level + 2)
+                    if monoid_norm(G, key) + k - 1 <= level]
+
+
+def test_equal_monoids_hash_alike_once(monkeypatch):
+    G1 = EnergyMonoid.make([(1, 0), (F(1, 2), 1)])
+    G2 = EnergyMonoid.make([(F(1, 2), 1), (1, 0)])
+    assert G1 is not G2 and G1 == G2 and hash(G1) == hash(G2)
+    assert G1 != EnergyMonoid.make([(1, 0), (F(1, 2), -1)])
+    assert gapped._table(G1) is gapped._table(G2)
+    # the generators' Fractions are hashed when the monoid is made, not at
+    # each cache lookup
+    monoid_elements(G1, 2)
+    calls = []
+    fraction_hash = F.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    for _ in range(3):
+        monoid_elements(G1, 2)
+        gapped._table(G2)
+    assert not calls

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfkit import (
     EnergyMonoid,
@@ -20,16 +22,21 @@ from ainfkit import (
     minimal_model,
     splitting,
     splitting_for_projection,
+    transfer,
+    twist,
 )
 from ainfkit.errors import MalformedMorphismError, MissingDataError, NotAComplexError
-from ainfkit.gapped import monoid_elements
-from ainfkit.transfer import MAX_TREES, GeometricData, _count_trees
+from ainfkit.gapped import ZERO_KEY, _budgeted_keys, monoid_elements
+from ainfkit.gradedcore import _apply, _apply_each, _linear
+from ainfkit.transfer import MAX_TREES, GeometricData, _count_trees, _reachable
 from conftest import (
     checked,
     heisenberg_algebra,
     random_complex,
     random_curved_algebra,
     random_element,
+    random_operations,
+    random_rich_algebra,
     three_generator_algebra,
     truncated_free_dga,
     twisted_free_dga,
@@ -553,7 +560,7 @@ def test_minimal_model_of_already_minimal_filtered_algebra(rng):
 def test_tree_engine_work_follows_stored_tables(monkeypatch):
     # 8-label twisted complex over {(1,0), (1/2,1)} at cutoff 12: a grid
     # probe makes about 118k vertex lookups here, for three stored tables
-    from ainfkit import NovikovElement, transfer, twist
+    from ainfkit import NovikovElement
     rng = random.Random(1)
     base = random_complex(rng, n_labels=8, degree_span=(-2, 1), cutoff=F(12),
                           generators=((1, 0), (F(1, 2), 1)))
@@ -568,7 +575,12 @@ def test_tree_engine_work_follows_stored_tables(monkeypatch):
     class Recorded(transfer._TreeEngine):
         def __init__(self, *args):
             super().__init__(*args)
+            self.evaluations = []
             engines.append(self)
+
+        def S(self, k, key):
+            self.evaluations.append((k, key))
+            return super().S(k, key)
 
     table = OperationSystem.table
 
@@ -580,6 +592,92 @@ def test_tree_engine_work_follows_stored_tables(monkeypatch):
     monkeypatch.setattr(OperationSystem, "table", counted)
     minimal_model(alg, kmax=3)
     assert len(lookups) <= len(alg.tables) * len(engines[0]._memo)
+    # the tree sums are taken only where a tree can land, not at each of
+    # the 4 * 169 (arity, key) pairs
+    reachable = _reachable(engines[0].vertex_keys, 3, alg.cutoff)
+    assert len(monoid_elements(alg.monoid, alg.cutoff)) == 169 and len(alg.tables) == 3
+    assert len(engines[0].evaluations) <= len(reachable) + 1 <= 3
+
+
+def probe_every_pair(alg, level=None, kmax=None):
+    """minimal_model's tables with a tree sum taken at every budgeted
+    (arity, key) pair: (model entries, inclusion entries, the pairs whose
+    sum is nonempty, the engine), the entries as {(k, lam, mu): {inputs:
+    {out: q}}}."""
+    split = splitting(alg)
+    leaf_table = {(b,): dict(vec) for b, vec in split.include.items()}
+    edge_matrix = {a: {t: -c for t, c in vec.items()} for a, vec in split.h.items()}
+
+    def vertex(m, kv):
+        t = alg.table(m, kv[0], kv[1])
+        return t.entries if t else None
+
+    engine = transfer._TreeEngine(vertex, [(k, (lam, mu)) for k, lam, mu in alg.tables],
+                                  leaf_table, edge_matrix)
+    if level is not None:
+        keys = _budgeted_keys(alg.monoid, alg.cutoff, level)
+    else:
+        keys = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
+                for k in range(kmax + 1))
+    n_tables, i_tables, nonempty = {}, {}, set()
+    for k, key in keys:
+        s, i_entries = engine.S(k, key)
+        if s:
+            nonempty.add((k, key))
+        n_entries = _apply_each(split.project, s)
+        if (k, key) == (1, ZERO_KEY):
+            d = _linear(alg.table(1, 0, 0))
+            n_entries = {(b,): _apply(split.project, _apply(d, vec))
+                         for b, vec in split.include.items()}
+            i_entries = {(b,): vec for b, vec in split.include.items()}
+        for tables, entries in ((n_tables, n_entries), (i_tables, i_entries)):
+            entries = {i: o for i, o in entries.items() if o}
+            if entries:
+                tables[(k, *key)] = entries
+    return n_tables, i_tables, nonempty, engine
+
+
+@st.composite
+def transfer_inputs(draw):
+    """A system for minimal_model: random operations of arity <= 3 (curvature
+    included) on a random complex, a twisted random complex, the Heisenberg
+    dga or a truncated free dga twisted by a random element, or a twisted
+    minimal model of the Heisenberg dga; and a level or an arity bound."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    generators = draw(st.sampled_from([((1, 0),), ((1, 0), (F(1, 2), 1)), ((F(1, 2), 0),)]))
+    kind = draw(st.sampled_from(["operations", "twisted", "dga", "rich"]))
+    if kind == "operations":
+        # few labels in two degrees: curvature often lands in the image of
+        # the differential, where the contraction is nonzero
+        base = random_complex(rng, n_labels=3, degree_span=(0, 1), cutoff=E,
+                              generators=generators)
+        ops = random_operations(rng, base.source, base.monoid, "algebra", cutoff=E,
+                                draws=rng.randint(10, 30))
+        alg = base.with_tables([t for key, t in ops.tables.items() if key != (1, 0, 0)]
+                               + list(base.tables.values()))
+    elif kind == "twisted":
+        alg = random_curved_algebra(rng, n_labels=5, degree_span=(-2, 2), cutoff=E,
+                                    generators=generators)
+    elif kind == "dga":
+        base = rng.choice([heisenberg_algebra(), truncated_free_dga(3, 2, cutoff=F(2))])
+        alg = twist(base, random_element(rng, base, density=0.3))
+    else:
+        alg = random_rich_algebra(rng)
+    return alg, draw(st.sampled_from(["level", "kmax"])), draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(transfer_inputs())
+def test_tree_sums_are_taken_only_where_a_tree_can_land(inputs):
+    alg, path, bound = inputs
+    kwargs = {path: bound}
+    n_tables, i_tables, nonempty, engine = probe_every_pair(alg, **kwargs)
+    reachable = _reachable(engine.vertex_keys, bound if path == "kmax" else bound + 1,
+                           alg.cutoff)
+    assert nonempty <= reachable
+    model, incl = minimal_model(alg, **kwargs)
+    assert {key: t.entries for key, t in model.tables.items()} == n_tables
+    assert {key: t.entries for key, t in incl.tables.items()} == i_tables
 
 
 def test_integral_constants_stay_python_ints():
