@@ -42,7 +42,6 @@ from .gradedcore import (
     _linear,
     _nonzero,
     _producers_of,
-    relation_defect,
 )
 from .novikov import as_fraction
 
@@ -65,41 +64,61 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _check_keys(kind: str, fam: OperationSystem, level: int, defect_at) -> CheckReport:
-    """Evaluate ``defect_at(k, lam, mu)`` on every budgeted key of ``fam``:
-    lam <= cutoff and norm((lam, mu)) + k - 1 <= level.  The witness of a
-    failing key is the least (inputs, output) pair of its defect table."""
+def _check_keys(kind: str, fam: OperationSystem, level: int, defects_at) -> CheckReport:
+    """Check every budgeted key of ``fam``: lam <= cutoff and
+    norm((lam, mu)) + k - 1 <= level.  ``defects_at(keys)`` computes the
+    defects of the whole key set in one pass, as {(k, lam, mu): {inputs:
+    {out: q}}}.  The witness of a failing key is the least (inputs, output)
+    pair of its defect table."""
+    keys = [(k, lam, mu) for k, (lam, mu) in
+            sorted(_budgeted_keys(fam.monoid, fam.cutoff, level))]
+    defects = defects_at(set(keys))
     failures = []
-    for k, (lam, mu) in sorted(_budgeted_keys(fam.monoid, fam.cutoff, level)):
-        defect = defect_at(k, lam, mu)
+    for key in keys:
+        defect = _nonzero(defects.get(key, {}))
         if defect:
             inputs = min(defect)
-            failures.append((kind, (k, lam, mu), (inputs, min(defect[inputs]))))
+            failures.append((kind, key, (inputs, min(defect[inputs]))))
     return CheckReport(not failures, failures, note=f"level {level}")
 
 
 # ---------------------------------------------------------------------------
 # generic stitching helpers
 
-def _block_sum(out: dict, n_alg: OperationSystem, families_for_slot, k, key, coeff=1):
-    """out += coeff * (sum over n_r entries with slots filled by block producers).
+def _block_sum(out: dict, n_alg: OperationSystem, families_for_slot, keys, coeff=1):
+    """out[key] += coeff * (sum over n_r entries with slots filled by block
+    producers) at every key of the set ``keys``; ``out`` is {(k, lam, mu):
+    {inputs: {out: q}}}.
 
     ``families_for_slot(r)`` yields one or more lists of r producer indexes,
     one per slot; for morphisms there is a single choice (all slots f), for
-    homotopies one choice per position of the H-block.
+    homotopies one choice per position of the H-block.  Each n_r entry builds
+    its slot specs once per choice and makes one ``_fill_slots`` walk,
+    bounded by the largest arity and energy of ``keys``; each filling adds to
+    the key it lands on, if that key is in ``keys``.
     """
-    lam, mu = key
+    if not keys:
+        return out
+    k_top = max(k for k, _, _ in keys)
+    lam_top = max(lam for _, lam, _ in keys)
     for (r, lam0, mu0), table in n_alg.tables.items():
-        rest = (k, lam - lam0, mu - mu0)
-        if rest[1] < 0:
+        if lam0 > lam_top:
             continue
+        lands = {}  # filling key -> the defect table it lands on, or None
         for slot_indexes in families_for_slot(r):
             for in_labels, outs in table.entries.items():
                 specs = [index.get(l) for index, l in zip(slot_indexes, in_labels)]
                 if not all(specs):
                     continue
-                for _, inputs, c in _fill_slots(specs, k, rest[1], rest):
-                    _add_scaled(out.setdefault(inputs, {}), outs, coeff * c)
+                for fill_key, inputs, c in _fill_slots(specs, k_top, lam_top - lam0):
+                    if fill_key in lands:
+                        target = lands[fill_key]
+                    else:
+                        key = (fill_key[0], lam0 + fill_key[1], mu0 + fill_key[2])
+                        target = lands[fill_key] = (out.setdefault(key, {})
+                                                    if key in keys else None)
+                    if target is not None:
+                        _add_scaled(target.setdefault(inputs, {}), outs, coeff * c)
     return out
 
 
@@ -117,7 +136,7 @@ def check_relations(alg: OperationSystem, level: int) -> CheckReport:
         return CheckReport(False, [("gapped", (0, 0, 0), f) for f in gapped.failures])
     producers = _producers_of(alg)
     return _check_keys("relation", alg, level,
-                       lambda k, lam, mu: relation_defect(alg, k, lam, mu, producers))
+                       lambda keys: _insertion_sum({}, alg, alg, producers, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +154,24 @@ def _require(fam: OperationSystem, role: str, A: OperationSystem, B: OperationSy
         raise MalformedMorphismError(f"{role} does not run from A's basis to B's basis")
 
 
+def _morphism_defects(f, A, B, producers, keys) -> dict:
+    """LHS - RHS of the filtered morphism relation at every key of ``keys``,
+    as {(k, lam, mu): {inputs: {out: q}}}; ``producers`` is
+    ``_producers_of`` of (f, A)."""
+    f_prod, a_prod = producers
+    out = _insertion_sum({}, f, A, a_prod, keys)
+    return _block_sum(out, B, lambda r: [[f_prod] * r], keys, -1)
+
+
 def morphism_defect(f: OperationSystem, A: OperationSystem, B: OperationSystem,
                     k, lam, mu, producers=None) -> dict:
     """LHS - RHS of the filtered morphism relation at one key, as a table
     {inputs: {out: q}}.  ``producers`` is ``_producers_of`` of (f, A), passed
     by a caller that checks many keys."""
-    f_prod, a_prod = map(_producers_of, (f, A)) if producers is None else producers
-    key = (as_fraction(lam), mu)
-    out = _insertion_sum({}, f, A, a_prod, k, key)
-    return _nonzero(_block_sum(out, B, lambda r: [[f_prod] * r], k, key, -1))
+    if producers is None:
+        producers = (_producers_of(f), _producers_of(A))
+    key = (k, as_fraction(lam), mu)
+    return _nonzero(_morphism_defects(f, A, B, producers, {key}).get(key, {}))
 
 
 def check_morphism(f: OperationSystem, A: OperationSystem, B: OperationSystem,
@@ -151,7 +179,7 @@ def check_morphism(f: OperationSystem, A: OperationSystem, B: OperationSystem,
     _require(f, "morphism", A, B)
     producers = (_producers_of(f), _producers_of(A))
     return _check_keys("morphism", f, level,
-                       lambda k, lam, mu: morphism_defect(f, A, B, k, lam, mu, producers))
+                       lambda keys: _morphism_defects(f, A, B, producers, keys))
 
 
 def identity_morphism(A: OperationSystem) -> OperationSystem:
@@ -185,28 +213,38 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
 # ---------------------------------------------------------------------------
 # homotopies
 
-def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
-                    A: OperationSystem, B: OperationSystem, k, lam, mu,
-                    producers=None) -> dict:
-    """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H),
-    as a table {inputs: {out: q}}.  ``producers`` is ``_producers_of`` of
-    (f, g, H, A), passed by a caller that checks many keys."""
-    f_prod, g_prod, h_prod, a_prod = (map(_producers_of, (f, g, H, A))
-                                      if producers is None else producers)
-    key = (as_fraction(lam), mu)
+def _homotopy_defects(H, f, g, A, B, producers, keys) -> dict:
+    """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H)
+    at every key of ``keys``, as {(k, lam, mu): {inputs: {out: q}}};
+    ``producers`` is ``_producers_of`` of (f, g, H, A)."""
+    f_prod, g_prod, h_prod, a_prod = producers
     out = {}
     for fam, sign in ((f, 1), (g, -1)):
-        t = fam.table(k, *key)
-        if t is not None:
-            for inputs, outs in t.entries.items():
-                _add_scaled(out.setdefault(inputs, {}), outs, sign)
+        for key, t in fam.tables.items():
+            if key in keys:
+                target = out.setdefault(key, {})
+                for inputs, outs in t.entries.items():
+                    _add_scaled(target.setdefault(inputs, {}), outs, sign)
 
     def families(r):
         for t in range(r):
             yield [f_prod] * t + [h_prod] + [g_prod] * (r - 1 - t)
 
-    _block_sum(out, B, families, k, key, -1)
-    return _nonzero(_insertion_sum(out, H, A, a_prod, k, key, -1))
+    _block_sum(out, B, families, keys, -1)
+    return _insertion_sum(out, H, A, a_prod, keys, -1)
+
+
+def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
+                    A: OperationSystem, B: OperationSystem, k, lam, mu,
+                    producers=None) -> dict:
+    """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H)
+    at one key, as a table {inputs: {out: q}}.  ``producers`` is
+    ``_producers_of`` of (f, g, H, A), passed by a caller that checks many
+    keys."""
+    if producers is None:
+        producers = [_producers_of(fam) for fam in (f, g, H, A)]
+    key = (k, as_fraction(lam), mu)
+    return _nonzero(_homotopy_defects(H, f, g, A, B, producers, {key}).get(key, {}))
 
 
 def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
@@ -215,7 +253,7 @@ def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
         _require(fam, role, A, B)
     producers = [_producers_of(fam) for fam in (f, g, H, A)]
     return _check_keys("homotopy", H, level,
-                       lambda k, lam, mu: homotopy_defect(H, f, g, A, B, k, lam, mu, producers))
+                       lambda keys: _homotopy_defects(H, f, g, A, B, producers, keys))
 
 
 def whisker_strict(h: OperationSystem, H: OperationSystem) -> OperationSystem:

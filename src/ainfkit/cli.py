@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import ainfty, floer, gapped, geomsign, gradedcore, transfer
@@ -410,6 +411,37 @@ def _is_document(result) -> bool:
         "presentation", "system", "geometric")
 
 
+def _json_text(value, indent="") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, default=str)`` byte for
+    byte, at nesting ``indent``.  json indents with its pure-Python encoder;
+    this writer renders strings, str-keyed dicts, lists, ints, bools and None
+    itself and hands any other value to ``json.dumps``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                 for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    # strings are escaped, so every newline in json's text is an indent
+    text = json.dumps(value, sort_keys=True, indent=2, default=str)
+    return text.replace("\n", "\n" + indent)
+
+
 def emit_report(result, machine=False) -> str:
     """Byte-stable rendering: fixed key order, rational strings.
 
@@ -417,7 +449,7 @@ def emit_report(result, machine=False) -> str:
     commands chain through pipes; plain reports default to key: value text.
     """
     if machine or _is_document(result):
-        return json.dumps(result, sort_keys=True, indent=2, default=str) + "\n"
+        return _json_text(result) + "\n"
     if isinstance(result, dict):
         lines = []
         for key in sorted(result):

@@ -342,33 +342,40 @@ def apply_operation(sys: OperationSystem, k: int, inputs) -> dict:
 
 
 def _insertion_sum(out: dict, outer: OperationSystem, inner: OperationSystem,
-                   producers: dict, k: int, key, coeff=1) -> dict:
-    """out += coeff * sum (-1)^(deg prefix) outer_{k1}(..., inner_{k2}(block), ...)
+                   producers: dict, keys, coeff=1) -> dict:
+    """out[key] += coeff * sum (-1)^(deg prefix) outer_{k1}(..., inner_{k2}(block), ...)
 
-    over insertion positions and splits at (k, lam, mu), with ``key`` =
-    (lam, mu), over the inner system's source basis.  This is the left side
-    of the algebra and morphism relations and the second sum of the homotopy
+    at every key (k, lam, mu) of the set ``keys``, over insertion positions
+    and splits, over the inner system's source basis; ``out`` is
+    {(k, lam, mu): {inputs: {out: q}}}.  This is the left side of the
+    algebra and morphism relations and the second sum of the homotopy
     relation, depending on which families are passed.  ``producers`` is
-    ``_producers_of(inner)``: each outer table fixes the one inner key that
-    completes (k, lam, mu), so an outer slot costs one index hit plus the
-    inner entries that produce its label at that key.
+    ``_producers_of(inner)``.  One walk serves every key: each outer entry
+    and slot is visited once, and each producer group (k2, lam2, mu2) of the
+    slot's label adds to the key (k1 + k2 - 1, lam1 + lam2, mu1 + mu2) it
+    lands on, if that key is in ``keys``.
     """
-    lam, mu = key
     degree = inner.source.degree
     for (k1, lam1, mu1), outer_t in outer.tables.items():
-        inner_key = (k - k1 + 1, lam - lam1, mu - mu1)
-        if inner_key not in inner.tables:
+        lands = {}  # inner key -> the defect table of the key it lands on
+        for inner_key in inner.tables:
+            key = (k1 + inner_key[0] - 1, lam1 + inner_key[1], mu1 + inner_key[2])
+            if key in keys:
+                lands[inner_key] = out.setdefault(key, {})
+        if not lands:
             continue
         for in_outer, out_outer in outer_t.entries.items():
             sign = coeff
             for i, slot_label in enumerate(in_outer):
                 groups = producers.get(slot_label)
-                blocks = groups.get(inner_key) if groups else None
-                if blocks:
+                if groups:
                     prefix, suffix = in_outer[:i], in_outer[i + 1:]
-                    for in_inner, q_in in blocks:
-                        _add_scaled(out.setdefault(prefix + in_inner + suffix, {}),
-                                    out_outer, sign * q_in)
+                    for inner_key, blocks in groups.items():
+                        target = lands.get(inner_key)
+                        if target is not None:
+                            for in_inner, q_in in blocks:
+                                _add_scaled(target.setdefault(prefix + in_inner + suffix, {}),
+                                            out_outer, sign * q_in)
                 if degree(slot_label) % 2:
                     sign = -sign
     return out
@@ -393,7 +400,8 @@ def relation_defect(alg: OperationSystem, k: int, lam, mu, producers=None) -> di
         raise ValueError("relation_defect needs an algebra")
     if producers is None:
         producers = _producers_of(alg)
-    return _nonzero(_insertion_sum({}, alg, alg, producers, k, (as_fraction(lam), mu)))
+    key = (k, as_fraction(lam), mu)
+    return _nonzero(_insertion_sum({}, alg, alg, producers, {key}).get(key, {}))
 
 
 def cohomology_ranks(space: GradedSpace, d_table: OperationTable) -> dict:

@@ -1,9 +1,12 @@
 import itertools
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ainfkit import (
     EnergyMonoid,
@@ -18,19 +21,28 @@ from ainfkit import (
     identity_morphism,
     is_weak_homotopy_equiv,
     minimal_model,
+    splitting,
     whisker_strict,
 )
 from ainfkit.errors import MalformedMorphismError
-from ainfkit.ainfty import morphism_defect
-from ainfkit.gapped import monoid_elements
-from ainfkit.gradedcore import relation_defect
+from ainfkit.ainfty import CheckReport, homotopy_defect, morphism_defect
+from ainfkit.gapped import _budgeted_keys, monoid_elements
+from ainfkit.gradedcore import (
+    _add_scaled,
+    _fill_slots,
+    _nonzero,
+    _producers_of,
+    relation_defect,
+)
 from ainfkit.novikov import nov_add
 from conftest import (
     checked,
     heisenberg_algebra,
+    random_complex,
     random_curved_algebra,
     random_element,
     random_operations,
+    random_rich_algebra,
     three_generator_algebra,
     two_generator_algebra,
 )
@@ -575,10 +587,10 @@ def test_classical_chain_homotopy():
 
 
 def test_checks_index_producers_once_per_check(monkeypatch):
-    """Each check indexes each family's producers once, and still evaluates
-    the public defect once per budgeted key."""
+    """Each check indexes each family's producers once and walks each stored
+    entry of B once per H-slot position (once for a morphism), however many
+    budgeted keys it checks."""
     from ainfkit import ainfty
-    from ainfkit.gapped import _budgeted_keys
     calls = Counter()
 
     def counted(name, fn):
@@ -587,21 +599,187 @@ def test_checks_index_producers_once_per_check(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_producers_of", "relation_defect", "morphism_defect", "homotopy_defect"):
+    for name in ("_producers_of", "_fill_slots"):
         monkeypatch.setattr(ainfty, name, counted(name, getattr(ainfty, name)))
     alg = heisenberg_algebra()
     f = identity_morphism(alg)
-    keys = len(list(_budgeted_keys(alg.monoid, alg.cutoff, 3)))
+    entries = sum(len(t.entries) for t in alg.tables.values())
+    slots = sum(len(t.entries) * t.k for t in alg.tables.values())
     assert check_relations(alg, 3).ok
-    assert calls == {"_producers_of": 1, "relation_defect": keys}
+    assert calls == {"_producers_of": 1}
     calls.clear()
     assert check_morphism(f, alg, alg, 3).ok
-    assert calls == {"_producers_of": 2, "morphism_defect": keys}
+    assert calls["_producers_of"] == 2 and 0 < calls["_fill_slots"] <= entries
     calls.clear()
     H = OperationSystem.homotopy(alg.source, alg.source, alg.monoid, alg.flavor,
-                                 alg.cutoff, [])
-    assert check_homotopy(H, f, f, alg, alg, 3).ok
-    assert calls == {"_producers_of": 4, "homotopy_defect": keys}
+                                 alg.cutoff, [OperationTable(1, 0, 0, "homotopy", {
+                                     (l,): dict(v) for l, v in splitting(alg).h.items()})])
+    check_homotopy(H, f, f, alg, alg, 3)
+    assert calls["_producers_of"] == 4 and 0 < calls["_fill_slots"] <= slots
+
+
+# ---------------------------------------------------------------------------
+# the checks against the per-key loop: every budgeted key stitched on its own
+
+def per_key_insertion_sum(out, outer, inner, producers, k, key, coeff=1):
+    """out += coeff * the insertion sum at the one key (k, *key): each outer
+    table fixes the one inner key that completes it."""
+    lam, mu = key
+    degree = inner.source.degree
+    for (k1, lam1, mu1), outer_t in outer.tables.items():
+        inner_key = (k - k1 + 1, lam - lam1, mu - mu1)
+        if inner_key not in inner.tables:
+            continue
+        for in_outer, out_outer in outer_t.entries.items():
+            sign = coeff
+            for i, slot_label in enumerate(in_outer):
+                groups = producers.get(slot_label)
+                blocks = groups.get(inner_key) if groups else None
+                if blocks:
+                    prefix, suffix = in_outer[:i], in_outer[i + 1:]
+                    for in_inner, q_in in blocks:
+                        _add_scaled(out.setdefault(prefix + in_inner + suffix, {}),
+                                    out_outer, sign * q_in)
+                if degree(slot_label) % 2:
+                    sign = -sign
+    return out
+
+
+def per_key_block_sum(out, n_alg, families_for_slot, k, key, coeff=1):
+    """out += coeff * the block sum at the one key (k, *key), through the
+    fillings that sum to exactly the rest of the key (``total=``)."""
+    lam, mu = key
+    for (r, lam0, mu0), table in n_alg.tables.items():
+        rest = (k, lam - lam0, mu - mu0)
+        if rest[1] < 0:
+            continue
+        for slot_indexes in families_for_slot(r):
+            for in_labels, outs in table.entries.items():
+                specs = [index.get(l) for index, l in zip(slot_indexes, in_labels)]
+                if not all(specs):
+                    continue
+                for _, inputs, c in _fill_slots(specs, k, rest[1], rest):
+                    _add_scaled(out.setdefault(inputs, {}), outs, coeff * c)
+    return out
+
+
+def per_key_report(kind, fam, level, defect_at):
+    """The report of evaluating ``defect_at(k, lam, mu)`` key by key."""
+    failures = []
+    for k, (lam, mu) in sorted(_budgeted_keys(fam.monoid, fam.cutoff, level)):
+        defect = _nonzero(defect_at(k, lam, mu))
+        if defect:
+            inputs = min(defect)
+            failures.append((kind, (k, lam, mu), (inputs, min(defect[inputs]))))
+    return CheckReport(not failures, failures, note=f"level {level}")
+
+
+def per_key_relation_defect(alg):
+    prod = _producers_of(alg)
+    return lambda k, lam, mu: per_key_insertion_sum({}, alg, alg, prod, k, (lam, mu))
+
+
+def per_key_morphism_defect(f, A, B):
+    f_prod, a_prod = _producers_of(f), _producers_of(A)
+
+    def defect(k, lam, mu):
+        out = per_key_insertion_sum({}, f, A, a_prod, k, (lam, mu))
+        return per_key_block_sum(out, B, lambda r: [[f_prod] * r], k, (lam, mu), -1)
+
+    return defect
+
+
+def per_key_homotopy_defect(H, f, g, A, B):
+    f_prod, g_prod, h_prod, a_prod = map(_producers_of, (f, g, H, A))
+
+    def families(r):
+        for t in range(r):
+            yield [f_prod] * t + [h_prod] + [g_prod] * (r - 1 - t)
+
+    def defect(k, lam, mu):
+        out = {}
+        for fam, sign in ((f, 1), (g, -1)):
+            t = fam.table(k, lam, mu)
+            if t is not None:
+                for inputs, outs in t.entries.items():
+                    _add_scaled(out.setdefault(inputs, {}), outs, sign)
+        per_key_block_sum(out, B, families, k, (lam, mu), -1)
+        return per_key_insertion_sum(out, H, A, a_prod, k, (lam, mu), -1)
+
+    return defect
+
+
+def random_flip(rng, sys):
+    """``sys`` with one random structure constant negated (``sys`` if empty)."""
+    entries = [(key, inputs) for key, t in sorted(sys.tables.items())
+               for inputs in sorted(t.entries)]
+    return flipped(sys, *rng.choice(entries)) if entries else sys
+
+
+@st.composite
+def check_cases(draw):
+    """(kind, arguments) of one check: an algebra (random operations with
+    curvature, a valid curved algebra, a twisted minimal model), the
+    inclusion of a twisted model, a twist morphism or random operations
+    between random algebras, or a homotopy built from a splitting or drawn
+    at random; each perhaps with one constant negated."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["relation", "morphism", "homotopy"]))
+    flip = draw(st.booleans())
+    generators = draw(st.sampled_from([((1, 0),), ((1, 0), (F(1, 2), 1)), ((F(1, 2), 0),)]))
+    monoid = EnergyMonoid.make(generators)
+    if kind == "relation":
+        alg = draw(st.sampled_from([
+            lambda: random_operations(rng, MIXED, monoid, "algebra", draws=20),
+            lambda: random_curved_algebra(rng, n_labels=5, degree_span=(-2, 2),
+                                          generators=generators),
+            lambda: random_rich_algebra(rng, kmax=3)]))()
+        return kind, (random_flip(rng, alg) if flip else alg,)
+    if kind == "morphism":
+        source = draw(st.sampled_from(["model", "twist", "operations"]))
+        if source == "model":
+            B = random_curved_algebra(rng, n_labels=5, degree_span=(-2, 2),
+                                      generators=generators)
+            A, f = minimal_model(B, kmax=3)
+        elif source == "twist":
+            base = checked(two_generator_algebra())
+            twisted, f = _random_morphism(rng, base)
+            A, B = (OperationSystem.algebra(base.source, twisted.monoid, base.flavor,
+                                            base.cutoff, t.tables.values())
+                    for t in (twisted, base))
+        else:
+            A, B = (random_operations(rng, MIXED, monoid, "algebra", draws=12)
+                    for _ in range(2))
+            f = random_operations(rng, MIXED, monoid, "morphism", draws=12)
+        return kind, (random_flip(rng, f) if flip else f, A, B)
+    alg = random_complex(rng, n_labels=5, generators=generators)
+    if draw(st.booleans()):
+        split = splitting(alg)
+        H = OperationSystem.homotopy(alg.source, alg.source, alg.monoid, alg.flavor,
+                                     alg.cutoff, [OperationTable(1, 0, 0, "homotopy", {
+                                         (l,): dict(v) for l, v in split.h.items()})])
+    else:
+        H = random_operations(rng, alg.source, alg.monoid, "homotopy", draws=10)
+    f = identity_morphism(alg)
+    g = random_operations(rng, alg.source, alg.monoid, "morphism", draws=6)
+    return kind, (random_flip(rng, H) if flip else H, f, g, alg, alg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(check_cases(), st.integers(0, 3))
+def test_checks_match_the_per_key_loop(case, level):
+    # the one-pass check gives the per-key loop's report, and the public
+    # per-key defect (the same kernels at a one-key set) its defect tables
+    kind, args = case
+    check, defect, oracle = {
+        "relation": (check_relations, relation_defect, per_key_relation_defect),
+        "morphism": (check_morphism, morphism_defect, per_key_morphism_defect),
+        "homotopy": (check_homotopy, homotopy_defect, per_key_homotopy_defect)}[kind]
+    at_key = oracle(*args)
+    got, want = check(*args, level), per_key_report(kind, args[0], level, at_key)
+    assert (got.ok, got.failures, got.note) == (want.ok, want.failures, want.note)
+    for k, (lam, mu) in _budgeted_keys(args[0].monoid, args[0].cutoff, level):
+        assert defect(*args, k, lam, mu) == _nonzero(at_key(k, lam, mu))
 
 
 def test_whiskering_strict():

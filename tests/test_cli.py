@@ -9,6 +9,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ainfkit
 from ainfkit.cli import (
@@ -242,6 +244,48 @@ def test_emit_report_deterministic():
     r = {"b": 2, "a": 1}
     assert emit_report(r) == "a: 1\nb: 2\n"
     assert emit_report(r, machine=True) == json.dumps(r, sort_keys=True, indent=2) + "\n"
+
+
+def json_reference(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, default=str) + "\n"
+
+
+def golden_values():
+    """Every golden file, and every JSON report recorded in one."""
+    for path in sorted((Path(__file__).parent / "golden").glob("*")):
+        recorded = json.loads(path.read_text())
+        yield recorded
+        for text in recorded.values():
+            body = text.split("\n", 1)[1] if text.startswith("exit ") else text
+            try:
+                yield json.loads(body)
+            except ValueError:
+                pass  # a text report
+
+
+def test_machine_report_renders_as_json_dumps_on_the_goldens():
+    values = list(golden_values())
+    assert len(values) > 80
+    for value in values:
+        assert emit_report(value, machine=True) == json_reference(value)
+
+
+report_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.fractions(max_denominator=50), st.floats(allow_nan=False))
+report_values = st.recursive(report_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.tuples(inner, inner),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    st.dictionaries(st.integers(-3, 3), inner, max_size=3)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_values)
+def test_machine_report_renders_as_json_dumps(value):
+    # non-ASCII text, empty containers, bool, None, int keys, Fraction and
+    # float leaves
+    assert emit_report(value, machine=True) == json_reference(value)
 
 
 PRESENTATION_DOC = {
