@@ -37,7 +37,7 @@ from .gradedcore import (
     _add_scaled,
     _apply,
     _apply_each,
-    _fill_slots,
+    _block_sum,
     _insertion_sum,
     _linear,
     _nonzero,
@@ -83,46 +83,6 @@ def _check_keys(kind: str, fam: OperationSystem, level: int, defects_at) -> Chec
 
 
 # ---------------------------------------------------------------------------
-# generic stitching helpers
-
-def _block_sum(out: dict, n_alg: OperationSystem, families_for_slot, keys, coeff=1):
-    """out[key] += coeff * (sum over n_r entries with slots filled by block
-    producers) at every key of the set ``keys``; ``out`` is {(k, lam, mu):
-    {inputs: {out: q}}}.
-
-    ``families_for_slot(r)`` yields one or more lists of r producer indexes,
-    one per slot; for morphisms there is a single choice (all slots f), for
-    homotopies one choice per position of the H-block.  Each n_r entry builds
-    its slot specs once per choice and makes one ``_fill_slots`` walk,
-    bounded by the largest arity and energy of ``keys``; each filling adds to
-    the key it lands on, if that key is in ``keys``.
-    """
-    if not keys:
-        return out
-    k_top = max(k for k, _, _ in keys)
-    lam_top = max(lam for _, lam, _ in keys)
-    for (r, lam0, mu0), table in n_alg.tables.items():
-        if lam0 > lam_top:
-            continue
-        lands = {}  # filling key -> the defect table it lands on, or None
-        for slot_indexes in families_for_slot(r):
-            for in_labels, outs in table.entries.items():
-                specs = [index.get(l) for index, l in zip(slot_indexes, in_labels)]
-                if not all(specs):
-                    continue
-                for fill_key, inputs, c in _fill_slots(specs, k_top, lam_top - lam0):
-                    if fill_key in lands:
-                        target = lands[fill_key]
-                    else:
-                        key = (fill_key[0], lam0 + fill_key[1], mu0 + fill_key[2])
-                        target = lands[fill_key] = (out.setdefault(key, {})
-                                                    if key in keys else None)
-                    if target is not None:
-                        _add_scaled(target.setdefault(inputs, {}), outs, coeff * c)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # relation checking
 
 def check_relations(alg: OperationSystem, level: int) -> CheckReport:
@@ -154,13 +114,19 @@ def _require(fam: OperationSystem, role: str, A: OperationSystem, B: OperationSy
         raise MalformedMorphismError(f"{role} does not run from A's basis to B's basis")
 
 
+def _tops(keys):
+    """The largest arity and the largest energy of the key set ``keys``."""
+    return (max((k for k, _, _ in keys), default=0),
+            max((lam for _, lam, _ in keys), default=0))
+
+
 def _morphism_defects(f, A, B, producers, keys) -> dict:
     """LHS - RHS of the filtered morphism relation at every key of ``keys``,
     as {(k, lam, mu): {inputs: {out: q}}}; ``producers`` is
     ``_producers_of`` of (f, A)."""
     f_prod, a_prod = producers
     out = _insertion_sum({}, f, A, a_prod, keys)
-    return _block_sum(out, B, lambda r: [[f_prod] * r], keys, -1)
+    return _block_sum(out, B, lambda r: [[f_prod] * r], *_tops(keys), keys, -1)
 
 
 def morphism_defect(f: OperationSystem, A: OperationSystem, B: OperationSystem,
@@ -196,14 +162,7 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
     if f.monoid != g.monoid or f.cutoff != g.cutoff or f.flavor != g.flavor:
         raise MalformedMorphismError("morphisms live over different rings")
     producers = _producers_of(f)
-    acc = defaultdict(dict)  # (k, lam, mu) -> entries
-    for (_, lam0, mu0), table in g.tables.items():
-        for in_labels, outs in table.entries.items():
-            specs = [producers.get(l) for l in in_labels]
-            if not all(specs):
-                continue
-            for (k, lam, mu), inputs, coeff in _fill_slots(specs, math.inf, f.cutoff - lam0):
-                _add_scaled(acc[(k, lam0 + lam, mu0 + mu)].setdefault(inputs, {}), outs, coeff)
+    acc = _block_sum({}, g, lambda r: [[producers] * r], math.inf, f.cutoff)
     tables = [OperationTable(k, lam, mu, "morphism", entries)
               for (k, lam, mu), entries in acc.items()]
     return OperationSystem.morphism(f.source, g.target, f.monoid, f.flavor,
@@ -230,7 +189,7 @@ def _homotopy_defects(H, f, g, A, B, producers, keys) -> dict:
         for t in range(r):
             yield [f_prod] * t + [h_prod] + [g_prod] * (r - 1 - t)
 
-    _block_sum(out, B, families, keys, -1)
+    _block_sum(out, B, families, *_tops(keys), keys, -1)
     return _insertion_sum(out, H, A, a_prod, keys, -1)
 
 

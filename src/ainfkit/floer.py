@@ -12,6 +12,7 @@ is truncated at the presentation's energy cutoff.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .gradedcore import (
     OperationSystem,
     OperationTable,
     _add_scaled,
+    _block_sum,
     _fill_slots,
     _linear,
     apply_operation,
@@ -31,6 +33,9 @@ from .gradedcore import (
 from .geomsign import eta_from_phases
 from .novikov import NovikovElement, _term_violations, as_fraction, nov_valuation
 from .novmat import NovMatrix, _fold, smith_valuations
+
+MAX_SIGNED_SUMS = 10_000  # per entry of legendrian_validate
+
 
 # ---------------------------------------------------------------------------
 # presentations
@@ -192,37 +197,19 @@ def _check_twistable(alg, b):
     return min_val
 
 
-def _slot_specs(space, b):
-    """The slot specs of the b-insertions, one per label of ``space``:
-    {(1, 0, 0): the label itself, (0, l, m): one term of b at that label}."""
+def _insert_b(sys, b, k_budget=math.inf):
+    """Every insertion of b into the stored tables of ``sys``: each slot of a
+    stored entry takes b (one producer per term of b) or an external input,
+    with at most ``k_budget`` external slots, up to the cutoff.  Returns
+    {(k, lam, mu): {external inputs: {out: q}}} with k the number of
+    external slots."""
     slots = {}
-    for label in space.labels:
+    for label in sys.source.labels:
         spec = slots[label] = {(1, 0, 0): [((label,), 1)]}
         if label in b:
             for c, l, m in b[label].terms:
                 spec[(0, l, m)] = [((), c)]
-    return slots
-
-
-def _twist_tables(sys, slots, max_ext=math.inf):
-    """Every insertion of b into the stored tables of ``sys``.
-
-    ``slots`` are b's ``_slot_specs``.  Each slot of a stored entry takes
-    either b or an external input, with at most ``max_ext`` external slots; a
-    branch stops once its energy passes the cutoff.  Returns {(k, lam, mu):
-    {external inputs: {out: q}}} with k the number of external slots.
-    """
-    acc = {}
-    for (_, lam0, mu0), table in sys.tables.items():
-        budget = sys.cutoff - lam0
-        if budget < 0:
-            continue
-        for in_labels, outs in table.entries.items():
-            specs = [slots[label] for label in in_labels]
-            for (k, l, m), ext, coeff in _fill_slots(specs, max_ext, budget):
-                _add_scaled(acc.setdefault((k, lam0 + l, mu0 + m), {})
-                            .setdefault(ext, {}), outs, coeff)
-    return acc
+    return _block_sum({}, sys, lambda r: [[slots] * r], k_budget, sys.cutoff)
 
 
 def _twist_monoid(alg, b):
@@ -243,13 +230,10 @@ def twist(alg: OperationSystem, b) -> OperationSystem:
     """
     b = _element_of(b)
     _check_twistable(alg, b)
-    acc = _twist_tables(alg, _slot_specs(alg.source, b))
-    tables = [
-        OperationTable(k, lam, mu, "algebra", {i: o for i, o in e.items() if o})
-        for (k, lam, mu), e in acc.items()
-    ]
+    tables = [OperationTable(k, lam, mu, "algebra", e)
+              for (k, lam, mu), e in _insert_b(alg, b).items()]
     out = OperationSystem.algebra(alg.source, _twist_monoid(alg, b), alg.flavor,
-                                  alg.cutoff, [t for t in tables if t.entries])
+                                  alg.cutoff, tables)
     report = validate_gapped(out)
     if not report.ok:
         raise AinfError(f"twist output failed gapped validation: {report}")
@@ -260,8 +244,7 @@ def mc_residual(alg: OperationSystem, b):
     """(sum_k m_k(b, ..., b), verified-zero flag), truncated at the cutoff."""
     b = _element_of(b)
     _check_twistable(alg, b)
-    residual = _fold(_twist_tables(alg, _slot_specs(alg.source, b), 0), 0, alg.flavor,
-                     alg.cutoff).get((), {})
+    residual = _fold(_insert_b(alg, b, 0), 0, alg.flavor, alg.cutoff).get((), {})
     return residual, vec_is_zero(residual)
 
 
@@ -443,7 +426,7 @@ def gauge_act(j: OperationSystem, b, target_alg: OperationSystem = None):
     bc = b if isinstance(b, BoundingCochain) else BoundingCochain(_element_of(b))
     b = _element_of(b)
     _check_twistable(j, b)
-    tables = _twist_tables(j, _slot_specs(j.source, b), 1)
+    tables = _insert_b(j, b, 1)
     jb = _fold(tables, 0, j.flavor, j.cutoff).get((), {})
     transport = NovMatrix.from_linear_tables(j, tables)
     vals = [nov_valuation(v) for v in jb.values()]
@@ -751,7 +734,7 @@ def rescale_regrade(pres: LagrangianPresentation, assignments: dict,
         gens += [(lam, mu) for (k, lam, mu) in new_tables if lam > 0]
         monoid = EnergyMonoid.make(gens)
         tables = [OperationTable(k, lam, mu, "algebra", e)
-                  for (k, lam, mu), e in new_tables.items() if e]
+                  for (k, lam, mu), e in new_tables.items()]
         space2 = presentation_space(pres.n, pres.homology_ranks, new_points,
                                     pres.label_prefix)
         alg2 = OperationSystem.algebra(space2, monoid, pres.algebra.flavor,
@@ -797,6 +780,9 @@ def legendrian_validate(pres: LagrangianPresentation) -> LegendrianReport:
 
     The sign choice per double point reflects the two orientations of the
     fibre arc (a versus 1 - a, which agree mod Z); the search is exhaustive.
+    An entry that reads and writes labels with a-values m_1, ..., m_r times
+    has at most (m_1 + 1) ... (m_r + 1) signed sums; past MAX_SIGNED_SUMS
+    the document is refused.
     """
     violations = []
     a_of = {}
@@ -811,7 +797,12 @@ def legendrian_validate(pres: LagrangianPresentation) -> LegendrianReport:
     for (k, lam, mu), t in pres.algebra.tables.items():
         for inputs, outs in t.entries.items():
             for out_label in outs:
-                offsets = [a_of[l] for l in list(inputs) + [out_label] if l in a_of]
+                labels = [l for l in (*inputs, out_label) if l in a_of]
+                if math.prod(m + 1 for m in Counter(labels).values()) > MAX_SIGNED_SUMS:
+                    raise AinfError(
+                        f"entry -> {out_label} at (k={k}, lam={lam}, mu={mu}) has more "
+                        f"than {MAX_SIGNED_SUMS} signed sums of a-offsets")
+                offsets = [a_of[l] for l in labels]
                 if _lattice_member(lam, offsets, unit_flavor):
                     continue
                 violations.append(
@@ -822,11 +813,11 @@ def legendrian_validate(pres: LagrangianPresentation) -> LegendrianReport:
 
 
 def _lattice_member(lam, offsets, unit_flavor):
-    def go(idx, value):
-        if idx == len(offsets):
-            if value.denominator != 1:
-                return False
-            return True if unit_flavor else value >= 0
-        return go(idx + 1, value - offsets[idx]) or go(idx + 1, value + offsets[idx])
-
-    return go(0, as_fraction(lam))
+    """Is lam plus some signed sum of ``offsets`` an integer (a nonnegative
+    one unless ``unit_flavor``)?  The reachable sums are one set, and an
+    offset repeated m times adds its m + 1 signed multiples at once, so it
+    costs a factor m + 1 and not 2^m."""
+    sums = {lam}
+    for a, m in Counter(offsets).items():
+        sums = {s + (m - 2 * j) * a for s in sums for j in range(m + 1)}
+    return any(s.denominator == 1 and (unit_flavor or s >= 0) for s in sums)

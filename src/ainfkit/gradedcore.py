@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import DegreeError, NotAComplexError, NotInMonoidError, UnknownBasisError
+from .errors import (DegreeError, IncompatibleRingError, NotAComplexError,
+                     NotInMonoidError, UnknownBasisError)
 from .gapped import EnergyMonoid
 from .novikov import NovikovElement, as_fraction, nov_add, nov_mul
 
@@ -308,9 +309,11 @@ def apply_operation(sys: OperationSystem, k: int, inputs) -> dict:
     if len(inputs) != k:
         raise ValueError(f"expected {k} inputs, got {len(inputs)}")
     for vec in inputs:
-        for label in vec:
+        for label, coeff in vec.items():
             if not sys.source.has(label):
                 raise UnknownBasisError(label)
+            if coeff.flavor != sys.flavor or coeff.cutoff != sys.cutoff:
+                raise IncompatibleRingError(f"coefficient ring mismatch on {label}")
     out = {}
     for (kk, lam, mu), table in sys.tables.items():
         if kk != k:
@@ -378,6 +381,46 @@ def _insertion_sum(out: dict, outer: OperationSystem, inner: OperationSystem,
                                             out_outer, sign * q_in)
                 if degree(slot_label) % 2:
                     sign = -sign
+    return out
+
+
+_UNSEEN = object()
+
+
+def _block_sum(out: dict, outer: OperationSystem, families, k_budget, lam_budget,
+               keys=None, coeff=1) -> dict:
+    """out[key] += coeff * sum outer_r(filling of every slot)
+
+    over the stored entries of ``outer`` and every filling of their slots
+    whose arities sum to at most ``k_budget`` and whose energy, with the
+    entry's, is at most ``lam_budget``; ``out`` is {(k, lam, mu): {inputs:
+    {out: q}}}, and a filling adds at the outer key plus the filling key, if
+    ``keys`` is None or that key is in the set ``keys``.  ``families(r)``
+    yields one or more lists of r slot indexes {label: ``_fill_slots``
+    spec}, one per slot: all slots f for a composition or a morphism
+    relation, one list per position of the H-block for a homotopy, b's
+    insertions for a twist.  Each entry builds its slot specs once per list
+    and makes one ``_fill_slots`` walk.
+    """
+    for (r, lam0, mu0), table in outer.tables.items():
+        budget = lam_budget - lam0
+        if budget < 0:
+            continue
+        lands = {}  # filling key -> the table it lands on, or None
+        for slot_indexes in families(r):
+            for in_labels, outs in table.entries.items():
+                specs = list(map(dict.get, slot_indexes, in_labels))
+                if None in specs:
+                    continue
+                for fill_key, inputs, c in _fill_slots(specs, k_budget, budget):
+                    target = lands.get(fill_key, _UNSEEN)
+                    if target is _UNSEEN:
+                        key = (fill_key[0], lam0 + fill_key[1], mu0 + fill_key[2])
+                        target = lands[fill_key] = (out.setdefault(key, {})
+                                                    if keys is None or key in keys else None)
+                    if target is not None:
+                        _add_scaled(target.setdefault(inputs, {}), outs,
+                                    c if coeff == 1 else coeff * c)
     return out
 
 

@@ -26,6 +26,7 @@ needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .gradedcore import (
     _add_scaled,
     _apply,
     _apply_each,
+    _block_sum,
     _check_square_zero,
     _fill_slots,
     _linear,
@@ -431,12 +433,8 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
             n_entries = _apply_each(split.project, s)
         else:
             continue
-        n_entries = {i: o for i, o in n_entries.items() if o}
-        i_entries = {i: o for i, o in i_entries.items() if o}
-        if n_entries:
-            n_tables.append(OperationTable(k, key[0], key[1], "algebra", n_entries))
-        if i_entries:
-            i_tables.append(OperationTable(k, key[0], key[1], "morphism", i_entries))
+        n_tables.append(OperationTable(k, key[0], key[1], "algebra", n_entries))
+        i_tables.append(OperationTable(k, key[0], key[1], "morphism", i_entries))
     model = OperationSystem.algebra(split.b_space, alg.monoid, alg.flavor,
                                     alg.cutoff, n_tables)
     incl = OperationSystem.morphism(split.b_space, alg.source, alg.monoid,
@@ -573,17 +571,10 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
         for c, l, m in entry.terms:
             slots.setdefault(b_label, {}).setdefault(
                 (1, l, m + delta // 2), []).append(((d_label,), c))
-    q_tables = {}
-    for (k, lam, mu), table in incl.tables.items():
-        for inputs, outs in table.entries.items():
-            specs = [slots.get(b) for b in inputs]
-            if not all(specs):
-                continue
-            for (_, l, m), d_inputs, coeff in _fill_slots(specs, k, p.cutoff - lam):
-                _add_scaled(q_tables.setdefault((k, lam + l, mu + m), {})
-                            .setdefault(d_inputs, {}), outs, coeff)
+    # every slot spec has arity 1, so the arity budget is never reached
+    q_tables = _block_sum({}, incl, lambda r: [[slots] * r], math.inf, p.cutoff)
     tables = [OperationTable(k, lam, mu, "morphism", e)
-              for (k, lam, mu), e in q_tables.items() if e]
+              for (k, lam, mu), e in q_tables.items()]
     q = OperationSystem.morphism(D.source, A.source, p.monoid, p.flavor,
                                  p.cutoff, tables)
     return q

@@ -32,7 +32,9 @@ from ainfkit.gradedcore import (
     _fill_slots,
     _nonzero,
     _producers_of,
+    apply_operation,
     relation_defect,
+    vec_add,
 )
 from ainfkit.novikov import nov_add
 from conftest import (
@@ -525,6 +527,51 @@ def test_compose_associative_mod_cutoff(rng):
         assert (ta.entries if ta else {}) == (tb.entries if tb else {}), key
 
 
+def _splits(n, r):
+    """Every cut of n inputs into r consecutive blocks, empty ones included,
+    as the tuple of block lengths."""
+    if r == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in _splits(n - first, r - 1):
+            yield (first, *rest)
+
+
+def brute_force_compose(g, f, labels):
+    """(g o f) on the basis vectors ``labels`` by ``apply_operation``: the
+    sum over g's arities r and the cuts of ``labels`` into r blocks, empty
+    blocks (f_0) included, of g_r(f(block_1), ..., f(block_r))."""
+    basis = [{l: unit(f.flavor, f.cutoff)} for l in labels]
+    total = {}
+    for r in sorted({k for k, _, _ in g.tables}):
+        for lengths in _splits(len(labels), r):
+            slots, start = [], 0
+            for length in lengths:
+                slots.append(apply_operation(f, length, basis[start:start + length]))
+                start += length
+            total = vec_add(total, apply_operation(g, r, slots))
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([((1, 0),), ((1, 0), (F(1, 2), 1)), ((F(1, 2), 0),)]))
+def test_compose_matches_block_splittings(seed, generators):
+    # random morphisms with f_0 and arity-2 components, composed on every
+    # input tuple of basis vectors up to the largest arity of g o f
+    rng = random.Random(seed)
+    monoid = EnergyMonoid.make(generators)
+    f, g = (random_operations(rng, MIXED, monoid, "morphism", cutoff=F(2), draws=10,
+                              kmax=2) for _ in range(2))
+    gf = compose_morphisms(g, f)
+    for k in range(5):
+        for labels in itertools.product(MIXED.labels, repeat=k):
+            basis = [{l: unit("nov0", F(2))} for l in labels]
+            assert apply_operation(gf, k, basis) == brute_force_compose(g, f, labels)
+
+
 def test_bar_transport_intertwines_differentials(rng):
     alg = checked(two_generator_algebra())
     twisted, f = _random_morphism(rng, alg)
@@ -590,7 +637,7 @@ def test_checks_index_producers_once_per_check(monkeypatch):
     """Each check indexes each family's producers once and walks each stored
     entry of B once per H-slot position (once for a morphism), however many
     budgeted keys it checks."""
-    from ainfkit import ainfty
+    from ainfkit import ainfty, gradedcore
     calls = Counter()
 
     def counted(name, fn):
@@ -599,8 +646,8 @@ def test_checks_index_producers_once_per_check(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_producers_of", "_fill_slots"):
-        monkeypatch.setattr(ainfty, name, counted(name, getattr(ainfty, name)))
+    for module, name in ((ainfty, "_producers_of"), (gradedcore, "_fill_slots")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     alg = heisenberg_algebra()
     f = identity_morphism(alg)
     entries = sum(len(t.entries) for t in alg.tables.values())

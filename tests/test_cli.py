@@ -611,6 +611,41 @@ def test_filtered_trees_past_the_count_bound_exit_2_at_once(capsys):
         capsys.readouterr().err
 
 
+def _legendrian_doc(inputs, output="p:q"):
+    """PRESENTATION_DOC plus the double points r:s (a = 1/5, degree 0) and
+    s:r, with one algebra entry ``inputs`` -> ``output`` at energy 1/2."""
+    return dict(PRESENTATION_DOC, monoid=[["1/2", 0]], double_points=[
+        *PRESENTATION_DOC["double_points"],
+        {"p_minus": "r", "p_plus": "s", "eta": 1, "a_value": "1/5"},
+        {"p_minus": "s", "p_plus": "r", "eta": 2, "a_value": "4/5"},
+    ], tables=[{"k": len(inputs), "lam": "1/2", "mu": 0, "role": "algebra", "entries": [
+        {"inputs": inputs, "output": output, "coeff": "1"}]}])
+
+
+def test_legendrian_check_on_a_repeated_label_is_fast(capsys, monkeypatch):
+    # 2^22 sign choices, but 23 distinct signed sums
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_legendrian_doc(["q:p"] * 21))))
+    start = time.perf_counter()
+    assert ainfkit.cli.main(["legendrian-check", "--machine"]) == 1
+    assert time.perf_counter() - start < 1
+    offsets = ", ".join(["Fraction(2, 3)"] * 21 + ["Fraction(1, 3)"])
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        f"energy 1/2 at (k=21, mu=0) entry {tuple(['q:p'] * 21)} -> p:q misses the "
+        f"integer lattice for offsets [{offsets}]"]
+
+
+def test_legendrian_check_past_the_signed_sum_bound_exits_2(capsys, monkeypatch):
+    # 100 * 100 * 2 > 10000 signed sums
+    doc = _legendrian_doc(["q:p"] * 99 + ["r:s"] * 99)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    assert ainfkit.cli.main(["legendrian-check"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry -> p:q at (k=198, lam=1/2, mu=0) has more than "
+                          "10000 signed sums") and "Traceback" not in err
+
+
 def test_trees_at_the_largest_allowed_k(capsys):
     assert ainfkit.cli.main(["trees", "--k", "10", "--machine"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 103_049

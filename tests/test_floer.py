@@ -247,7 +247,7 @@ def _insertion_counts(alg):
     certifying residual, the b-insertions of one mc_residual of a certified
     result).  An insertion fills at least one slot: an m_0 entry is counted
     by neither, since the solver reads it without filling slots."""
-    from ainfkit import floer
+    from ainfkit import floer, gradedcore
     count, marks = [0], []
     fill, residual = floer._fill_slots, floer.mc_residual
 
@@ -262,6 +262,7 @@ def _insertion_counts(alg):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(floer, "_fill_slots", counted_fill)
+        mp.setattr(gradedcore, "_fill_slots", counted_fill)
         mp.setattr(floer, "mc_residual", marked_residual)
         sol = mc_solve(alg)
         if not isinstance(sol, BoundingCochain):
@@ -352,10 +353,10 @@ def test_every_rational_out_is_canonical(alg):
 def test_mc_solve_computes_the_full_residual_once(monkeypatch):
     from ainfkit import floer
     calls, walks = [], []
-    original, walk = floer.mc_residual, floer._twist_tables
+    original, walk = floer.mc_residual, floer._insert_b
     monkeypatch.setattr(floer, "mc_residual",
                         lambda alg, b: calls.append(b) or original(alg, b))
-    monkeypatch.setattr(floer, "_twist_tables",
+    monkeypatch.setattr(floer, "_insert_b",
                         lambda *args: walks.append(args) or walk(*args))
     sol = mc_solve(two_generator_algebra())
     assert sol.certified and len(calls) == 1 and len(walks) == 1
@@ -1011,6 +1012,18 @@ def test_legendrian_requires_a_values():
     pres = make_presentation(3, {}, points, G, "novN", F(3))
     report = legendrian_validate(pres)
     assert not report.ok and "no a-value" in report.violations[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-2, 3, max_denominator=6),
+       st.lists(st.sampled_from([F(1, 3), F(2, 3), F(1, 2), F(1, 6), F(3, 4)]), max_size=7),
+       st.booleans())
+def test_lattice_member_matches_every_sign_choice(lam, offsets, unit_flavor):
+    from ainfkit.floer import _lattice_member
+    sums = (lam + sum(s * a for s, a in zip(signs, offsets))
+            for signs in itertools.product((1, -1), repeat=len(offsets)))
+    want = any(s.denominator == 1 and (unit_flavor or s >= 0) for s in sums)
+    assert _lattice_member(lam, offsets, unit_flavor) == want
 
 
 def test_hf_stabilization_flag_fires():

@@ -18,7 +18,8 @@ from ainfkit import (
     cohomology_ranks,
     relation_defect,
 )
-from ainfkit.errors import DegreeError, NotAComplexError, UnknownBasisError
+from ainfkit.errors import (DegreeError, IncompatibleRingError, NotAComplexError,
+                            UnknownBasisError)
 from ainfkit.gradedcore import _apply, _fill_slots
 from conftest import (
     random_complex,
@@ -91,6 +92,19 @@ def test_apply_operation_sums_over_keys():
     out = apply_operation(alg, 2, [x, x])
     assert out == {"z": NovikovElement.monomial(1, 0, 0, "nov0", E),
                    "w": NovikovElement.monomial(1, 1, 0, "nov0", E)}
+
+
+def test_apply_operation_refuses_inputs_over_another_ring():
+    # the identity at cutoff 2 on x = 1 + T^4 over cutoff 5, or over cy0
+    space = GradedSpace.make([("x", 0), ("y", 0)])
+    ident = OperationSystem.morphism(space, space, G, "nov0", F(2), [
+        OperationTable(1, F(0), 0, "morphism", {("x",): {"y": F(1)}})])
+    for flavor, cutoff in (("nov0", F(5)), ("cy0", F(2))):
+        x = NovikovElement.make([(1, 0, 0), (1, 4, 0)], flavor, cutoff)
+        with pytest.raises(IncompatibleRingError):
+            apply_operation(ident, 1, [{"x": x}])
+    x = NovikovElement.make([(1, 0, 0), (1, 4, 0)], "nov0", F(2))
+    assert apply_operation(ident, 1, [{"x": x}]) == {"y": x}
 
 
 def test_apply_operation_unknown_label():
