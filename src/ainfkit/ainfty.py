@@ -130,12 +130,10 @@ def _morphism_defects(f, A, B, producers, keys) -> dict:
 
 
 def morphism_defect(f: OperationSystem, A: OperationSystem, B: OperationSystem,
-                    k, lam, mu, producers=None) -> dict:
+                    k, lam, mu) -> dict:
     """LHS - RHS of the filtered morphism relation at one key, as a table
-    {inputs: {out: q}}.  ``producers`` is ``_producers_of`` of (f, A), passed
-    by a caller that checks many keys."""
-    if producers is None:
-        producers = (_producers_of(f), _producers_of(A))
+    {inputs: {out: q}}."""
+    producers = (_producers_of(f), _producers_of(A))
     key = (k, as_fraction(lam), mu)
     return _nonzero(_morphism_defects(f, A, B, producers, {key}).get(key, {}))
 
@@ -149,10 +147,9 @@ def check_morphism(f: OperationSystem, A: OperationSystem, B: OperationSystem,
 
 
 def identity_morphism(A: OperationSystem) -> OperationSystem:
-    entries = {(l,): {l: 1} for l, _ in A.source.basis}
-    t = OperationTable(1, 0, 0, "morphism", entries)
-    return OperationSystem.morphism(A.source, A.target, A.monoid, A.flavor,
-                                    A.cutoff, [t])
+    ident = {(1, 0, 0): {(l,): {l: 1} for l in A.source.labels}}
+    return OperationSystem._built(A.source, A.source, A.monoid, A.flavor, A.cutoff,
+                                  "morphism", ident)
 
 
 def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem:
@@ -161,12 +158,12 @@ def compose_morphisms(g: OperationSystem, f: OperationSystem) -> OperationSystem
         raise MalformedMorphismError("chain mismatch: target(f) != source(g)")
     if f.monoid != g.monoid or f.cutoff != g.cutoff or f.flavor != g.flavor:
         raise MalformedMorphismError("morphisms live over different rings")
+    if f.role != "morphism" or g.role != "morphism":
+        raise MalformedMorphismError("only morphisms compose")
     producers = _producers_of(f)
     acc = _block_sum({}, g, lambda r: [[producers] * r], math.inf, f.cutoff)
-    tables = [OperationTable(k, lam, mu, "morphism", entries)
-              for (k, lam, mu), entries in acc.items()]
-    return OperationSystem.morphism(f.source, g.target, f.monoid, f.flavor,
-                                    f.cutoff, tables)
+    return OperationSystem._built(f.source, g.target, f.monoid, f.flavor, f.cutoff,
+                                  "morphism", acc)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +191,10 @@ def _homotopy_defects(H, f, g, A, B, producers, keys) -> dict:
 
 
 def homotopy_defect(H: OperationSystem, f: OperationSystem, g: OperationSystem,
-                    A: OperationSystem, B: OperationSystem, k, lam, mu,
-                    producers=None) -> dict:
+                    A: OperationSystem, B: OperationSystem, k, lam, mu) -> dict:
     """f_k - g_k - (block sum with one H-slot) - (signed m-insertions into H)
-    at one key, as a table {inputs: {out: q}}.  ``producers`` is
-    ``_producers_of`` of (f, g, H, A), passed by a caller that checks many
-    keys."""
-    if producers is None:
-        producers = [_producers_of(fam) for fam in (f, g, H, A)]
+    at one key, as a table {inputs: {out: q}}."""
+    producers = [_producers_of(fam) for fam in (f, g, H, A)]
     key = (k, as_fraction(lam), mu)
     return _nonzero(_homotopy_defects(H, f, g, A, B, producers, {key}).get(key, {}))
 

@@ -274,8 +274,8 @@ def parse_document(data: dict) -> PresentationDocument:
         points = _double_points_from_json(data.get("double_points", []), "double_points")
         tables = _tables_from_json(data.get("tables", []), "algebra", "tables")
         try:
-            payload = make_presentation(n, ranks, points, monoid, flavor, cutoff,
-                                        tables, prefix=data.get("prefix", ""))
+            payload = make_presentation(n, ranks, points, monoid, flavor, cutoff, tables,
+                                        prefix=_json_string(data.get("prefix", ""), "prefix"))
         except (ValueError, AinfError) as exc:
             raise DocumentError(str(exc))
         space = payload.space

@@ -115,7 +115,11 @@ MAX_GENERATORS = 100_000
 
 
 def presentation_space(n, homology_ranks, double_points, prefix="") -> GradedSpace:
-    if sum(r for r in homology_ranks.values() if r > 0) > MAX_GENERATORS:
+    if n < 0:
+        raise ValueError(f"ambient dimension {n} < 0")
+    if min(homology_ranks.values(), default=0) < 0:
+        raise ValueError(f"negative homology rank in {homology_ranks}")
+    if sum(homology_ranks.values()) > MAX_GENERATORS:
         raise ValueError(f"more than {MAX_GENERATORS} homology generators")
     basis = []
     for d_h in sorted(homology_ranks):
@@ -128,15 +132,15 @@ def presentation_space(n, homology_ranks, double_points, prefix="") -> GradedSpa
 
 def make_presentation(n, homology_ranks, double_points, monoid, flavor, cutoff,
                       tables=(), prefix="") -> LagrangianPresentation:
-    _validate_double_points(n, list(double_points))
     space = presentation_space(n, homology_ranks, double_points, prefix)
+    _validate_double_points(n, list(double_points))
     alg = OperationSystem.algebra(space, monoid, flavor, cutoff, tables)
     return LagrangianPresentation(n, dict(homology_ranks), list(double_points),
                                   alg, prefix)
 
 
-def whitney_preset(n: int, flavor="cy0", cutoff=2, generators=((1, 0),),
-                   exact=None) -> LagrangianPresentation:
+def whitney_preset(n: int, flavor="cy0", cutoff=2,
+                   generators=((1, 0),)) -> LagrangianPresentation:
     """The immersed-sphere presentation: sphere homology, one double point
     pair with phase data (-1/4, ..., -1/4) against (5/4, 1/4, ..., 1/4).
 
@@ -228,12 +232,12 @@ def twist(alg: OperationSystem, b) -> OperationSystem:
     is the Maurer-Cartan residual, so the twist is strict iff b is a bounding
     cochain.
     """
+    if alg.role != "algebra":
+        raise AinfError(f"twist needs an algebra, not a {alg.role}")
     b = _element_of(b)
     _check_twistable(alg, b)
-    tables = [OperationTable(k, lam, mu, "algebra", e)
-              for (k, lam, mu), e in _insert_b(alg, b).items()]
-    out = OperationSystem.algebra(alg.source, _twist_monoid(alg, b), alg.flavor,
-                                  alg.cutoff, tables)
+    out = OperationSystem._built(alg.source, alg.source, _twist_monoid(alg, b),
+                                 alg.flavor, alg.cutoff, "algebra", _insert_b(alg, b))
     report = validate_gapped(out)
     if not report.ok:
         raise AinfError(f"twist output failed gapped validation: {report}")
@@ -625,20 +629,13 @@ def sector_project(union: LagrangianPresentation, sector: str):
     if sector not in ("AA", "BB", "AB", "BA"):
         raise ValueError(f"unknown sector {sector!r}")
     keep = {l for l, tag in union.sectors.items() if tag == sector}
-    basis = [(l, d) for l, d in union.space.basis if l in keep]
-    tables = []
-    for (k, lam, mu), t in union.algebra.tables.items():
-        entries = {}
-        for inputs, outs in t.entries.items():
-            if all(l in keep for l in inputs):
-                outs2 = {l: c for l, c in outs.items() if l in keep}
-                if outs2:
-                    entries[inputs] = outs2
-        if entries:
-            tables.append(OperationTable(k, lam, mu, "algebra", entries))
-    return OperationSystem.algebra(GradedSpace.make(basis), union.algebra.monoid,
-                                   union.algebra.flavor, union.algebra.cutoff,
-                                   tables)
+    space = GradedSpace.make([(l, d) for l, d in union.space.basis if l in keep])
+    alg = union.algebra
+    tables = {key: {inputs: {l: c for l, c in outs.items() if l in keep}
+                    for inputs, outs in t.entries.items() if all(l in keep for l in inputs)}
+              for key, t in alg.tables.items()}
+    return OperationSystem._built(space, space, alg.monoid, alg.flavor, alg.cutoff,
+                                  "algebra", tables)
 
 
 # ---------------------------------------------------------------------------

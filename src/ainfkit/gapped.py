@@ -204,8 +204,9 @@ def validate_gapped(alg) -> GappedReport:
     """Check (ii) m_0^{0,0} = 0.
 
     (i), every key lies in G, and (iii), every degree shift holds, are
-    enforced by the OperationSystem constructor; (ii) is the one condition
-    that a system can be built without.
+    enforced by the OperationSystem constructor, or hold by construction in
+    a system the library builds; (ii) is the one condition a system can be
+    built without.
     """
     t = alg.tables.get((0, 0, 0))
     failures = ["(ii) m_0^{0,0} != 0"] if t is not None and t.entries else []
@@ -214,8 +215,7 @@ def validate_gapped(alg) -> GappedReport:
 
 def truncate_level(alg, level: int):
     """Keep exactly the tables with norm((lam, mu)) + k - 1 <= level."""
-    kept = [
-        t for (k, lam, mu), t in alg.tables.items()
-        if budget_admits(alg.monoid, (lam, mu), k, level)
-    ]
-    return alg.with_tables(kept)
+    kept = {(k, lam, mu): t.entries for (k, lam, mu), t in alg.tables.items()
+            if budget_admits(alg.monoid, (lam, mu), k, level)}
+    return type(alg)._built(alg.source, alg.target, alg.monoid, alg.flavor,
+                            alg.cutoff, alg.role, kept)

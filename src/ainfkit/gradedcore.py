@@ -172,6 +172,7 @@ def _fill_slots(specs, k_budget, lam_budget, total=None):
                             yield total, inputs + ins + ins2, c * q2
 
     yield from go(0, 0, 0, 0, (), None)
+    del go  # go reaches itself through its closure: free the cycle now, not in a GC pass
 
 
 def _linear(table) -> dict:
@@ -198,11 +199,9 @@ class OperationTable:
         self.lam = as_fraction(self.lam)
         if self.role not in ROLE_SHIFT:
             raise ValueError(f"unknown role {self.role!r}")
-        self.entries = {
-            tuple(k): {o: as_fraction(c) for o, c in v.items() if c}
-            for k, v in self.entries.items()
-        }
-        self.entries = {k: v for k, v in self.entries.items() if v}
+        entries = ((tuple(k), {o: as_fraction(c) for o, c in v.items() if c})
+                   for k, v in self.entries.items())
+        self.entries = {k: v for k, v in entries if v}
 
     @property
     def key(self):
@@ -259,6 +258,20 @@ class OperationSystem:
             if table.entries:
                 fixed[table.key] = table
         self.tables = fixed
+
+    @classmethod
+    def _built(cls, source, target, monoid, flavor, cutoff, role, tables):
+        """A system from tables {(k, lam, mu): {inputs: {out: q}}} that the
+        library built, valid by construction: coefficients are made canonical
+        and empty entries, empty tables and tables past the cutoff dropped,
+        but nothing is checked.  Outside data goes through the constructor."""
+        out = cls.__new__(cls)
+        out.source, out.target, out.monoid = source, target, monoid
+        out.flavor, out.cutoff, out.role = flavor, cutoff, role
+        built = (OperationTable(k, lam, mu, role, entries)
+                 for (k, lam, mu), entries in tables.items() if lam <= cutoff)
+        out.tables = {t.key: t for t in built if t.entries}
+        return out
 
     # -- convenience ------------------------------------------------------
 
@@ -429,22 +442,19 @@ def _nonzero(table: dict) -> dict:
     return {inputs: outs for inputs, outs in table.items() if outs}
 
 
-def relation_defect(alg: OperationSystem, k: int, lam, mu, producers=None) -> dict:
+def relation_defect(alg: OperationSystem, k: int, lam, mu) -> dict:
     """Left side of the filtered A-infinity relation at (k, lam, mu).
 
     Returns the defect as a table in the library's one sparse format,
     {input tuple: {output label: coeff}}; the relation at this key holds iff
     the table is empty.  Assembled by stitching pairs of stored table entries
-    through the output-label index ``producers`` (``_producers_of(alg)``,
-    passed by a caller that checks many keys), so the cost follows the pairs
-    of entries that actually compose, not basis^k.
+    through their output-label index (``_producers_of``), so the cost follows
+    the pairs of entries that actually compose, not basis^k.
     """
     if alg.role != "algebra":
         raise ValueError("relation_defect needs an algebra")
-    if producers is None:
-        producers = _producers_of(alg)
     key = (k, as_fraction(lam), mu)
-    return _nonzero(_insertion_sum({}, alg, alg, producers, {key}).get(key, {}))
+    return _nonzero(_insertion_sum({}, alg, alg, _producers_of(alg), {key}).get(key, {}))
 
 
 def cohomology_ranks(space: GradedSpace, d_table: OperationTable) -> dict:

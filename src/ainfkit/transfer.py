@@ -396,10 +396,14 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     B-space and i is the inclusion morphism.  With the default splitting
     (cohomology representatives) n_1^{0,0} = 0, so the model is minimal.
     Admissible output keys: norm + k - 1 <= level if ``level`` is given,
-    otherwise all monoid keys up to the cutoff with k <= kmax.
+    otherwise all monoid keys up to the cutoff with k <= kmax.  The model is
+    built unchecked, so a given ``split`` must come from ``splitting`` or
+    ``splitting_for_projection``, whose splittings make it valid.
     """
     if level is None and kmax is None:
         raise ValueError("need an A_{N,0} level or an arity bound kmax")
+    if alg.role != "algebra":
+        raise AinfError(f"minimal_model needs an algebra, not a {alg.role}")
     split = split or splitting(alg)
     leaf_table = {(b,): dict(vec) for b, vec in split.include.items()}
     edge_matrix = {a: {t: -c for t, c in vec.items()} for a, vec in split.h.items()}
@@ -419,7 +423,7 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     # engine's index, so skipping it changes no later sum
     reachable = _reachable(engine.vertex_keys, kmax if level is None else level + 1,
                            alg.cutoff)
-    n_tables, i_tables = [], []
+    n_tables, i_tables = {}, {}
     for k, key in keys:
         if (k, key) == (1, ZERO_KEY):
             # no tree lands here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0}
@@ -433,13 +437,11 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
             n_entries = _apply_each(split.project, s)
         else:
             continue
-        n_tables.append(OperationTable(k, key[0], key[1], "algebra", n_entries))
-        i_tables.append(OperationTable(k, key[0], key[1], "morphism", i_entries))
-    model = OperationSystem.algebra(split.b_space, alg.monoid, alg.flavor,
-                                    alg.cutoff, n_tables)
-    incl = OperationSystem.morphism(split.b_space, alg.source, alg.monoid,
-                                    alg.flavor, alg.cutoff, i_tables)
-    return model, incl
+        n_tables[(k, *key)] = n_entries
+        i_tables[(k, *key)] = i_entries
+    ring = (alg.monoid, alg.flavor, alg.cutoff)
+    return (OperationSystem._built(split.b_space, split.b_space, *ring, "algebra", n_tables),
+            OperationSystem._built(split.b_space, alg.source, *ring, "morphism", i_tables))
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +642,7 @@ def filtration_splitting(geo: GeometricData, level: int) -> Splitting:
     return _assemble_splitting(space, b_named, c_vecs, dc_vecs)
 
 
-def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
-                       split: Splitting | None = None) -> OperationSystem:
+def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int) -> OperationSystem:
     """Assemble an A_{N,0} algebra from partial geometric tables by decorated
     tree sums with internal-edge weight (-1)^(ambient_parity + 1) H, root
     projection, and identity leaves.
@@ -651,8 +652,7 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int,
     sub-filtration because H vanishes there.
     """
     n_prime = level * (level + 2)
-    if split is None:
-        split = filtration_splitting(geo, level)
+    split = filtration_splitting(geo, level)
     sign = 1 if ambient_parity % 2 else -1
     edge_matrix = {a: {t: sign * c for t, c in vec.items()} for a, vec in split.h.items()}
     leaf_table = {(l,): {l: 1} for l, _ in split.b_space.basis}

@@ -284,3 +284,24 @@ def checked(alg, level=3):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def revalidate_built(monkeypatch):
+    """The oracle of the unchecked constructor: every system the library
+    builds with ``OperationSystem._built`` is built again through the public
+    constructor, which must accept it and keep the same tables.  Yields the
+    list of the systems checked so far."""
+    built = OperationSystem._built.__func__
+    seen = []
+
+    def rebuilt(cls, source, target, monoid, flavor, cutoff, role, tables):
+        out = built(cls, source, target, monoid, flavor, cutoff, role, tables)
+        public = OperationSystem(source, target, monoid, flavor, cutoff, role, {
+            key: OperationTable(*key, role, entries) for key, entries in tables.items()})
+        assert public.tables == out.tables
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(OperationSystem, "_built", classmethod(rebuilt))
+    yield seen

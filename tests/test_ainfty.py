@@ -22,9 +22,10 @@ from ainfkit import (
     is_weak_homotopy_equiv,
     minimal_model,
     splitting,
+    twist,
     whisker_strict,
 )
-from ainfkit.errors import MalformedMorphismError
+from ainfkit.errors import AinfError, DegreeError, MalformedMorphismError, NotInMonoidError
 from ainfkit.ainfty import CheckReport, homotopy_defect, morphism_defect
 from ainfkit.gapped import _budgeted_keys, monoid_elements
 from ainfkit.gradedcore import (
@@ -48,6 +49,10 @@ from conftest import (
     three_generator_algebra,
     two_generator_algebra,
 )
+
+# every system the library builds unchecked is rebuilt through the public
+# constructor (conftest.revalidate_built)
+pytestmark = pytest.mark.usefixtures("revalidate_built")
 
 E = F(3)
 G = EnergyMonoid.make([(1, 0)])
@@ -448,6 +453,28 @@ def test_morphism_defects_match_brute_force(rng):
                 assert defect == brute_force_morphism_defect(f, A, B, k, lam, mu)
                 nonzero += bool(defect)
     assert nonzero >= 10
+
+
+def test_the_oracle_rejects_what_the_constructor_rejects(revalidate_built):
+    alg = heisenberg_algebra()
+    ring = (alg.source, alg.target, alg.monoid, alg.flavor, alg.cutoff, "algebra")
+    with pytest.raises(NotInMonoidError):
+        OperationSystem._built(*ring, {(2, F(1, 2), 0): {("e1", "e2"): {"e12": 1}}})
+    with pytest.raises(DegreeError):
+        OperationSystem._built(*ring, {(1, F(0), 0): {("e1",): {"e1": 1}}})
+    # the identities and their composite are all rebuilt
+    compose_morphisms(identity_morphism(alg), identity_morphism(alg))
+    assert [f.role for f in revalidate_built] == ["morphism"] * 3
+
+
+def test_unchecked_builders_refuse_the_wrong_role():
+    # their output is valid by construction only from inputs of the right role
+    alg = two_generator_algebra()
+    f = identity_morphism(alg)
+    for build in (lambda: twist(f, {}), lambda: minimal_model(f, kmax=2),
+                  lambda: compose_morphisms(alg, f), lambda: compose_morphisms(f, alg)):
+        with pytest.raises(AinfError, match="needs an algebra|only morphisms compose"):
+            build()
 
 
 def test_compose_identity_and_strict():

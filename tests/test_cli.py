@@ -563,12 +563,19 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
      "double_points: must be a JSON array"),
     (["check", "--level", "1"], _with(PRESENTATION_DOC, ("homology_ranks",), []),
      "homology_ranks: must be a JSON object"),
+    (["bc-criteria"], _with(PRESENTATION_DOC, ("homology_ranks", "0"), -1),
+     "negative homology rank in {0: -1}"),
+    (["bc-criteria"], _with(PRESENTATION_DOC, ("ambient_dim",), -3),
+     "ambient dimension -3 < 0"),
+    (["check", "--level", "1"], _with(PRESENTATION_DOC, ("prefix",), 5),
+     "prefix: 5 is not a string"),
 ], ids=["in-missing", "other-missing", "cross-missing", "out-unwritable", "cross-not-json",
         "cross-list", "in-nested-too-deeply",
         "tables", "entries", "morphisms", "basis", "basis-duplicate-label", "monoid",
         "elements", "declared",
         "phases", "negative-cutoff", "exponent-cutoff", "tables-empty-object", "elements-empty-array",
-        "morphisms-false", "double-points-empty-string", "homology-ranks-empty-array"])
+        "morphisms-false", "double-points-empty-string", "homology-ranks-empty-array",
+        "negative-homology-rank", "negative-ambient-dim", "prefix-not-a-string"])
 def test_bad_file_or_document_shape_exits_2(tmp_path, capsys, monkeypatch, args, doc,
                                             message):
     # "{bad}", "{list}" and "{deep}" name files holding invalid JSON, a JSON

@@ -57,6 +57,10 @@ from conftest import (
     unsorted_basis_algebra,
 )
 
+# every system the library builds unchecked is rebuilt through the public
+# constructor (conftest.revalidate_built)
+pytestmark = pytest.mark.usefixtures("revalidate_built")
+
 E = F(3)
 G = EnergyMonoid.make([(1, 0)])
 
@@ -100,6 +104,9 @@ def test_twist_curvature_appears():
     out = twist(alg, b)
     t0 = out.table(0, F(1), 0)
     assert t0.entries == {(): {"y": F(2)}}
+    # a term of b off the monoid enlarges it: the curvature lands at T^(1/2)
+    half = twist(alg, {"x": mono(1, F(1, 2), 0)})
+    assert half.table(0, F(1, 2), 0).entries == {(): {"y": 1}}
 
 
 def test_twist_matches_residual_randomized(rng):
@@ -888,6 +895,8 @@ def test_union_cross_generators_and_sectors():
     assert set(aa.source.labels) == set(presA.space.labels)
     ab = sector_project(union, "AB")
     assert set(ab.source.labels) == {"x:y"}
+    # the BA -> AB differential leaves the BA sector
+    assert sector_project(union, "BA").tables == {}
 
 
 def test_union_product_sector_pattern():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -235,6 +236,20 @@ def test_fill_slots_matches_product_oracle(groups, k_budget, lam_budget, data):
     total = data.draw(st.sampled_from(keys))
     exact = [f for f in every if f[0] == total]
     assert Counter(_fill_slots(specs, total[0], total[1], total)) == Counter(exact)
+
+
+def test_fill_slots_leaves_no_reference_cycle():
+    # a cycle per walk is freed only by a GC pass, and one twist makes
+    # hundreds of walks
+    specs = [{(1, 0, 0): [(("a",), 1)], (0, 1, 0): [((), 2)]}] * 3
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(_fill_slots(specs, 3, 3))) == 8
+        assert len(list(_fill_slots(specs, 3, 3, (2, 1, 0)))) == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zero_space_is_legal():

@@ -103,3 +103,23 @@ def test_fill_slots_has_three_callers():
     found = set().union(*(_scopes(path, _calls_fill_slots)
                           for path in sorted(LIBRARY.glob("*.py"))))
     assert found == FILL_SLOTS_CALLERS
+
+
+# Every caller of the unchecked constructor, as (module, function): the
+# builders whose output is valid by construction once their inputs are.
+# Documents, the public constructors, sector unions, rescaling, geometric
+# assembly and the strict whiskering and inverse keep every check; a new
+# caller fails here until its output is shown valid and it is added.
+BUILT_CALLERS = {("floer", "twist"), ("floer", "sector_project"),
+                 ("transfer", "minimal_model"), ("ainfty", "compose_morphisms"),
+                 ("ainfty", "identity_morphism"), ("gapped", "truncate_level")}
+
+
+def _calls_built(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_built"
+
+
+def test_built_has_six_callers():
+    found = set().union(*(_scopes(path, _calls_built)
+                          for path in sorted(LIBRARY.glob("*.py"))))
+    assert found == BUILT_CALLERS

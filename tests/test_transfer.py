@@ -44,6 +44,10 @@ from conftest import (
     unsorted_basis_algebra,
 )
 
+# every system the library builds unchecked is rebuilt through the public
+# constructor (conftest.revalidate_built)
+pytestmark = pytest.mark.usefixtures("revalidate_built")
+
 E = F(3)
 G = EnergyMonoid.make([(1, 0)])
 
