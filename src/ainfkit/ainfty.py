@@ -210,7 +210,13 @@ def check_homotopy(H: OperationSystem, f: OperationSystem, g: OperationSystem,
 
 def whisker_strict(h: OperationSystem, H: OperationSystem) -> OperationSystem:
     """(h o H)_k = h_1 o H_k for a strict morphism h; a homotopy h∘f => h∘g."""
-    h1 = {(lam, mu): _linear(t) for (kk, lam, mu), t in h.tables.items() if kk == 1}
+    if h.role != "morphism" or any(k != 1 for k, _, _ in h.tables):
+        raise MalformedMorphismError("h is not a strict morphism")
+    if H.role != "homotopy":
+        raise MalformedMorphismError(f"H is a {H.role}, not a homotopy")
+    if H.target.basis != h.source.basis:
+        raise MalformedMorphismError("chain mismatch: target(H) != source(h)")
+    h1 = {(lam, mu): _linear(t) for (_, lam, mu), t in h.tables.items()}
     out = defaultdict(dict)
     for (k, lam, mu), table in H.tables.items():
         for (lam1, mu1), h_map in h1.items():

@@ -88,13 +88,13 @@ def _element_from_json(data, flavor, cutoff, ctx, space=None) -> dict:
         if space is not None and not space.has(label):
             raise DocumentError(f"undeclared label {label!r}", ctx)
         lctx = f"{ctx}.{label}"
-        try:
+        try:  # a term off the ring (NovikovElement.make) is a ValueError too
             parsed = [parse_term(_json_string(t, lctx)) for t in _json_array(terms, lctx)]
+            val = NovikovElement.make(parsed, flavor, cutoff)
         except ZeroDivisionError:
             raise DocumentError("zero denominator in a term", lctx)
         except ValueError as exc:
             raise DocumentError(str(exc), lctx)
-        val = NovikovElement.make(parsed, flavor, cutoff)
         if not val.is_zero():
             out[label] = val
     return out
@@ -237,6 +237,9 @@ class PresentationDocument:
         if self.kind == "presentation":
             return self.payload.algebra
         if self.kind == "system":
+            if self.payload.role != "algebra":
+                raise DocumentError(f"a system document of role {self.payload.role!r} "
+                                    "is no algebra", "role")
             return self.payload
         raise DocumentError(f"a {self.kind} document has no algebra")
 
@@ -342,6 +345,8 @@ def _read_json(path) -> dict:
         raise DocumentError(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"not UTF-8: {exc}", path)
+    except ValueError as exc:  # a NUL in the path
+        raise DocumentError(f"cannot read {path!r}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -502,10 +507,19 @@ def _check(doc, args):
 
 
 def _truncate(doc, args):
-    return 0, document_json(gapped.truncate_level(doc.algebra, args.level))
+    # truncate_level keeps the role, so a system document of any role is cut
+    sys_ = doc.payload if doc.kind == "system" else doc.algebra
+    return 0, document_json(gapped.truncate_level(sys_, args.level))
+
+
+def _level_or_kmax(args):
+    """Refuse, as argparse would, a tree-sum command given no bound."""
+    if args.level is None and args.kmax is None:
+        raise argparse.ArgumentError(None, "one of the arguments --level --kmax is required")
 
 
 def _minimal_model(doc, args):
+    _level_or_kmax(args)
     model, incl = transfer.minimal_model(doc.algebra, level=args.level, kmax=args.kmax)
     result = document_json(model)
     result["inclusion"] = _tables_to_json(incl.tables)
@@ -513,6 +527,7 @@ def _minimal_model(doc, args):
 
 
 def _inverse_strict(doc, args):
+    _level_or_kmax(args)
     p, target_doc = _named(doc.morphisms, args.morphism, "morphism")
     target = target_doc.algebra if target_doc else doc.algebra
     q = transfer.homotopy_inverse_strict(p, doc.algebra, target,
@@ -788,7 +803,7 @@ def _required(flag):
 
 # flags that several commands share; _required(...) where a command needs one
 _LEVEL = ("--level", {"type": _level_arg})
-_KMAX = ("--kmax", {"type": int})
+_KMAX = ("--kmax", {"type": _level_arg})
 _ELEMENT = ("--element", {})
 _MORPHISM = ("--morphism", {"required": True})
 

@@ -6,7 +6,9 @@ class AinfError(Exception):
 
 
 class IncompatibleRingError(AinfError):
-    """Operands live in different Novikov rings (flavor or cutoff mismatch)."""
+    """Operands live in different Novikov rings (flavor or cutoff mismatch),
+    or a term is no element of its ring: an e-power in a cy flavor, or an
+    energy off the novZ/novN lattice."""
 
 
 class NotInvertibleError(AinfError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
-from .errors import AinfError, DivergentTwistError, NotAComplexError
+from .errors import AinfError, DivergentTwistError, IncompatibleRingError, NotAComplexError
 from .gapped import EnergyMonoid, validate_gapped
 from .gradedcore import (
     GradedSpace,
@@ -311,7 +311,7 @@ def mc_solve(alg: OperationSystem):
                 continue
             bad = _term_violations(level, mu, alg.flavor)
             if bad:  # e.g. a novZ table at T^(1/2): the residual is off the ring
-                raise ValueError(bad[0])
+                raise IncompatibleRingError(bad[0])
             if mu not in solvers:
                 solvers[mu] = linalg.solver(d, space.labels_of_degree(-2 * mu))
             sol = solvers[mu]({out: -q for out, q in target.items()})
@@ -516,12 +516,11 @@ def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
     report carries the cutoff and the stabilization flag (see ``HFReport``).
     """
     bc = b if isinstance(b, BoundingCochain) else BoundingCochain(_element_of(b))
-    if not bc.certified:
-        _, ok = mc_residual(pres.algebra, bc.element)
-        if not ok:
-            raise AinfError("bounding cochain is not certified and fails the "
-                            "Maurer-Cartan equation")
     twisted = twist(pres.algebra, bc.element)
+    # the twist's arity-0 tables are m_0^b, the Maurer-Cartan residual
+    if not bc.certified and any(k == 0 for k, _, _ in twisted.tables):
+        raise AinfError("bounding cochain is not certified and fails the "
+                        "Maurer-Cartan equation")
     dmat = NovMatrix.from_linear_tables(twisted)
     if dmat.matmul(dmat).data:
         raise NotAComplexError("twisted differential does not square to zero "

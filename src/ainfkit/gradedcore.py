@@ -243,7 +243,7 @@ class OperationSystem:
             if table.role != self.role:
                 raise ValueError(f"table role {table.role} != system role {self.role}")
             if self.flavor in ("cy", "cy0") and table.mu != 0:
-                raise ValueError(
+                raise IncompatibleRingError(
                     f"flavor violation: e-power {table.mu} in a {self.flavor} system"
                 )
             if table.lam > self.cutoff:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotInvertibleError
+from .errors import IncompatibleRingError, NotInvertibleError
 from .novikov import NovikovElement, _term_violations, as_fraction, nov_add, nov_mul
 
 
@@ -102,31 +102,6 @@ class NovMatrix:
         return out
 
 
-def strip_e_powers(matrix: NovMatrix, row_degree, col_degree, shift: int) -> NovMatrix:
-    """Remove the degree-determined e-powers from a degree-homogeneous matrix.
-
-    For a degree-``shift`` map, the entry col -> row forces
-    mu = (deg(col) + shift - deg(row)) / 2 on every term; multiplying the
-    entry by e^(-mu) is the e-regrade isomorphism, and leaves ranks and
-    torsion unchanged because e is a unit.
-    """
-    out = NovMatrix(matrix.rows, matrix.cols, matrix.flavor, matrix.cutoff)
-    for (r, c), v in matrix.data.items():
-        delta = col_degree(c) + shift - row_degree(r)
-        if delta % 2:
-            raise ValueError(f"entry {c} -> {r} breaks degree parity")
-        mu = delta // 2
-        for coeff, lam, m in v.terms:
-            if m != mu:
-                raise ValueError(
-                    f"entry {c} -> {r} carries e^{m}, expected e^{mu}: not degree-homogeneous"
-                )
-        out.data[(r, c)] = NovikovElement.make(
-            ((coeff, lam, 0) for coeff, lam, _ in v.terms), matrix.flavor, matrix.cutoff
-        )
-    return out
-
-
 def smith_valuations(matrix: NovMatrix):
     """Valuation-aware Smith reduction: pivot on entries of minimal valuation,
     eliminate with ratios that stay in the valuation ring, and return the
@@ -162,7 +137,7 @@ def _fold(tables, k, flavor, cutoff):
             for out_label, q in outs.items():
                 if q:
                     if bad:
-                        raise ValueError(bad[0])
+                        raise IncompatibleRingError(bad[0])
                     by_out.setdefault(out_label, []).append((lam, mu, as_fraction(q)))
     return {ext: {l: NovikovElement(flavor, cutoff,
                                     tuple((q, lam, mu) for lam, mu, q in sorted(t)))

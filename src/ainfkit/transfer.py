@@ -49,7 +49,7 @@ from .gradedcore import (
 )
 from .ainfty import is_weak_homotopy_equiv
 from .novikov import as_fraction
-from .novmat import NovMatrix, _fold, strip_e_powers
+from .novmat import NovMatrix, _fold
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +555,18 @@ def homotopy_inverse_strict(p: OperationSystem, A: OperationSystem,
                 f"p_1^({lam},{mu}) does not vanish on Ker p_1^(0,0)"
             )
     _, incl = minimal_model(A, level=level, kmax=kmax, split=split)
-    # invert p_1|B as a Novikov matrix (strip degree-determined e-powers)
+    # invert p_1|B as a Novikov matrix; each entry d <- b carries the one
+    # e-power (deg b - deg d) / 2, which the inverse keeps
     restricted = {key: {(b,): _apply(_linear(t), vec) for b, vec in split.include.items()}
                   for key, t in p.tables.items()}
     pmat = NovMatrix(D.source.labels, split.b_space.labels, p.flavor, p.cutoff, {
         (d, b): v for (b,), column in _fold(restricted, 1, p.flavor, p.cutoff).items()
         for d, v in column.items()})
-    stripped = strip_e_powers(pmat, D.source.degree, split.b_space.degree, 0)
-    inv = stripped.inverse()  # rows = b labels, cols = D labels
-    # a B-slot of i takes a D-label through the inverse, with the stripped
-    # e-power restored: entry b <- d needs mu = (deg d - deg b) / 2
+    # a B-slot of i takes a D-label through the inverse (rows = b labels)
     slots = {}
-    for (b_label, d_label), entry in inv.data.items():
-        delta = D.source.degree(d_label) - split.b_space.degree(b_label)
-        if delta % 2:
-            continue
+    for (b_label, d_label), entry in pmat.inverse().data.items():
         for c, l, m in entry.terms:
-            slots.setdefault(b_label, {}).setdefault(
-                (1, l, m + delta // 2), []).append(((d_label,), c))
+            slots.setdefault(b_label, {}).setdefault((1, l, m), []).append(((d_label,), c))
     # every slot spec has arity 1, so the arity budget is never reached
     q_tables = _block_sum({}, incl, lambda r: [[slots] * r], math.inf, p.cutoff)
     tables = [OperationTable(k, lam, mu, "morphism", e)

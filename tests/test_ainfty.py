@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -871,6 +872,25 @@ def test_whiskering_strict():
     hg = compose_morphisms(h, g)
     hH = whisker_strict(h, H)
     assert check_homotopy(hH, hf, hg, alg, alg, 3).ok
+
+
+def test_whiskering_refuses_what_it_cannot_whisker():
+    space = GradedSpace.make([("x", 0), ("y", 1)])
+    other = GradedSpace.make([("u", 0), ("v", 1)])
+    h = OperationSystem.morphism(space, space, G, "nov0", E, [
+        OperationTable(1, F(0), 0, "morphism", {("x",): {"x": F(1)}}),
+        OperationTable(2, F(1), 0, "morphism", {("x", "x"): {"x": F(1)}})])
+    H = OperationSystem.homotopy(space, space, G, "nov0", E, [
+        OperationTable(1, F(0), 0, "homotopy", {("y",): {"x": F(1)}})])
+    not_a_homotopy = OperationSystem.morphism(space, space, G, "nov0", E, [])
+    elsewhere = OperationSystem.homotopy(other, other, G, "nov0", E, [
+        OperationTable(1, F(0), 0, "homotopy", {("v",): {"u": F(1)}})])
+    strict = h.with_tables([h.table(1, 0, 0)])
+    for hh, HH, message in ((h, H, "not a strict morphism"),
+                            (strict, not_a_homotopy, "not a homotopy"),
+                            (strict, elsewhere, "target(H) != source(h)")):
+        with pytest.raises(MalformedMorphismError, match=re.escape(message)):
+            whisker_strict(hh, HH)
 
 
 # ---------------------------------------------------------------------------

@@ -499,6 +499,10 @@ def test_oversized_monoid_exits_2():
     *[([cmd, "--level", level], "--level")
       for cmd in ("check", "truncate", "minimal-model", "inverse-strict", "ank-from-geo")
       for level in ("-1", str(ainfkit.cli.MAX_LEVEL + 1))],
+    # arity bounds too
+    *[([cmd, "--kmax", kmax], "--kmax")
+      for cmd in ("minimal-model", "inverse-strict")
+      for kmax in ("-1", str(ainfkit.cli.MAX_LEVEL + 1))],
 ], ids=["r-minus-word", "r-minus-zero-denominator", "cutoff", "degs", "params",
         "dims-list", "dims-key", "dims-value", "k-negative", "vdim-unknown-kind",
         "vdim-missing-params", "index-missing-phases", "signs-missing-dims",
@@ -508,6 +512,8 @@ def test_oversized_monoid_exits_2():
         "cutoff-exponent",
         *[f"{cmd}-level-{side}"
           for cmd in ("check", "truncate", "minimal-model", "inverse-strict", "ank-from-geo")
+          for side in ("negative", "too-large")],
+        *[f"{cmd}-kmax-{side}" for cmd in ("minimal-model", "inverse-strict")
           for side in ("negative", "too-large")]])
 def test_bad_flag_value_exits_2(capsys, args, flag):
     with pytest.raises(SystemExit) as exc:
@@ -517,6 +523,18 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
     assert f"error: argument {flag}: " in err and "Traceback" not in err
 
 
+# novZ energies are integers, and this curvature sits at T^(1/2)
+OFF_LATTICE_DOC = {
+    "kind": "system", "flavor": "novZ", "cutoff": "3", "monoid": [["1/2", 0]],
+    "basis": [["v", 1]], "role": "algebra",
+    "tables": [{"k": 0, "lam": "1/2", "mu": 0,
+                "entries": [{"inputs": [], "output": "v", "coeff": "1"}]}],
+    "elements": {"b": {}},
+}
+MORPHISM_DOC = dict(TWO_GEN_DOC, role="morphism", tables=[
+    {"k": 1, "lam": "0", "mu": 0, "entries": [{"inputs": ["x"], "output": "x", "coeff": "1"}]}])
+
+
 @pytest.mark.parametrize("args, doc, message", [
     (["check", "--level", "1", "--in", "/nonexistent"], None,
      "cannot read /nonexistent: No such file or directory"),
@@ -524,6 +542,8 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
      "cannot read /nonexistent: No such file or directory"),
     (["union", "--other", "-", "--cross", "/nonexistent"], PRESENTATION_DOC,
      "cannot read /nonexistent: No such file or directory"),
+    (["union", "--other", "-", "--cross", "a\0b"], PRESENTATION_DOC,
+     "cannot read 'a\\x00b': embedded null byte"),
     (["trees", "--k", "3", "--out", "/nonexistent/report.json"], None,
      "cannot write /nonexistent/report.json: No such file or directory"),
     (["union", "--other", "-", "--cross", "{bad}"], PRESENTATION_DOC, "not valid JSON"),
@@ -544,6 +564,9 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
      "monoid[0]: must be a JSON array of 2 items"),
     (["check", "--level", "1"], _with(TWO_GEN_DOC, ("elements",), {"b": {"x": 5}}),
      "elements.b.x: must be a JSON array"),
+    (["check", "--level", "1"], _with(OFF_LATTICE_DOC, ("elements", "b"),
+                                      {"v": ["1*T^(1/2)*e^(0)"]}),
+     "elements.b.v: term T^(1/2): energy not in the novZ lattice"),
     (["check", "--level", "1"], _with(GEOMETRIC_DOC, ("declared",), [[1]]),
      "declared[0]: must be a JSON array of 3 items"),
     (["check", "--level", "1"],
@@ -569,18 +592,32 @@ def test_bad_flag_value_exits_2(capsys, args, flag):
      "ambient dimension -3 < 0"),
     (["check", "--level", "1"], _with(PRESENTATION_DOC, ("prefix",), 5),
      "prefix: 5 is not a string"),
-], ids=["in-missing", "other-missing", "cross-missing", "out-unwritable", "cross-not-json",
-        "cross-list", "in-nested-too-deeply",
+    # a term off the ring: an energy off the novZ lattice, an e-power in cy0
+    (["mc-solve"], OFF_LATTICE_DOC, "T^(1/2): energy not in the novZ lattice"),
+    (["mc-residual", "--element", "b"], OFF_LATTICE_DOC,
+     "T^(1/2): energy not in the novZ lattice"),
+    (["union", "--other", "{other}", "--cross", "{e_cross}"], PRESENTATION_DOC,
+     "flavor violation: e-power 1 in a cy0 system"),
+    # an algebra command on a system of another role
+    (["check", "--level", "2"], MORPHISM_DOC, "role: a system document of role 'morphism'"),
+    (["mc-solve"], MORPHISM_DOC, "role: a system document of role 'morphism'"),
+], ids=["in-missing", "other-missing", "cross-missing", "cross-nul", "out-unwritable",
+        "cross-not-json", "cross-list", "in-nested-too-deeply",
         "tables", "entries", "morphisms", "basis", "basis-duplicate-label", "monoid",
-        "elements", "declared",
+        "elements", "element-off-lattice", "declared",
         "phases", "negative-cutoff", "exponent-cutoff", "tables-empty-object", "elements-empty-array",
         "morphisms-false", "double-points-empty-string", "homology-ranks-empty-array",
-        "negative-homology-rank", "negative-ambient-dim", "prefix-not-a-string"])
+        "negative-homology-rank", "negative-ambient-dim", "prefix-not-a-string",
+        "mc-solve-off-lattice", "mc-residual-off-lattice", "union-cross-e-power",
+        "check-on-a-morphism", "mc-solve-on-a-morphism"])
 def test_bad_file_or_document_shape_exits_2(tmp_path, capsys, monkeypatch, args, doc,
                                             message):
     # "{bad}", "{list}" and "{deep}" name files holding invalid JSON, a JSON
-    # array and arrays nested past the decoder's recursion limit
-    files = {"bad": "{not json", "list": "[1]", "deep": "[" * 100_000 + "]" * 100_000}
+    # array and arrays nested past the decoder's recursion limit; "{other}"
+    # a second presentation and "{e_cross}" a cross table at e^1
+    files = {"bad": "{not json", "list": "[1]", "deep": "[" * 100_000 + "]" * 100_000,
+             "other": json.dumps(dict(PRESENTATION_DOC, prefix="B.", tables=[], elements={})),
+             "e_cross": json.dumps({"tables": [{"k": 0, "lam": "1", "mu": 1, "entries": []}]})}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     args = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in args]
@@ -598,6 +635,26 @@ def test_a_float_never_renders_as_a_rational():
     assert [_frac_str(x) for x in (F(1, 10), F(4, 2), 3, "6/4")] == ["1/10", "2", "3", "3/2"]
     with pytest.raises(TypeError):
         _frac_str(0.1)
+
+
+@pytest.mark.parametrize("args", [["minimal-model"], ["inverse-strict", "--morphism", "p"]],
+                         ids=["minimal-model", "inverse-strict"])
+def test_tree_sums_without_a_bound_exit_2(tmp_path, capsys, args):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(TWO_GEN_DOC, morphisms={"p": MORPHISM_DOC})))
+    with pytest.raises(SystemExit) as exc:
+        ainfkit.cli.main(args + ["--in", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+    assert "error: one of the arguments --level --kmax is required" in err
+
+
+def test_truncate_keeps_a_system_of_any_role():
+    out = run_cli(["truncate", "--level", "2"], json.dumps(MORPHISM_DOC))
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["role"] == "morphism" and len(result["tables"]) == 1
 
 
 def test_trees_past_the_count_bound_exit_2_at_once(capsys):

@@ -2,10 +2,11 @@
 
 ``cli.main`` runs in-process on arbitrary input: flag-only commands get
 argv built from their own ``COMMANDS`` flags with arbitrary values, and
-document commands get a fixture document with one field replaced by an
-arbitrary JSON value.  Whatever the input, ``main`` returns 0, 1 or 2 (or
-argparse exits 0 or 2), a 2 comes with an ``error:`` message, no other
-exception escapes, and a case slower than the deadline fails.
+document commands get a fixture document, perhaps with one field replaced by
+an arbitrary JSON value, and their fixture flags, each optional one kept,
+dropped or given an arbitrary value.  Whatever the input, ``main`` returns
+0, 1 or 2 (or argparse exits 0 or 2), a 2 comes with an ``error:`` message,
+no other exception escapes, and a case slower than the deadline fails.
 """
 
 import contextlib
@@ -107,9 +108,18 @@ def _run(argv, stdin_text=""):
 
 @pytest.fixture(scope="module")
 def other_path(tmp_path_factory):
+    # the fixture's tables and elements name unprefixed labels
     path = tmp_path_factory.mktemp("fuzz") / "other.json"
-    path.write_text(json.dumps(dict(PRESENTATION_DOC, prefix="B.")))
+    path.write_text(json.dumps(dict(PRESENTATION_DOC, prefix="B.", tables=[], elements={})))
     return str(path)
+
+
+def _drawn_flag(data, flag, kwargs):
+    """``flag`` with an arbitrary value, as argv items."""
+    if kwargs.get("action") == "store_true":
+        return [flag]
+    choices = st.sampled_from(kwargs["choices"]) if "choices" in kwargs else st.nothing()
+    return [f"{flag}={data.draw(FLAG_VALUES | choices, label=flag)}"]
 
 
 FLAG_COMMANDS = [name for name, command in cli.COMMANDS.items()
@@ -127,13 +137,8 @@ def test_the_fuzzed_commands_are_the_command_table():
 def test_flag_commands_keep_the_exit_contract(name, data):
     argv = [name]
     for flag, kwargs in cli.COMMANDS[name].flags:
-        if not data.draw(st.booleans(), label=flag):
-            continue
-        if kwargs.get("action") == "store_true":
-            argv.append(flag)
-            continue
-        choices = st.sampled_from(kwargs["choices"]) if "choices" in kwargs else st.nothing()
-        argv.append(f"{flag}={data.draw(FLAG_VALUES | choices, label=flag)}")
+        if data.draw(st.booleans(), label=flag):
+            argv += _drawn_flag(data, flag, kwargs)
     _run(argv)
 
 
@@ -142,6 +147,16 @@ def test_flag_commands_keep_the_exit_contract(name, data):
 @given(data=st.data())
 def test_document_commands_keep_the_exit_contract(other_path, name, data):
     doc, args = DOCUMENT_RUNS[name]
-    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)), label="path")
-    bad = _replaced(doc, path, data.draw(JSON_VALUES, label="value"))
-    _run([name] + [other_path if a is None else a for a in args], json.dumps(bad))
+    if data.draw(st.booleans(), label="replace a field"):
+        path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)), label="path")
+        doc = _replaced(doc, path, data.draw(JSON_VALUES, label="value"))
+    given_values = dict(zip(args[::2], (other_path if a is None else a for a in args[1::2])))
+    argv = [name]
+    for flag, kwargs in cli.COMMANDS[name].flags:
+        how = "keep" if kwargs.get("required") else data.draw(
+            st.sampled_from(["keep", "drop", "fuzz"]), label=flag)
+        if how == "fuzz":
+            argv += _drawn_flag(data, flag, kwargs)
+        elif how == "keep" and flag in given_values:
+            argv += [flag, given_values[flag]]
+    _run(argv, json.dumps(doc))

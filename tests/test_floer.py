@@ -39,6 +39,7 @@ from ainfkit import (
 from ainfkit.errors import (
     AinfError,
     DivergentTwistError,
+    IncompatibleRingError,
     NotAComplexError,
     NotInMonoidError,
     NotInvertibleError,
@@ -165,7 +166,7 @@ def test_mc_solve_refuses_a_residual_off_the_flavor_lattice():
     space = GradedSpace.make([("v", 1)])
     t = OperationTable(0, F(1, 2), 0, "algebra", {(): {"v": F(1)}})
     alg = OperationSystem.algebra(space, EnergyMonoid.make([(F(1, 2), 0)]), "novZ", E, [t])
-    with pytest.raises(ValueError, match="not in the novZ lattice"):
+    with pytest.raises(IncompatibleRingError, match="not in the novZ lattice"):
         mc_solve(alg)
 
 
@@ -321,7 +322,7 @@ def test_tables_off_the_flavor_lattice_are_refused_when_folded():
     for refused in (lambda: mc_residual(curved, {}),
                     lambda: NovMatrix.from_linear_tables(linear),
                     lambda: hf_compute(_pres_from_system(linear), {})):
-        with pytest.raises(ValueError, match="not in the novZ lattice"):
+        with pytest.raises(IncompatibleRingError, match="not in the novZ lattice"):
             refused()
 
 
@@ -616,6 +617,25 @@ def test_hf_requires_certified_or_valid_cochain():
     pres = _pres_from_system(two_generator_algebra(), n=3)
     with pytest.raises(AinfError):
         hf_compute(pres, {"x": mono(1, 1, 0)})  # residual 2 T y != 0
+
+
+def test_hf_reads_the_residual_off_its_twist(monkeypatch):
+    # an uncertified b is inserted once, by the twist, whose m_0 is the residual
+    from ainfkit import floer
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return insert_b(*args, **kwargs)
+
+    insert_b = floer._insert_b
+    monkeypatch.setattr(floer, "_insert_b", counted)
+    pres = _pres_from_system(two_generator_algebra(), n=3)
+    hf_compute(pres, {"x": mono(-1, 1, 0)})  # m_0 + m_1(b) = T y - T y = 0
+    assert len(calls) == 1
+    with pytest.raises(AinfError, match="fails the Maurer-Cartan equation"):
+        hf_compute(pres, {"x": mono(1, 1, 0)})
+    assert len(calls) == 2
 
 
 def brute_force_rank(matrix, labels_r, labels_c):

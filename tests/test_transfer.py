@@ -385,6 +385,24 @@ def test_inverse_random_strict_surjections(rng):
         _assert_identity(compose_morphisms(p, q), D)
 
 
+def test_inverse_of_a_surjection_with_an_e_power_component():
+    # p_1^{1/2,1}(z) = 3w lowers the degree by 2: the inverse keeps the e-power
+    monoid = EnergyMonoid.make([(1, 0), (F(1, 2), 1)])
+    A = OperationSystem.algebra(
+        GradedSpace.make([("z", 0), ("w", -2), ("c", 0), ("dc", 1)]), monoid, "nov0", E,
+        [OperationTable(1, F(0), 0, "algebra", {("c",): {"dc": F(1)}})])
+    D = OperationSystem.algebra(GradedSpace.make([("z", 0), ("w", -2)]), monoid, "nov0",
+                                E, [])
+    p = OperationSystem.morphism(A.source, D.source, monoid, "nov0", E, [
+        OperationTable(1, F(0), 0, "morphism", {("z",): {"z": F(1)}, ("w",): {"w": F(1)}}),
+        OperationTable(1, F(1, 2), 1, "morphism", {("z",): {"w": F(3)}})])
+    assert check_morphism(p, A, D, 3).ok
+    q = homotopy_inverse_strict(p, A, D, kmax=3)
+    assert check_morphism(q, D, A, 3).ok
+    _assert_identity(compose_morphisms(p, q), D)
+    assert q.table(1, F(1, 2), 1).entries == {("z",): {"w": -3}}
+
+
 def test_inverse_rejects_non_strict_and_non_surjective():
     alg = checked(two_generator_algebra())
     f2 = OperationSystem.morphism(alg.source, alg.source, G, "nov0", E, [
