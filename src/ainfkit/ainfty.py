@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import MalformedMorphismError
-from .gapped import _budgeted_keys, validate_gapped
+from .gapped import _element_norms, validate_gapped
 from .gradedcore import (
     OperationSystem,
     OperationTable,
@@ -70,8 +70,9 @@ def _check_keys(kind: str, fam: OperationSystem, level: int, defects_at) -> Chec
     defects of the whole key set in one pass, as {(k, lam, mu): {inputs:
     {out: q}}}.  The witness of a failing key is the least (inputs, output)
     pair of its defect table."""
-    keys = [(k, lam, mu) for k, (lam, mu) in
-            sorted(_budgeted_keys(fam.monoid, fam.cutoff, level))]
+    norms = _element_norms(fam.monoid, fam.cutoff)
+    keys = [(k, lam, mu) for k in range(level + 2) for (lam, mu), norm in norms
+            if norm + k - 1 <= level]
     defects = defects_at(set(keys))
     failures = []
     for key in keys:

@@ -507,6 +507,19 @@ def _hf_groups(space: GradedSpace, dmat: NovMatrix):
     return groups, mixes, [v for block in divisors.values() for v in block]
 
 
+def _twist_by_bounding_cochain(pres: LagrangianPresentation, b) -> OperationSystem:
+    """The presentation's algebra twisted by b, refused with AinfError when
+    b is not a certified BoundingCochain and fails the Maurer-Cartan
+    equation."""
+    bc = b if isinstance(b, BoundingCochain) else BoundingCochain(_element_of(b))
+    twisted = twist(pres.algebra, bc.element)
+    # the twist's arity-0 tables are m_0^b, the Maurer-Cartan residual
+    if not bc.certified and any(k == 0 for k, _, _ in twisted.tables):
+        raise AinfError("bounding cochain is not certified and fails the "
+                        "Maurer-Cartan equation")
+    return twisted
+
+
 def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
     """Floer cohomology of (presentation, bounding cochain), with the degree
     shift HF^k = H^(k-1).
@@ -515,12 +528,7 @@ def hf_compute(pres: LagrangianPresentation, b) -> HFReport:
     reduces each degree block once by valuation-aware Smith reduction.  The
     report carries the cutoff and the stabilization flag (see ``HFReport``).
     """
-    bc = b if isinstance(b, BoundingCochain) else BoundingCochain(_element_of(b))
-    twisted = twist(pres.algebra, bc.element)
-    # the twist's arity-0 tables are m_0^b, the Maurer-Cartan residual
-    if not bc.certified and any(k == 0 for k, _, _ in twisted.tables):
-        raise AinfError("bounding cochain is not certified and fails the "
-                        "Maurer-Cartan equation")
+    twisted = _twist_by_bounding_cochain(pres, b)
     dmat = NovMatrix.from_linear_tables(twisted)
     if dmat.matmul(dmat).data:
         raise NotAComplexError("twisted differential does not square to zero "
@@ -546,8 +554,9 @@ def _pure_degree(space, vec):
 def hf_product(pres: LagrangianPresentation, b, x: dict, y: dict):
     """The signed product (-1)^(k(l+1)) n_2^b(x, y) on cycle representatives,
     with a cycle certificate for the output.  k, l are the HF-degrees
-    (element degree + 1)."""
-    twisted = twist(pres.algebra, _element_of(b))
+    (element degree + 1).  b must be a bounding cochain, as for
+    ``hf_compute``."""
+    twisted = _twist_by_bounding_cochain(pres, b)
     dmat = NovMatrix.from_linear_tables(twisted)
     for name, vec in (("x", x), ("y", y)):
         img = dmat.apply(vec)

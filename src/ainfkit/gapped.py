@@ -25,7 +25,8 @@ from .novikov import as_fraction
 # enumeration in the tests, demos and benchmark inputs has 2,001 elements
 # (generator 1/1000 up to energy 2); the benchmark's largest has 121.
 MAX_ELEMENTS = 100_000
-# Norm-and-membership tables kept alive at once, one per distinct monoid.
+# Norm-and-membership tables kept alive at once, one per distinct set of
+# monoid elements; as many monoids keep their irreducible generators.
 CACHED_MONOIDS = 16
 # (monoid, bound) element lists kept by monoid_elements.
 CACHED_BOUNDS = 64
@@ -78,7 +79,8 @@ class _MonoidTable:
 
     ``length`` maps each element to the maximal number of nonzero monoid
     elements summing to it, which is the norm without floor(lam); its keys
-    are the membership set.  A sum of d nonzero elements refines to at least
+    are the membership set.  ``norms`` lists each element's norm beside
+    ``elements``.  A sum of d nonzero elements refines to at least
     d generators, so the maximum over generator decompositions is the same
     number, and one ascending pass over the generators finds every length:
 
@@ -98,6 +100,7 @@ class _MonoidTable:
         self.top = 0  # floor(bound * scale)
         self.elements = [ZERO_KEY]
         self.energies = [0]
+        self.norms = [0]
         self.length = {ZERO_KEY: 0}
 
     def grow(self, bound):
@@ -132,13 +135,47 @@ class _MonoidTable:
             self.length[lam, mu] = d
             self.elements.append((lam, mu))
             self.energies.append(lam)
+            self.norms.append(d + n // self.scale)
         self.bound, self.top = bound, top
 
 
 @lru_cache(maxsize=CACHED_MONOIDS)
-def _table(G: EnergyMonoid) -> _MonoidTable:
-    """The shared table of every monoid equal to G."""
+def _irreducible(G: EnergyMonoid) -> EnergyMonoid:
+    """The monoid on G's irreducible generators, which has G's elements.
+
+    The generators are walked in ascending order, and one that lies in the
+    monoid of the generators kept before it is dropped.  A nonzero summand
+    of a generator g has energy below g's, so the kept ones generate every
+    element, and a maximal decomposition refines to kept generators just as
+    well: the lengths do not change either.  A test that would enumerate
+    more than MAX_ELEMENTS elements keeps its generator, and every later one
+    untested: G's own table may never need that energy, and a kept
+    reducible generator changes no element and no length.
+    """
+    kept = []
+    for i, g in enumerate(G.generators):
+        if kept:
+            table = _irreducible_table(EnergyMonoid(tuple(kept)))
+            try:
+                table.grow(g[0])
+            except MonoidTooLargeError:
+                kept.extend(G.generators[i:])
+                break
+            if g in table.length:
+                continue
+        kept.append(g)
+    return G if len(kept) == len(G.generators) else EnergyMonoid(tuple(kept))
+
+
+@lru_cache(maxsize=CACHED_MONOIDS)
+def _irreducible_table(G: EnergyMonoid) -> _MonoidTable:
+    """The table of G, whose generators are irreducible."""
     return _MonoidTable(G.generators)
+
+
+def _table(G: EnergyMonoid) -> _MonoidTable:
+    """The shared table of every monoid with G's elements."""
+    return _irreducible_table(_irreducible(G))
 
 
 @lru_cache(maxsize=CACHED_BOUNDS)
@@ -171,10 +208,10 @@ def _element_norms(G: EnergyMonoid, bound) -> list:
     ascending order, read from G's table in one pass."""
     elements = monoid_elements(G, bound)
     # an element list can outlive its table in the caches, and a table made
-    # anew has not been grown yet
+    # anew has not been grown yet; either lists the elements in one order
     table = _table(G)
     table.grow(elements[-1][0])
-    return [(key, table.length[key] + math.floor(key[0])) for key in elements]
+    return list(zip(elements, table.norms))
 
 
 def _budgeted_keys(G: EnergyMonoid, bound, level: int):

@@ -751,6 +751,19 @@ def test_hf_product_zero_when_no_n2():
     assert prod == {} and ok
 
 
+def test_hf_product_refuses_what_is_not_a_bounding_cochain():
+    # m_1(x) = y and m_0 = T y: b = -T x solves the Maurer-Cartan equation,
+    # b = T x leaves m_0^b = 2T y
+    pres = _pres_from_system(two_generator_algebra(), n=3)
+    y = {"y": mono(1, 0, 0)}
+    prod, ok = hf_product(pres, {"x": mono(-1, 1, 0)}, y, y)
+    assert prod == {} and ok
+    with pytest.raises(AinfError, match="fails the Maurer-Cartan equation"):
+        hf_product(pres, {"x": mono(1, 1, 0)}, y, y)
+    assert hf_product(pres, BoundingCochain({"x": mono(1, 1, 0)}, certified=True),
+                      y, y) == ({}, True)
+
+
 def test_hf_product_representative_independence():
     pres = _massey_presentation()
     alg = pres.algebra

@@ -219,15 +219,17 @@ def _collapsed_presentation():
     return document_json(pres, {"zero": {}})
 
 
-def _product_presentation():
+def _product_presentation(r_closed=False):
     """m_2(x:y, y:x) = h0_0 and m_3(r:s, x:y, y:x) = T h0_0, with r:s not a
-    cycle (m_1 r:s = T s:r); b sits on r:s."""
+    cycle (m_1 r:s = T s:r) unless ``r_closed``; b sits on r:s, and is a
+    bounding cochain only when r:s is closed."""
     points = _points(("x", "y", 2), ("y", "x", 1), ("r", "s", 1), ("s", "r", 2))
     tables = [
         OperationTable(2, F(0), 0, "algebra", {("x:y", "y:x"): {"h0_0": F(1)}}),
         OperationTable(3, F(1), 0, "algebra", {("r:s", "x:y", "y:x"): {"h0_0": F(3)}}),
-        OperationTable(1, F(1), 0, "algebra", {("r:s",): {"s:r": F(1)}}),
     ]
+    if not r_closed:
+        tables.append(OperationTable(1, F(1), 0, "algebra", {("r:s",): {"s:r": F(1)}}))
     G = EnergyMonoid.make([(F(1, 2), 0)])
     pres = make_presentation(3, {0: 1}, points, G, "cy0", F(2), tables)
     one = lambda terms: _nov(terms, "cy0", F(2))  # noqa: E731
@@ -320,6 +322,9 @@ CASES = {
                          ["hf-product", "--element", "zero", "--x", "x", "--y", "y"]),
     "hf-product-twisted": (_one(_product_presentation),
                            ["hf-product", "--element", "b", "--x", "x", "--y", "y"]),
+    "hf-product-twisted-bounding": (
+        _one(lambda: _product_presentation(r_closed=True)),
+        ["hf-product", "--element", "b", "--x", "x", "--y", "y"]),
     "hf-product-not-cycle": (_one(_product_presentation),
                              ["hf-product", "--element", "zero", "--x", "r", "--y", "y"]),
     "union-plain": (lambda: _union_files(False),

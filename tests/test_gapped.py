@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from ainfkit import (
     EnergyMonoid,
+    GradedSpace,
     NovikovElement,
+    OperationSystem,
+    OperationTable,
+    check_relations,
+    minimal_model,
     monoid_elements,
     monoid_norm,
     truncate_level,
@@ -264,7 +269,7 @@ def test_gapped_caches_stay_bounded():
         twisted = twist(base, b)
         assert monoid_norm(twisted.monoid, (lam, 0)) == 2
         assert len(monoid_elements(twisted.monoid, twisted.cutoff)) > 4
-    assert gapped._table.cache_info().currsize == gapped.CACHED_MONOIDS
+    assert gapped._irreducible_table.cache_info().currsize == gapped.CACHED_MONOIDS
     info = monoid_elements.cache_info()
     assert info.currsize <= info.maxsize
     # equal monoids share one table
@@ -309,3 +314,85 @@ def test_equal_monoids_hash_alike_once(monkeypatch):
         monoid_elements(G1, 2)
         gapped._table(G2)
     assert not calls
+
+
+def test_a_reducibility_test_never_refuses_what_the_table_accepts(monkeypatch):
+    # deciding (200, 0) in <1/1000> would take 200,001 elements: that test
+    # is refused once, and (200, 0) and every later generator are kept
+    for cache in (gapped._irreducible, gapped._irreducible_table, monoid_elements):
+        cache.cache_clear()
+    refusals = []
+    grow = gapped._MonoidTable.grow
+
+    def counted(self, bound):
+        try:
+            grow(self, bound)
+        except MonoidTooLargeError:
+            refusals.append(bound)
+            raise
+
+    monkeypatch.setattr(gapped._MonoidTable, "grow", counted)
+    start = time.perf_counter()
+    G = EnergyMonoid.make([(F(1, 1000), 0), (200, 0), (300, 0), (400, 0)])
+    assert len(monoid_elements(G, 1)) == 1001
+    assert monoid_norm(G, (1, 0)) == 1001
+    assert G.contains((F(999, 1000), 0)) and not G.contains((F(1, 1000), 1))
+    assert time.perf_counter() - start < 1
+    assert refusals == [200]
+    assert gapped._irreducible(G) is G
+
+
+outside_keys = st.lists(
+    st.tuples(st.builds(F, st.integers(1, 7), st.integers(1, 2)), st.integers(-2, 2)),
+    max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_generators, outside_keys, st.lists(st.integers(0, 99), max_size=3),
+       st.integers(0, 8))
+def test_a_monoid_shares_its_table_with_every_monoid_of_its_elements(
+        gens, outside, picks, half_cutoff):
+    G = EnergyMonoid.make(gens)
+    cutoff = F(half_cutoff, 2)
+    inside = monoid_elements(G, 4)[1:]  # no generator lies above 4
+    S = [inside[p % len(inside)] for p in picks] + [(F(l), m) for l, m in outside]
+    union = EnergyMonoid.make(gens + S)
+    generators = list(union.generators)
+    elements = bfs_elements(generators, cutoff)
+    assert monoid_elements(union, cutoff) == tuple(sorted(elements))
+    norms = definition_norms(elements)
+    for key in elements:
+        assert union.contains(key)
+        assert monoid_norm(union, key) == norms[key], (gens, S, key)
+    for key in {(lam, mu + 1) for lam, mu in elements} - elements:
+        assert not union.contains(key)
+    assert gapped._element_norms(union, cutoff) == [
+        (key, monoid_norm(union, key)) for key in monoid_elements(union, cutoff)]
+    in_G = all(s in bfs_elements([(F(l), m) for l, m in gens], s[0]) for s in S)
+    assert (gapped._table(union) is gapped._table(G)) == in_G
+
+
+def test_twisting_by_keys_of_the_monoid_makes_no_new_table(monkeypatch):
+    # m_1(x) = y and m_1(u) = 2v over <(1, 0), (1/2, 1)>; b sits on keys of
+    # the monoid that are not generators, so <G + b's keys> = G
+    G = EnergyMonoid.make([(1, 0), (F(1, 2), 1)])
+    cutoff = F(4)
+    space = GradedSpace.make([("x", -2), ("y", -1), ("u", 0), ("v", 1), ("w", 0)])
+    d = OperationTable(1, F(0), 0, "algebra", {("x",): {"y": F(1)}, ("u",): {"v": F(2)}})
+    alg = OperationSystem.algebra(space, G, "nov0", cutoff, [d])
+    b = {"x": NovikovElement.make([(F(1), F(3, 2), 1), (F(-2), F(5, 2), 1)], "nov0", cutoff),
+         "w": NovikovElement.make([(F(3), F(2), 0)], "nov0", cutoff)}
+    monoid_elements(G, cutoff)
+    made = []
+    init = gapped._MonoidTable.__init__
+
+    def counted(self, generators):
+        made.append(generators)
+        init(self, generators)
+
+    monkeypatch.setattr(gapped._MonoidTable, "__init__", counted)
+    twisted = twist(alg, b)
+    assert twisted.monoid != G and gapped._table(twisted.monoid) is gapped._table(G)
+    model, incl = minimal_model(twisted, kmax=3)
+    assert check_relations(model, 2).ok and check_relations(twisted, 3).ok
+    assert made == []
