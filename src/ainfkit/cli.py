@@ -691,7 +691,7 @@ def _preset_whitney(doc, args):
 
 
 def _feasible(doc, args):
-    ok, bad = floer.acyclicity_feasible(args.dims)
+    ok, bad = _flag_call("--dims", floer.acyclicity_feasible, args.dims)
     return (0 if ok else 1), {"feasible": ok, "first_failure": bad}
 
 

@@ -410,8 +410,13 @@ def bc_criteria(pres: LagrangianPresentation, exact: bool = False) -> CriteriaRe
 
 def acyclicity_feasible(dims: dict):
     """dim H^d <= dim H^{d-1} + dim H^{d+1} for every degree; returns
-    (feasible, first failing degree or None)."""
-    for d in sorted(dims):
+    (feasible, first failing degree or None).  A negative dimension raises
+    ValueError."""
+    degrees = sorted(dims)
+    for d in degrees:
+        if dims[d] < 0:
+            raise ValueError(f"negative dimension {dims[d]} in degree {d}")
+    for d in degrees:
         if dims.get(d, 0) > dims.get(d - 1, 0) + dims.get(d + 1, 0):
             return False, d
     return True, None

@@ -150,10 +150,14 @@ def _irreducible(G: EnergyMonoid) -> EnergyMonoid:
     well: the lengths do not change either.  A test that would enumerate
     more than MAX_ELEMENTS elements keeps its generator, and every later one
     untested: G's own table may never need that energy, and a kept
-    reducible generator changes no element and no length.
+    reducible generator changes no element and no length.  The multiples of
+    the least kept energy alone refuse a test cheaply, before its walk.
     """
     kept = []
     for i, g in enumerate(G.generators):
+        if kept and g[0] // kept[0][0] >= MAX_ELEMENTS:
+            kept.extend(G.generators[i:])
+            break
         if kept:
             table = _irreducible_table(EnergyMonoid(tuple(kept)))
             try:

@@ -56,7 +56,9 @@ def shifted_degree(target: str, a: int, n=None, eta=None, dim_t=None) -> int:
 def vdim_formulas(kind: str, **params) -> int:
     """Closed-form virtual dimensions and virtual-chain degrees.
 
-    Kinds and their parameters (maslov is the even integer mu_L(beta)):
+    Kinds and their parameters (maslov is the even integer mu_L(beta)); a
+    parameter is an int, a list of ints (etas, degs...) or a bool (the
+    membership flags), and anything else raises ValueError:
 
     main            maslov, k, n, etas (list over I)
     withChains      maslov, n, degs, zero_in_I, eta0 (if zero_in_I)
@@ -70,6 +72,17 @@ def vdim_formulas(kind: str, **params) -> int:
     splitChainDegree maslov2, degs_block                    [1-maslov2+sum]
     """
     p = dict(params)
+    for name, value in p.items():
+        if value is None:
+            continue
+        if name in ("zero_in_I", "zero_in_I1", "i_in_I1"):
+            if type(value) is not bool:
+                raise ValueError(f"{kind}: {name} must be true or false")
+        elif name in ("etas", "degs", "degs_prefix", "degs_tail", "degs_block"):
+            if type(value) not in (list, tuple) or any(type(x) is not int for x in value):
+                raise ValueError(f"{kind}: {name} must be a list of integers")
+        elif type(value) is not int:  # bools are ints to Python, not here
+            raise ValueError(f"{kind}: {name} must be an integer")
 
     def need(*names):
         missing = [x for x in names if p.get(x) is None]

@@ -2,7 +2,7 @@
 homotopy inverses of strict surjective quasi-isomorphisms, and the
 geometric-to-A_{N,0} assembly.
 
-The engine below never materializes decorated trees.  A tree with k leaves is
+``_tree_sums`` never materializes decorated trees.  A tree with k leaves is
 the choice of a root vertex arity m, a key decoration for the root, and an
 ordered list of children, each either a leaf or a smaller tree; the sum over
 decorated trees is the recursion
@@ -299,69 +299,62 @@ def splitting(alg: OperationSystem) -> Splitting:
 
 
 # ---------------------------------------------------------------------------
-# the decorated-tree evaluation engine
+# the decorated-tree sums
 
-class _TreeEngine:
-    def __init__(self, vertex_table, vertex_keys, leaf_table, edge_matrix):
-        """vertex_table(m, key) -> sparse Q-table or None (validated lookups);
-        vertex_keys: the (m, key) pairs where vertex_table is probed, the only
-        ones where it may be nonzero or must raise; probed in sorted order;
-        leaf_table: {(b_label,): {a_label: coeff}};
-        edge_matrix: {a_label: {a_label: coeff}} applied on internal edges."""
-        self.vertex_table = vertex_table
-        # the unary weight is m_1 - m_1^{0,0}, and m_0^{0,0} vanishes
-        self.vertex_keys = sorted((m, kv) for m, kv in vertex_keys
-                                  if m > 1 or kv != ZERO_KEY)
-        self.edge_matrix = edge_matrix
-        # what a vertex slot can take, by the a_label it needs: the leaf
-        # injection at (1, 0, 0) and every finished sum after the edge map
-        self.index = _producers({(1, *ZERO_KEY): leaf_table})
-        self._memo = {}
+def _tree_sums(vertex_table, vertex_keys, split: Splitting, edge_sign: int, pairs) -> dict:
+    """The sum S over all decorated trees with k leaves and total key
+    (lam, mu), and S after the edge map, at each (k, (lam, mu)) of
+    ``pairs``: {(k, lam, mu): (S, edge(S))} in the order of ``pairs``, both
+    sparse tables {b-input tuple: {a_label: c}}.
 
-    def S(self, k: int, key):
-        """Root-vertex evaluation sum over all decorated trees with k leaves
-        and total key ``key``, and that sum after the edge map; both sparse
-        tables {b-input tuple: {a_label: c}}.
+    vertex_table(m, kv) -> sparse Q-table or None (validated lookups);
+    vertex_keys: the (m, kv) pairs where vertex_table is probed, the only
+    ones where it may be nonzero or must raise; probed in sorted order.  The
+    leaves are ``split.include`` and the edge map is ``edge_sign`` times
+    ``split.h``.
 
-        A child subtree has less energy, or the same key and fewer leaves, so
-        its sum must be taken first: call S in the element-major order of
-        ``gapped._budgeted_keys``, which walks a set closed under children.
-        A zero-key sum with fewer than two leaves is empty (it needs a
-        low-valence vertex, which costs energy).
-        """
-        key = (as_fraction(key[0]), int(key[1]))
-        memo_key = (k, key)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
-        result = {}
-        probes = self.vertex_keys if key != ZERO_KEY or k > 1 else ()
-        for m, kv in probes:
+    A child subtree has less energy, or the same key and fewer leaves, so
+    its sum must be taken first: ``pairs`` come in the element-major order
+    of ``gapped._budgeted_keys`` and may leave out only pairs whose sum is
+    empty.  A zero-key sum with fewer than two leaves is empty (it needs a
+    low-valence vertex, which costs energy).
+    """
+    # the unary weight is m_1 - m_1^{0,0}, and m_0^{0,0} vanishes
+    probes = sorted((m, kv) for m, kv in vertex_keys if m > 1 or kv != ZERO_KEY)
+    edge = {a: {t: edge_sign * c for t, c in vec.items()} for a, vec in split.h.items()}
+    # what a vertex slot can take, by the a_label it needs: the leaf
+    # injection at (1, 0, 0) and every finished sum after the edge map
+    index = _producers({(1, *ZERO_KEY): {(b,): vec for b, vec in split.include.items()}})
+    sums = {}
+    for k, key in pairs:
+        s = {}
+        for m, kv in probes if key != ZERO_KEY or k > 1 else ():
             if kv[0] > key[0]:
                 continue
-            table = self.vertex_table(m, kv)
+            table = vertex_table(m, kv)
             if not table:
                 continue
             rest = (k, key[0] - kv[0], key[1] - kv[1])
             for v_inputs, v_outs in table.items():
-                specs = [self.index.get(l) for l in v_inputs]
+                specs = [index.get(l) for l in v_inputs]
                 if all(specs):
                     for _, inputs, coeff in _fill_slots(specs, k, rest[1], rest):
-                        _add_scaled(result.setdefault(inputs, {}), v_outs, coeff)
-        result = {i: v for i, v in result.items() if v}
-        applied = _apply_each(self.edge_matrix, result)
-        _producers({(k, *key): applied}, self.index)
-        self._memo[memo_key] = result, applied
-        return result, applied
+                        _add_scaled(s.setdefault(inputs, {}), v_outs, coeff)
+        s = {i: v for i, v in s.items() if v}
+        applied = _apply_each(edge, s)
+        _producers({(k, *key): applied}, index)
+        sums[(k, *key)] = s, applied
+    return sums
 
 
 def _reachable(vertex_keys, k_bound: int, cutoff) -> set:
     """The (k, (lam, mu)) pairs where a decorated tree with at most k_bound
-    leaves and energy at most ``cutoff`` can land: a root vertex (m, kv) of
-    ``vertex_keys`` whose m slots each hold a leaf (1, (0, 0)) or a subtree
-    at a pair already reached.
+    leaves and energy at most ``cutoff`` can land: the leaf (1, (0, 0)), and
+    a root vertex (m, kv) of ``vertex_keys`` whose m slots each hold a leaf
+    or a subtree at a pair already reached.
 
     Labels and coefficients are ignored, so this is a superset of the pairs
-    where _TreeEngine.S is nonempty.  An arity-0 subtree (a curvature tree)
+    where ``_tree_sums`` is nonempty.  An arity-0 subtree (a curvature tree)
     adds energy and no arity.  The fixpoint is semi-naive: ``fills[j]`` holds
     the (arity, lam, mu) sums of j slot fillers, and each pass adds only the
     sums with a filler reached in the pass before, which are the pass's new
@@ -373,7 +366,7 @@ def _reachable(vertex_keys, k_bound: int, cutoff) -> set:
     fills = [{(0, 0, 0)}] + [set() for _ in range(max(by_arity, default=0))]
     fresh = [set(f) for f in fills]
     new = [(1, 0, 0)]  # the leaf
-    reached = set()
+    reached = set(new)
     while True:
         for j in range(1, len(fills)):
             fresh[j] = {(k + k1, lam + l1, mu + m1)
@@ -405,40 +398,30 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     if alg.role != "algebra":
         raise AinfError(f"minimal_model needs an algebra, not a {alg.role}")
     split = split or splitting(alg)
-    leaf_table = {(b,): dict(vec) for b, vec in split.include.items()}
-    edge_matrix = {a: {t: -c for t, c in vec.items()} for a, vec in split.h.items()}
+    vertex_keys = [(k, (lam, mu)) for k, lam, mu in alg.tables]
 
     def vertex(m, kv):
         t = alg.table(m, kv[0], kv[1])
         return t.entries if t else None
 
-    engine = _TreeEngine(vertex, [(k, (lam, mu)) for k, lam, mu in alg.tables],
-                         leaf_table, edge_matrix)
     if level is not None:
-        keys = _budgeted_keys(alg.monoid, alg.cutoff, level)
+        pairs = _budgeted_keys(alg.monoid, alg.cutoff, level)
     else:
-        keys = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
-                for k in range(kmax + 1))
+        pairs = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
+                 for k in range(kmax + 1))
     # a sum anywhere else is empty, and an empty sum adds nothing to the
-    # engine's index, so skipping it changes no later sum
-    reachable = _reachable(engine.vertex_keys, kmax if level is None else level + 1,
-                           alg.cutoff)
-    n_tables, i_tables = {}, {}
-    for k, key in keys:
-        if (k, key) == (1, ZERO_KEY):
-            # no tree lands here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0}
-            # is the plain inclusion
-            d = _linear(alg.table(1, 0, 0))
-            n_entries = {(b,): _apply(split.project, _apply(d, vec))
-                         for b, vec in split.include.items()}
-            i_entries = {(b,): vec for b, vec in split.include.items()}
-        elif (k, key) in reachable:
-            s, i_entries = engine.S(k, key)
-            n_entries = _apply_each(split.project, s)
-        else:
-            continue
-        n_tables[(k, *key)] = n_entries
-        i_tables[(k, *key)] = i_entries
+    # index, so skipping it changes no later sum
+    reachable = _reachable(vertex_keys, kmax if level is None else level + 1, alg.cutoff)
+    sums = _tree_sums(vertex, vertex_keys, split, -1, (p for p in pairs if p in reachable))
+    n_tables = {key: _apply_each(split.project, s) for key, (s, _) in sums.items()}
+    i_tables = {key: applied for key, (_, applied) in sums.items()}
+    if (1, *ZERO_KEY) in sums:
+        # no tree lands here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0} is the
+        # plain inclusion
+        d = _linear(alg.table(1, 0, 0))
+        n_tables[(1, *ZERO_KEY)] = {(b,): _apply(split.project, _apply(d, vec))
+                                    for b, vec in split.include.items()}
+        i_tables[(1, *ZERO_KEY)] = {(b,): vec for b, vec in split.include.items()}
     ring = (alg.monoid, alg.flavor, alg.cutoff)
     return (OperationSystem._built(split.b_space, split.b_space, *ring, "algebra", n_tables),
             OperationSystem._built(split.b_space, alg.source, *ring, "morphism", i_tables))
@@ -647,9 +630,6 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int) -> O
     """
     n_prime = level * (level + 2)
     split = filtration_splitting(geo, level)
-    sign = 1 if ambient_parity % 2 else -1
-    edge_matrix = {a: {t: sign * c for t, c in vec.items()} for a, vec in split.h.items()}
-    leaf_table = {(l,): {l: 1} for l, _ in split.b_space.basis}
     max_arity = max((k for k, _, _ in geo.declared), default=0)
     norms = _element_norms(geo.monoid, geo.cutoff)
     members = {kv for kv, _ in norms}
@@ -667,24 +647,16 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int) -> O
             raise MissingDataError(f"(k={m}, lam={kv[0]}, mu={kv[1]})")
         return t
 
-    engine = _TreeEngine(vertex, vertex_keys, leaf_table, edge_matrix)
-    out_tables = []
-    for k, key in _budgeted_keys(geo.monoid, geo.cutoff, level):
-        if (k, key) == (1, ZERO_KEY):
-            d = geo.table(1, ZERO_KEY)
-            if d is None:
-                raise MissingDataError("(k=1, lam=0, mu=0)")
-            b_labels = set(split.b_space.labels)
-            entries = {
-                i: {ol: c for ol, c in o.items() if ol in b_labels}
-                for i, o in d.items() if all(l in b_labels for l in i)
-            }
-            entries = {i: o for i, o in entries.items() if o}
-            if entries:
-                out_tables.append(OperationTable(1, 0, 0, "algebra", entries))
-            continue
-        entries = _apply_each(split.project, engine.S(k, key)[0])
-        if entries:
-            out_tables.append(OperationTable(k, key[0], key[1], "algebra", entries))
+    sums = _tree_sums(vertex, vertex_keys, split, 1 if ambient_parity % 2 else -1,
+                      (p for p in _budgeted_keys(geo.monoid, geo.cutoff, level)
+                       if p != (1, ZERO_KEY)))
+    # the restriction of d to B, which is d-closed by the problem's contract
+    # (filtration_splitting refuses a missing d)
+    b_labels = set(split.b_space.labels)
+    d = {i: {ol: c for ol, c in o.items() if ol in b_labels}
+         for i, o in geo.table(1, ZERO_KEY).items() if all(l in b_labels for l in i)}
+    tables = [OperationTable(1, 0, 0, "algebra", d)] + [
+        OperationTable(k, lam, mu, "algebra", _apply_each(split.project, s))
+        for (k, lam, mu), (s, _) in sums.items()]
     return OperationSystem.algebra(split.b_space, geo.monoid, geo.flavor,
-                                   geo.cutoff, out_tables)
+                                   geo.cutoff, tables)

@@ -480,6 +480,15 @@ def test_oversized_monoid_exits_2():
     # values that parse but that the library refuses
     (["vdim", "--kind", "disc"], "--kind/--params"),
     (["vdim", "--kind", "main"], "--kind/--params"),
+    (["vdim", "--kind", "main", "--params", '{"maslov": 1.5, "k": 2, "n": 3}'],
+     "--kind/--params"),
+    (["vdim", "--kind", "main", "--params", '{"maslov": true, "k": 2, "n": 3}'],
+     "--kind/--params"),
+    (["vdim", "--kind", "main", "--params", '{"maslov": 2, "k": 2, "n": 3, "etas": [0.5]}'],
+     "--kind/--params"),
+    (["vdim", "--kind", "withChains", "--params",
+      '{"maslov": 2, "n": 3, "degs": [], "zero_in_I": 1, "eta0": 4}'], "--kind/--params"),
+    (["feasible", "--dims", '{"0": -1}'], "--dims"),
     (["index", "--n", "2"], "--n/--r-minus/--r-plus"),
     (["signs", "--kind", "swap"], "--kind/--dims"),
     (["preset-whitney", "--n", "0"], "--n/--cutoff"),
@@ -505,7 +514,8 @@ def test_oversized_monoid_exits_2():
       for kmax in ("-1", str(ainfkit.cli.MAX_LEVEL + 1))],
 ], ids=["r-minus-word", "r-minus-zero-denominator", "cutoff", "degs", "params",
         "dims-list", "dims-key", "dims-value", "k-negative", "vdim-unknown-kind",
-        "vdim-missing-params", "index-missing-phases", "signs-missing-dims",
+        "vdim-missing-params", "vdim-float-maslov", "vdim-bool-maslov", "vdim-float-etas",
+        "vdim-int-flag", "dims-negative", "index-missing-phases", "signs-missing-dims",
         "whitney-n-too-small", "whitney-negative-cutoff", "low-valence-negative",
         "assignments-not-json", "assignments-list", "assignments-key", "assignments-value",
         "assignments-float-c", "assignments-word-d", "params-nested-too-deeply",

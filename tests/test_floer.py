@@ -459,6 +459,9 @@ def test_acyclicity_feasible():
     assert acyclicity_feasible({-2: 1, -1: 1, 2: 1, 3: 1}) == (True, None)
     assert acyclicity_feasible({0: 1}) == (False, 0)
     assert acyclicity_feasible({-1: 1, 0: 2, 1: 1}) == (True, None)
+    # a negative dimension is refused even where an earlier degree fails
+    with pytest.raises(ValueError, match="negative dimension -1 in degree 1"):
+        acyclicity_feasible({0: 5, 1: -1})
 
 
 def test_double_point_invariants():

@@ -317,8 +317,9 @@ def test_equal_monoids_hash_alike_once(monkeypatch):
 
 
 def test_a_reducibility_test_never_refuses_what_the_table_accepts(monkeypatch):
-    # deciding (200, 0) in <1/1000> would take 200,001 elements: that test
-    # is refused once, and (200, 0) and every later generator are kept
+    # deciding (200, 0) in <1/1000> would take 200,001 elements: the
+    # multiples of 1/1000 alone pass the limit, so that test is not even
+    # begun, and (200, 0) and every later generator are kept
     for cache in (gapped._irreducible, gapped._irreducible_table, monoid_elements):
         cache.cache_clear()
     refusals = []
@@ -338,7 +339,7 @@ def test_a_reducibility_test_never_refuses_what_the_table_accepts(monkeypatch):
     assert monoid_norm(G, (1, 0)) == 1001
     assert G.contains((F(999, 1000), 0)) and not G.contains((F(1, 1000), 1))
     assert time.perf_counter() - start < 1
-    assert refusals == [200]
+    assert refusals == []
     assert gapped._irreducible(G) is G
 
 

@@ -93,6 +93,23 @@ def test_vdim_missing_parameter():
         vdim_formulas("main", maslov=0, k=1)
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("main", {"maslov": 1.5, "k": 2, "n": 3}, "maslov"),
+    ("main", {"maslov": True, "k": 2, "n": 3}, "maslov"),
+    ("main", {"maslov": 2, "k": "2", "n": 3}, "k"),
+    ("main", {"maslov": 2, "k": 2, "n": 3, "etas": [1, 0.5]}, "etas"),
+    ("main", {"maslov": 2, "k": 2, "n": 3, "etas": 1}, "etas"),
+    ("vcDegree", {"mu": 1, "degs": [1, False]}, "degs"),
+    ("withChains", {"maslov": 2, "n": 3, "degs": [], "zero_in_I": 1, "eta0": 4}, "zero_in_I"),
+    ("partial", {"maslov": 2, "n": 3, "degs_prefix": [], "degs_tail": [],
+                 "i_in_I1": "yes", "eta_i": 1}, "i_in_I1"),
+])
+def test_vdim_refuses_a_parameter_of_the_wrong_type(kind, params, name):
+    # a float, a string or a bool where an integer belongs once read as one
+    with pytest.raises(ValueError, match=name):
+        vdim_formulas(kind, **params)
+
+
 def test_zeta2_embedded_reduction(rng):
     for _ in range(200):
         n, i, k1, k2 = (rng.randint(0, 5), rng.randint(1, 4),

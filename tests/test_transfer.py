@@ -592,17 +592,13 @@ def test_tree_engine_work_follows_stored_tables(monkeypatch):
         degree0: NovikovElement.make([(F(1), F(1), 0)], "nov0", F(12)),
         degree_minus2: NovikovElement.make([(F(-1), F(3, 2), 1)], "nov0", F(12)),
     })
-    engines, lookups = [], []
+    calls, lookups = [], []
+    tree_sums = transfer._tree_sums
 
-    class Recorded(transfer._TreeEngine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.evaluations = []
-            engines.append(self)
-
-        def S(self, k, key):
-            self.evaluations.append((k, key))
-            return super().S(k, key)
+    def recorded(vertex_table, vertex_keys, split, edge_sign, pairs):
+        pairs = list(pairs)
+        calls.append((vertex_keys, pairs))
+        return tree_sums(vertex_table, vertex_keys, split, edge_sign, pairs)
 
     table = OperationSystem.table
 
@@ -610,53 +606,55 @@ def test_tree_engine_work_follows_stored_tables(monkeypatch):
         lookups.append((k, lam, mu))
         return table(self, k, lam, mu)
 
-    monkeypatch.setattr(transfer, "_TreeEngine", Recorded)
+    monkeypatch.setattr(transfer, "_tree_sums", recorded)
     monkeypatch.setattr(OperationSystem, "table", counted)
     minimal_model(alg, kmax=3)
-    assert len(lookups) <= len(alg.tables) * len(engines[0]._memo)
+    (vertex_keys, pairs), = calls
+    assert len(lookups) <= len(alg.tables) * len(pairs)
     # the tree sums are taken only where a tree can land, not at each of
     # the 4 * 169 (arity, key) pairs
-    reachable = _reachable(engines[0].vertex_keys, 3, alg.cutoff)
+    reachable = _reachable(vertex_keys, 3, alg.cutoff)
     assert len(monoid_elements(alg.monoid, alg.cutoff)) == 169 and len(alg.tables) == 3
-    assert len(engines[0].evaluations) <= len(reachable) + 1 <= 3
+    assert len(pairs) <= len(reachable) <= 3
 
 
 def probe_every_pair(alg, level=None, kmax=None):
     """minimal_model's tables with a tree sum taken at every budgeted
     (arity, key) pair: (model entries, inclusion entries, the pairs whose
-    sum is nonempty, the engine), the entries as {(k, lam, mu): {inputs:
+    sum is nonempty, the vertex keys), the entries as {(k, lam, mu): {inputs:
     {out: q}}}."""
     split = splitting(alg)
-    leaf_table = {(b,): dict(vec) for b, vec in split.include.items()}
-    edge_matrix = {a: {t: -c for t, c in vec.items()} for a, vec in split.h.items()}
+    vertex_keys = [(k, (lam, mu)) for k, lam, mu in alg.tables]
 
     def vertex(m, kv):
         t = alg.table(m, kv[0], kv[1])
         return t.entries if t else None
 
-    engine = transfer._TreeEngine(vertex, [(k, (lam, mu)) for k, lam, mu in alg.tables],
-                                  leaf_table, edge_matrix)
     if level is not None:
         keys = _budgeted_keys(alg.monoid, alg.cutoff, level)
     else:
         keys = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
                 for k in range(kmax + 1))
+    keys = list(keys)
+    sums = transfer._tree_sums(vertex, vertex_keys, split, -1,
+                               [p for p in keys if p != (1, ZERO_KEY)])
     n_tables, i_tables, nonempty = {}, {}, set()
     for k, key in keys:
-        s, i_entries = engine.S(k, key)
-        if s:
-            nonempty.add((k, key))
-        n_entries = _apply_each(split.project, s)
         if (k, key) == (1, ZERO_KEY):
             d = _linear(alg.table(1, 0, 0))
             n_entries = {(b,): _apply(split.project, _apply(d, vec))
                          for b, vec in split.include.items()}
             i_entries = {(b,): vec for b, vec in split.include.items()}
+        else:
+            s, i_entries = sums[(k, *key)]
+            if s:
+                nonempty.add((k, key))
+            n_entries = _apply_each(split.project, s)
         for tables, entries in ((n_tables, n_entries), (i_tables, i_entries)):
             entries = {i: o for i, o in entries.items() if o}
             if entries:
                 tables[(k, *key)] = entries
-    return n_tables, i_tables, nonempty, engine
+    return n_tables, i_tables, nonempty, vertex_keys
 
 
 @st.composite
@@ -693,9 +691,8 @@ def transfer_inputs(draw):
 def test_tree_sums_are_taken_only_where_a_tree_can_land(inputs):
     alg, path, bound = inputs
     kwargs = {path: bound}
-    n_tables, i_tables, nonempty, engine = probe_every_pair(alg, **kwargs)
-    reachable = _reachable(engine.vertex_keys, bound if path == "kmax" else bound + 1,
-                           alg.cutoff)
+    n_tables, i_tables, nonempty, vertex_keys = probe_every_pair(alg, **kwargs)
+    reachable = _reachable(vertex_keys, bound if path == "kmax" else bound + 1, alg.cutoff)
     assert nonempty <= reachable
     model, incl = minimal_model(alg, **kwargs)
     assert {key: t.entries for key, t in model.tables.items()} == n_tables
