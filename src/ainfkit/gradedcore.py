@@ -124,33 +124,25 @@ def _producers_of(fam) -> dict:
     return _producers({key: t.entries for key, t in fam.tables.items()})
 
 
-def _fill_slots(specs, k_budget, lam_budget, total=None):
+def _fill_slots(specs, k_budget, lam_budget):
     """Every way to fill slot j with one producer of ``specs[j]``.
 
     ``specs[j]`` is {(k, lam, mu): [(inputs, q)]}.  Yields (key, inputs,
     coeff): the sum of the chosen keys, the chosen inputs concatenated and
     the product of their coefficients, over the fillings whose arities sum
     to at most ``k_budget`` and energies to at most ``lam_budget`` (keys
-    have k, lam >= 0, so a group past a budget is skipped whole).  With
-    ``total``, only fillings whose key sums to ``total`` are yielded, and the
-    last slot is the one group at the key still missing.
+    have k, lam >= 0, so a group past a budget is skipped whole).
     """
     if not specs:
-        if total is None or total == (0, 0, 0):
-            yield (0, 0, 0), (), 1
+        yield (0, 0, 0), (), 1
         return
-    if total is not None and len(specs) == 1:
-        for inputs, q in specs[0].get(total, ()):
-            yield total, inputs, q
-        return
-    free, ends = (specs, None) if total is None else (specs[:-1], specs[-1])
-    last = len(free) - 1
+    last = len(specs) - 1
 
     # coefficient arithmetic is most of the cost: the first slot starts the
     # sums and the product instead of adding to 0 and multiplying 1, and a
     # zero energy is not added
     def go(j, k, lam, mu, inputs, coeff):
-        for (kk, ll, mm), group in free[j].items():
+        for (kk, ll, mm), group in specs[j].items():
             if j:
                 kk, ll, mm = k + kk, lam + ll if ll else lam, mu + mm
             if kk > k_budget or ll > lam_budget:
@@ -158,18 +150,10 @@ def _fill_slots(specs, k_budget, lam_budget, total=None):
             if j < last:
                 for ins, q in group:
                     yield from go(j + 1, kk, ll, mm, inputs + ins, coeff * q if j else q)
-            elif ends is None:
+            else:
                 key = (kk, ll, mm)
                 for ins, q in group:
                     yield key, inputs + ins, coeff * q if j else q
-            else:
-                tail = ends.get((total[0] - kk, total[1] - ll if ll else total[1],
-                                 total[2] - mm))
-                if tail:
-                    for ins, q in group:
-                        c = coeff * q if j else q
-                        for ins2, q2 in tail:
-                            yield total, inputs + ins + ins2, c * q2
 
     yield from go(0, 0, 0, 0, (), None)
     del go  # go reaches itself through its closure: free the cycle now, not in a GC pass

@@ -16,9 +16,12 @@ contributes edge_op( S_{k_j}^{key_j} ).  Vertices with 0 or 1 children must
 carry a nonzero key (the m_0 and m_1 - m_1^{0,0} weights), which also makes
 the recursion terminate: every such vertex costs at least lambda_0 energy.
 So S_k^key is a block sum of the vertex tables (``gradedcore._fill_slots``)
-whose slots read one index: the leaf injection at (1, 0, 0) and every
-edge_op( S ) taken so far at its (k, lam, mu).  The sums are taken in
-ascending key and arity, so every child is in the index before its parent.
+whose slots read the leaf injection at (1, 0, 0) and edge_op of the sums
+already finished.  A child has less energy, or the same key and fewer
+leaves, so the sums are finished in ascending (lam, mu, k), and each one is
+pushed forward as it is finished: every filling of a vertex is enumerated
+once, when its last child is finished, and added to the sum it lands on.
+The cost follows the fillings that exist, not the (arity, key) pairs.
 In shifted degrees every child composite has even degree, so plain
 composition and Koszul-signed composition agree and no interchange signs are
 needed.
@@ -26,14 +29,16 @@ needed.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 
 from . import linalg
 from .errors import AinfError, MalformedMorphismError, MissingDataError
-from .gapped import ZERO_KEY, EnergyMonoid, _budgeted_keys, _element_norms, monoid_elements
+from .gapped import ZERO_KEY, EnergyMonoid, _element_norms
 from .gradedcore import (
     GradedSpace,
     OperationSystem,
@@ -46,6 +51,7 @@ from .gradedcore import (
     _fill_slots,
     _linear,
     _producers,
+    _UNSEEN,
 )
 from .ainfty import is_weak_homotopy_equiv
 from .novikov import as_fraction
@@ -301,85 +307,77 @@ def splitting(alg: OperationSystem) -> Splitting:
 # ---------------------------------------------------------------------------
 # the decorated-tree sums
 
-def _tree_sums(vertex_table, vertex_keys, split: Splitting, edge_sign: int, pairs) -> dict:
+def _tree_sums(vertices: dict, split: Splitting, edge_sign: int, k_bound: int, cutoff,
+               admits) -> dict:
     """The sum S over all decorated trees with k leaves and total key
-    (lam, mu), and S after the edge map, at each (k, (lam, mu)) of
-    ``pairs``: {(k, lam, mu): (S, edge(S))} in the order of ``pairs``, both
-    sparse tables {b-input tuple: {a_label: c}}.
+    (lam, mu), and S after the edge map, at every (k, lam, mu) with
+    k <= k_bound, lam <= cutoff and admits(k, (lam, mu)) where S is nonzero:
+    {(k, lam, mu): (S, edge(S))}, both sparse tables {b-input tuple:
+    {a_label: c}}.
 
-    vertex_table(m, kv) -> sparse Q-table or None (validated lookups);
-    vertex_keys: the (m, kv) pairs where vertex_table is probed, the only
-    ones where it may be nonzero or must raise; probed in sorted order.  The
-    leaves are ``split.include`` and the edge map is ``edge_sign`` times
-    ``split.h``.
+    vertices: {(m, kv): sparse Q-table}, the vertex tables the trees are
+    decorated with; the leaves are ``split.include`` and the edge map is
+    ``edge_sign`` times ``split.h``.  A child sum is taken only where admits
+    holds too.
 
     A child subtree has less energy, or the same key and fewer leaves, so
-    its sum must be taken first: ``pairs`` come in the element-major order
-    of ``gapped._budgeted_keys`` and may leave out only pairs whose sum is
-    empty.  A zero-key sum with fewer than two leaves is empty (it needs a
-    low-valence vertex, which costs energy).
+    the sums are finished in ascending (lam, mu, k), each one before its
+    parents.  Each filling of a vertex's slots is enumerated once, when the
+    last of its children is finished, and added to the sum it lands on: in
+    an entry reading a label the finished sum produces, slot j takes that
+    sum, the slots before j the sums finished before it and the slots after
+    j any finished sum, the leaf included.
     """
-    # the unary weight is m_1 - m_1^{0,0}, and m_0^{0,0} vanishes
-    probes = sorted((m, kv) for m, kv in vertex_keys if m > 1 or kv != ZERO_KEY)
     edge = {a: {t: edge_sign * c for t, c in vec.items()} for a, vec in split.h.items()}
-    # what a vertex slot can take, by the a_label it needs: the leaf
-    # injection at (1, 0, 0) and every finished sum after the edge map
-    index = _producers({(1, *ZERO_KEY): {(b,): vec for b, vec in split.include.items()}})
+    entries = []  # the vertex entries with slots, as (lam, mu, inputs, outs)
+    readers = {}  # label -> the indexes of the entries that read it
+    pending = {}  # (lam, mu, k) -> the sum found so far, or None if not admitted
+    order = []  # heap of the pending (lam, mu, k)
+    for (m, kv), table in vertices.items():
+        if m <= 1 and kv == ZERO_KEY:
+            continue  # the unary weight is m_1 - m_1^{0,0}, and m_0^{0,0} vanishes
+        if not m:
+            if admits(0, kv):  # a curvature vertex is a whole tree
+                pending[(*kv, 0)] = {inputs: dict(outs) for inputs, outs in table.items()}
+                heapq.heappush(order, (*kv, 0))
+            continue
+        for inputs, outs in table.items():
+            for label in inputs:
+                readers.setdefault(label, set()).add(len(entries))
+            entries.append((*kv, inputs, outs))
+    index = {}  # what a slot can take, by the a_label it needs (``_producers``)
     sums = {}
-    for k, key in pairs:
-        s = {}
-        for m, kv in probes if key != ZERO_KEY or k > 1 else ():
-            if kv[0] > key[0]:
-                continue
-            table = vertex_table(m, kv)
-            if not table:
-                continue
-            rest = (k, key[0] - kv[0], key[1] - kv[1])
-            for v_inputs, v_outs in table.items():
-                specs = [index.get(l) for l in v_inputs]
-                if all(specs):
-                    for _, inputs, coeff in _fill_slots(specs, k, rest[1], rest):
-                        _add_scaled(s.setdefault(inputs, {}), v_outs, coeff)
-        s = {i: v for i, v in s.items() if v}
-        applied = _apply_each(edge, s)
-        _producers({(k, *key): applied}, index)
-        sums[(k, *key)] = s, applied
-    return sums
-
-
-def _reachable(vertex_keys, k_bound: int, cutoff) -> set:
-    """The (k, (lam, mu)) pairs where a decorated tree with at most k_bound
-    leaves and energy at most ``cutoff`` can land: the leaf (1, (0, 0)), and
-    a root vertex (m, kv) of ``vertex_keys`` whose m slots each hold a leaf
-    or a subtree at a pair already reached.
-
-    Labels and coefficients are ignored, so this is a superset of the pairs
-    where ``_tree_sums`` is nonempty.  An arity-0 subtree (a curvature tree)
-    adds energy and no arity.  The fixpoint is semi-naive: ``fills[j]`` holds
-    the (arity, lam, mu) sums of j slot fillers, and each pass adds only the
-    sums with a filler reached in the pass before, which are the pass's new
-    pairs combined with the j - 1 fillers' sums.
-    """
-    by_arity = {}
-    for m, (lam, mu) in vertex_keys:
-        by_arity.setdefault(m, []).append((lam, mu))
-    fills = [{(0, 0, 0)}] + [set() for _ in range(max(by_arity, default=0))]
-    fresh = [set(f) for f in fills]
-    new = [(1, 0, 0)]  # the leaf
-    reached = set(new)
+    key, table = (1, *ZERO_KEY), {(b,): vec for b, vec in split.include.items()}  # the leaf
     while True:
-        for j in range(1, len(fills)):
-            fresh[j] = {(k + k1, lam + l1, mu + m1)
-                        for k, lam, mu in new for k1, l1, m1 in fills[j - 1]
-                        if k + k1 <= k_bound and lam + l1 <= cutoff} - fills[j]
-            fills[j] |= fresh[j]
-        new = {(k, lam + l1, mu + m1) for m, roots in by_arity.items()
-               for k, lam, mu in fresh[m] for l1, m1 in roots
-               if lam + l1 <= cutoff} - reached
-        if not new:
-            return {(k, (lam, mu)) for k, lam, mu in reached}
-        reached |= new
-        fresh[0] = set()
+        fresh = _producers({key: table})
+        below = {l: index.get(l, {}) for l in fresh}
+        for l, spec in fresh.items():
+            index[l] = {**below[l], **spec}
+        for i in sorted({i for l in fresh for i in readers.get(l, ())}):
+            lam0, mu0, in_labels, outs = entries[i]
+            for j, label in enumerate(in_labels):
+                if label not in fresh:
+                    continue
+                specs = [below.get(x, index.get(x)) for x in in_labels[:j]]
+                specs += [fresh[label], *map(index.get, in_labels[j + 1:])]
+                if not all(specs):
+                    continue
+                for (k, lam, mu), inputs, coeff in _fill_slots(specs, k_bound, cutoff - lam0):
+                    at = (lam0 + lam, mu0 + mu, k)
+                    s = pending.get(at, _UNSEEN)
+                    if s is _UNSEEN:
+                        s = pending[at] = {} if admits(k, at[:2]) else None
+                        if s is not None:
+                            heapq.heappush(order, at)
+                    if s is not None:
+                        _add_scaled(s.setdefault(inputs, {}), outs, coeff)
+        if not order:
+            return sums
+        lam, mu, k = at = heapq.heappop(order)
+        s = {i: v for i, v in pending.pop(at).items() if v}
+        key, table = (k, lam, mu), _apply_each(edge, s)
+        if s:
+            sums[key] = s, table
 
 
 def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
@@ -398,24 +396,16 @@ def minimal_model(alg: OperationSystem, level=None, kmax=None, split=None):
     if alg.role != "algebra":
         raise AinfError(f"minimal_model needs an algebra, not a {alg.role}")
     split = split or splitting(alg)
-    vertex_keys = [(k, (lam, mu)) for k, lam, mu in alg.tables]
-
-    def vertex(m, kv):
-        t = alg.table(m, kv[0], kv[1])
-        return t.entries if t else None
-
     if level is not None:
-        pairs = _budgeted_keys(alg.monoid, alg.cutoff, level)
+        norms = dict(_element_norms(alg.monoid, alg.cutoff))
+        k_bound, admits = level + 1, lambda k, key: norms[key] + k - 1 <= level
     else:
-        pairs = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
-                 for k in range(kmax + 1))
-    # a sum anywhere else is empty, and an empty sum adds nothing to the
-    # index, so skipping it changes no later sum
-    reachable = _reachable(vertex_keys, kmax if level is None else level + 1, alg.cutoff)
-    sums = _tree_sums(vertex, vertex_keys, split, -1, (p for p in pairs if p in reachable))
+        k_bound, admits = kmax, lambda k, key: k <= kmax
+    vertices = {(k, (lam, mu)): t.entries for (k, lam, mu), t in alg.tables.items()}
+    sums = _tree_sums(vertices, split, -1, k_bound, alg.cutoff, admits)
     n_tables = {key: _apply_each(split.project, s) for key, (s, _) in sums.items()}
     i_tables = {key: applied for key, (_, applied) in sums.items()}
-    if (1, *ZERO_KEY) in sums:
+    if admits(1, ZERO_KEY):
         # no tree lands here: n_1^{0,0} = Pi m_1^{0,0} i and i_1^{0,0} is the
         # plain inclusion
         d = _linear(alg.table(1, 0, 0))
@@ -627,29 +617,38 @@ def ank_from_geometric(geo: GeometricData, level: int, ambient_parity: int) -> O
     On inputs whose filtration budget fits, the output reproduces the
     geometric tables exactly; trees with an internal edge die on the level-N
     sub-filtration because H vanishes there.
+
+    Every vertex key (m, kv) that is declared or inside the N' budget, and
+    whose energy some budgeted output key with a tree sum reaches, is
+    looked up; an undeclared one raises MissingDataError.  The lookups go
+    by the lowest such output energy, then by (m, kv), so the error names
+    the key a walk over the output keys in ascending order misses first.
     """
     n_prime = level * (level + 2)
     split = filtration_splitting(geo, level)
     max_arity = max((k for k, _, _ in geo.declared), default=0)
-    norms = _element_norms(geo.monoid, geo.cutoff)
-    members = {kv for kv, _ in norms}
-    # declared tables with entries, and every undeclared key inside the N'
-    # budget, whose lookup raises MissingDataError
-    declared = {(k, (as_fraction(lam), int(mu))) for k, lam, mu in geo.declared}
-    vertex_keys = {(m, kv) for m, kv in declared if kv in members and geo.table(m, kv)}
-    vertex_keys.update(
-        (m, kv) for kv, norm in norms for m in range(max_arity + 1)
-        if norm + m - 1 <= n_prime and geo.table(m, kv) is None)
+    norms = dict(_element_norms(geo.monoid, geo.cutoff))
 
-    def vertex(m, kv):
-        t = geo.table(m, kv)
-        if t is None:
+    def admits(k, key):
+        return norms[key] + k - 1 <= level
+
+    # the energies of the output keys with a tree sum: a zero-key sum needs
+    # two leaves
+    energies = sorted({kv[0] for kv in norms if admits(2 if kv == ZERO_KEY else 0, kv)})
+    keys = {(k, (as_fraction(lam), int(mu))) for k, lam, mu in geo.declared}
+    keys = {(m, kv) for m, kv in keys if kv in norms}
+    keys.update((m, kv) for kv, norm in norms.items() for m in range(max_arity + 1)
+                if norm + m - 1 <= n_prime)
+    vertices = {}
+    # the unary weight is m_1 - m_1^{0,0}, and m_0^{0,0} vanishes
+    for _, m, kv in sorted((bisect_left(energies, kv[0]), m, kv) for m, kv in keys
+                           if (m > 1 or kv != ZERO_KEY) and energies and kv[0] <= energies[-1]):
+        table = geo.table(m, kv)
+        if table is None:
             raise MissingDataError(f"(k={m}, lam={kv[0]}, mu={kv[1]})")
-        return t
-
-    sums = _tree_sums(vertex, vertex_keys, split, 1 if ambient_parity % 2 else -1,
-                      (p for p in _budgeted_keys(geo.monoid, geo.cutoff, level)
-                       if p != (1, ZERO_KEY)))
+        vertices[(m, kv)] = table
+    sums = _tree_sums(vertices, split, 1 if ambient_parity % 2 else -1, level + 1,
+                      geo.cutoff, admits)
     # the restriction of d to B, which is d-closed by the problem's contract
     # (filtration_splitting refuses a missing d)
     b_labels = set(split.b_space.labels)

@@ -722,7 +722,7 @@ def per_key_insertion_sum(out, outer, inner, producers, k, key, coeff=1):
 
 def per_key_block_sum(out, n_alg, families_for_slot, k, key, coeff=1):
     """out += coeff * the block sum at the one key (k, *key), through the
-    fillings that sum to exactly the rest of the key (``total=``)."""
+    fillings that sum to exactly the rest of the key."""
     lam, mu = key
     for (r, lam0, mu0), table in n_alg.tables.items():
         rest = (k, lam - lam0, mu - mu0)
@@ -733,8 +733,9 @@ def per_key_block_sum(out, n_alg, families_for_slot, k, key, coeff=1):
                 specs = [index.get(l) for index, l in zip(slot_indexes, in_labels)]
                 if not all(specs):
                     continue
-                for _, inputs, c in _fill_slots(specs, k, rest[1], rest):
-                    _add_scaled(out.setdefault(inputs, {}), outs, coeff * c)
+                for fill_key, inputs, c in _fill_slots(specs, k, rest[1]):
+                    if fill_key == rest:
+                        _add_scaled(out.setdefault(inputs, {}), outs, coeff * c)
     return out
 
 

@@ -223,19 +223,15 @@ def _filling_oracle(groups):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_GROUPS, max_size=4), st.integers(0, 5),
-       st.integers(0, 8).map(lambda n: F(n, 2)), st.data())
-def test_fill_slots_matches_product_oracle(groups, k_budget, lam_budget, data):
+       st.integers(0, 8).map(lambda n: F(n, 2)))
+def test_fill_slots_matches_product_oracle(groups, k_budget, lam_budget):
     """Slot fillings against brute force over every slot count from zero,
-    empty slots (no producer), budgets met exactly, and fixed totals."""
+    empty slots (no producer) and budgets met exactly."""
     specs = [{key: [((label,) * key[0], q) for label, q in group]
               for key, group in spec.items()} for spec in groups]
     every = list(_filling_oracle(groups))
     within = [f for f in every if f[0][0] <= k_budget and f[0][1] <= lam_budget]
     assert Counter(_fill_slots(specs, k_budget, lam_budget)) == Counter(within)
-    keys = sorted({f[0] for f in every}) + [(0, F(0), 0), (1, F(1, 2), 7)]
-    total = data.draw(st.sampled_from(keys))
-    exact = [f for f in every if f[0] == total]
-    assert Counter(_fill_slots(specs, total[0], total[1], total)) == Counter(exact)
 
 
 def test_fill_slots_leaves_no_reference_cycle():
@@ -246,7 +242,6 @@ def test_fill_slots_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert len(list(_fill_slots(specs, 3, 3))) == 8
-        assert len(list(_fill_slots(specs, 3, 3, (2, 1, 0)))) == 3
         assert gc.collect() == 0
     finally:
         gc.enable()

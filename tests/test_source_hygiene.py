@@ -88,8 +88,9 @@ def test_every_division_is_audited():
 # Every caller of the slot-filling enumerator, as (module, function).  Twists,
 # residuals, gauge actions, compositions, homotopy inverses and the morphism
 # and homotopy checks all go through the one block-sum kernel; the tree
-# sums need the fixed-total walk and the Maurer-Cartan solver its own slot
-# order.  A new caller fails here until it is made a kernel call or added.
+# sums and the Maurer-Cartan solver push each finished sum forward in their
+# own slot order.  A new caller fails here until it is made a kernel call or
+# added.
 FILL_SLOTS_CALLERS = {("gradedcore", "_block_sum"), ("transfer", "_tree_sums"),
                       ("floer", "mc_solve")}
 

@@ -25,10 +25,11 @@ from ainfkit import (
     transfer,
     twist,
 )
-from ainfkit.errors import MalformedMorphismError, MissingDataError, NotAComplexError
-from ainfkit.gapped import ZERO_KEY, _budgeted_keys, monoid_elements
-from ainfkit.gradedcore import _apply, _apply_each, _linear
-from ainfkit.transfer import MAX_TREES, GeometricData, _count_trees, _reachable
+from ainfkit.errors import AinfError, MalformedMorphismError, MissingDataError, NotAComplexError
+from ainfkit.gapped import ZERO_KEY, _budgeted_keys, _element_norms, monoid_elements
+from ainfkit.gradedcore import _add_scaled, _apply, _apply_each, _fill_slots, _linear, _producers
+from ainfkit.novikov import as_fraction
+from ainfkit.transfer import MAX_TREES, GeometricData, _count_trees
 from conftest import (
     checked,
     heisenberg_algebra,
@@ -483,6 +484,136 @@ def test_ank_missing_data_error():
         ank_from_geometric(geo, 2, ambient_parity=3)
 
 
+def tree_sums_by_pair(vertex_table, vertex_keys, split, edge_sign, pairs):
+    """The tree sums the slow way, at each (k, (lam, mu)) of ``pairs`` in
+    their order, which must put every child pair before its parents:
+    {(k, lam, mu): (S, edge(S))} at every pair.  Each pair walks every
+    vertex entry and keeps the fillings that land exactly on the pair;
+    vertex_table(m, kv) is looked up at each pair of energy at least kv's,
+    in sorted (m, kv) order."""
+    probes = sorted((m, kv) for m, kv in vertex_keys if m > 1 or kv != ZERO_KEY)
+    edge = {a: {t: edge_sign * c for t, c in vec.items()} for a, vec in split.h.items()}
+    index = _producers({(1, *ZERO_KEY): {(b,): vec for b, vec in split.include.items()}})
+    sums = {}
+    for k, key in pairs:
+        s = {}
+        for m, kv in probes if key != ZERO_KEY or k > 1 else ():
+            if kv[0] > key[0]:
+                continue
+            table = vertex_table(m, kv)
+            if not table:
+                continue
+            rest = (k, key[0] - kv[0], key[1] - kv[1])
+            for v_inputs, v_outs in table.items():
+                specs = [index.get(l) for l in v_inputs]
+                if all(specs):
+                    for fill_key, inputs, coeff in _fill_slots(specs, k, rest[1]):
+                        if fill_key == rest:
+                            _add_scaled(s.setdefault(inputs, {}), v_outs, coeff)
+        s = {i: v for i, v in s.items() if v}
+        applied = _apply_each(edge, s)
+        _producers({(k, *key): applied}, index)
+        sums[(k, *key)] = s, applied
+    return sums
+
+
+def ank_by_pair_walk(geo, level, ambient_parity):
+    """ank_from_geometric with the tree sums of ``tree_sums_by_pair`` at
+    every budgeted (arity, key) pair, the vertex tables looked up at each
+    pair: the declared ones with entries, and every undeclared key inside
+    the N' budget, whose lookup raises MissingDataError."""
+    n_prime = level * (level + 2)
+    split = filtration_splitting(geo, level)
+    max_arity = max((k for k, _, _ in geo.declared), default=0)
+    norms = _element_norms(geo.monoid, geo.cutoff)
+    members = {kv for kv, _ in norms}
+    declared = {(k, (as_fraction(lam), int(mu))) for k, lam, mu in geo.declared}
+    vertex_keys = {(m, kv) for m, kv in declared if kv in members and geo.table(m, kv)}
+    vertex_keys.update(
+        (m, kv) for kv, norm in norms for m in range(max_arity + 1)
+        if norm + m - 1 <= n_prime and geo.table(m, kv) is None)
+
+    def vertex(m, kv):
+        t = geo.table(m, kv)
+        if t is None:
+            raise MissingDataError(f"(k={m}, lam={kv[0]}, mu={kv[1]})")
+        return t
+
+    sums = tree_sums_by_pair(vertex, vertex_keys, split, 1 if ambient_parity % 2 else -1,
+                             [p for p in _budgeted_keys(geo.monoid, geo.cutoff, level)
+                              if p != (1, ZERO_KEY)])
+    b_labels = set(split.b_space.labels)
+    d = {i: {ol: c for ol, c in o.items() if ol in b_labels}
+         for i, o in geo.table(1, ZERO_KEY).items() if all(l in b_labels for l in i)}
+    tables = [OperationTable(1, 0, 0, "algebra", d)] + [
+        OperationTable(k, lam, mu, "algebra", _apply_each(split.project, s))
+        for (k, lam, mu), (s, _) in sums.items()]
+    return OperationSystem.algebra(split.b_space, geo.monoid, geo.flavor,
+                                   geo.cutoff, tables)
+
+
+@st.composite
+def geometric_inputs(draw):
+    """Geometric data with every key inside the N' budget declared, some of
+    them then dropped, on the Heisenberg dga (cutoff 2 or 3), a random
+    curved algebra, a twisted minimal model of the Heisenberg dga, or the
+    Heisenberg dga plus an acyclic pair (u, du); some labels, u and du
+    among them, at filtration level + 1; with a level and an ambient
+    parity."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    level = draw(st.sampled_from([1, 2, 0]))
+    kind = draw(st.sampled_from(["heisenberg", "curved", "rich", "extension"]))
+    if kind == "heisenberg":
+        alg = heisenberg_algebra(cutoff=F(draw(st.sampled_from([2, 3]))))
+    elif kind == "curved":
+        alg = random_curved_algebra(rng, n_labels=4, generators=draw(st.sampled_from(
+            [((1, 0),), ((1, 0), (F(1, 2), 1)), ((F(1, 2), 0),)])))
+    elif kind == "rich":
+        alg = random_rich_algebra(rng)
+    else:
+        base = heisenberg_algebra()
+        d = {**base.table(1, F(0), 0).entries, ("u",): {"du": F(1)}}
+        alg = OperationSystem.algebra(
+            GradedSpace.make([*base.source.basis, ("u", 0), ("du", 1)]), G, "nov0", F(2),
+            [OperationTable(1, F(0), 0, "algebra", d), base.table(2, F(0), 0)])
+    d = _linear(alg.table(1, 0, 0))
+    for attempt in range(6):
+        # the high labels hold every label d maps into them, so that the
+        # low ones span a d-closed subspace, and must split as A + dA; the
+        # last attempt makes only u and du high
+        high = {l for l in alg.source.labels if attempt < 5 and rng.random() < 0.3}
+        high |= {"u", "du"}
+        while grown := {l for l, outs in d.items() if l not in high and high & outs.keys()}:
+            high |= grown
+        filtration = {l: level + 1 if l in high else 0 for l in alg.source.labels}
+        geo = _geo_from_algebra(alg, filtration, level * (level + 2))
+        try:
+            filtration_splitting(geo, level)
+            break
+        except AinfError:
+            pass
+    dropped = draw(st.sets(st.sampled_from(sorted(geo.declared)), max_size=3))
+    geo.declared -= dropped
+    for key in dropped:
+        geo.entries.pop(key, None)
+    return geo, level, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(geometric_inputs())
+def test_ank_matches_the_per_pair_walk(inputs):
+    # the same tables, or the same missing key named
+    results = []
+    for assemble in (ank_from_geometric, ank_by_pair_walk):
+        try:
+            out = assemble(*inputs)
+        except MissingDataError as err:
+            results.append(str(err))
+        else:
+            results.append({key: t.entries for key, t in out.tables.items()})
+    assert results[0] == results[1]
+
+
 def test_ank_output_degree_bookkeeping(rng):
     # deg of the output of a geometric operation is 1 - 2 mu + sum deg f_i;
     # table construction enforces it, so building the fixtures above is the
@@ -579,6 +710,14 @@ def test_minimal_model_of_already_minimal_filtered_algebra(rng):
     assert set(again.tables) == set(alg.tables)
 
 
+def recording_tree_sums(mp):
+    """Patch ``transfer._tree_sums`` through ``mp`` so that each call's
+    result is appended to the list returned."""
+    calls, tree_sums = [], transfer._tree_sums
+    mp.setattr(transfer, "_tree_sums", lambda *args: calls.append(tree_sums(*args)) or calls[-1])
+    return calls
+
+
 def test_tree_engine_work_follows_stored_tables(monkeypatch):
     # 8-label twisted complex over {(1,0), (1/2,1)} at cutoff 12: a grid
     # probe makes about 118k vertex lookups here, for three stored tables
@@ -592,37 +731,29 @@ def test_tree_engine_work_follows_stored_tables(monkeypatch):
         degree0: NovikovElement.make([(F(1), F(1), 0)], "nov0", F(12)),
         degree_minus2: NovikovElement.make([(F(-1), F(3, 2), 1)], "nov0", F(12)),
     })
-    calls, lookups = [], []
-    tree_sums = transfer._tree_sums
-
-    def recorded(vertex_table, vertex_keys, split, edge_sign, pairs):
-        pairs = list(pairs)
-        calls.append((vertex_keys, pairs))
-        return tree_sums(vertex_table, vertex_keys, split, edge_sign, pairs)
-
+    lookups = []
     table = OperationSystem.table
 
     def counted(self, k, lam, mu):
         lookups.append((k, lam, mu))
         return table(self, k, lam, mu)
 
-    monkeypatch.setattr(transfer, "_tree_sums", recorded)
+    calls = recording_tree_sums(monkeypatch)
     monkeypatch.setattr(OperationSystem, "table", counted)
     minimal_model(alg, kmax=3)
-    (vertex_keys, pairs), = calls
-    assert len(lookups) <= len(alg.tables) * len(pairs)
-    # the tree sums are taken only where a tree can land, not at each of
-    # the 4 * 169 (arity, key) pairs
-    reachable = _reachable(vertex_keys, 3, alg.cutoff)
+    sums, = calls
+    assert len(lookups) <= len(alg.tables)
+    # the tree sums are taken only where a tree lands, not at each of the
+    # 4 * 169 (arity, key) pairs
     assert len(monoid_elements(alg.monoid, alg.cutoff)) == 169 and len(alg.tables) == 3
-    assert len(pairs) <= len(reachable) <= 3
+    assert len(sums) <= 3
 
 
 def probe_every_pair(alg, level=None, kmax=None):
     """minimal_model's tables with a tree sum taken at every budgeted
-    (arity, key) pair: (model entries, inclusion entries, the pairs whose
-    sum is nonempty, the vertex keys), the entries as {(k, lam, mu): {inputs:
-    {out: q}}}."""
+    (arity, key) pair: (model entries, inclusion entries, the (k, lam, mu)
+    whose sum is nonempty), the entries as {(k, lam, mu): {inputs: {out:
+    q}}}."""
     split = splitting(alg)
     vertex_keys = [(k, (lam, mu)) for k, lam, mu in alg.tables]
 
@@ -636,8 +767,8 @@ def probe_every_pair(alg, level=None, kmax=None):
         keys = ((k, key) for key in monoid_elements(alg.monoid, alg.cutoff)
                 for k in range(kmax + 1))
     keys = list(keys)
-    sums = transfer._tree_sums(vertex, vertex_keys, split, -1,
-                               [p for p in keys if p != (1, ZERO_KEY)])
+    sums = tree_sums_by_pair(vertex, vertex_keys, split, -1,
+                             [p for p in keys if p != (1, ZERO_KEY)])
     n_tables, i_tables, nonempty = {}, {}, set()
     for k, key in keys:
         if (k, key) == (1, ZERO_KEY):
@@ -648,13 +779,13 @@ def probe_every_pair(alg, level=None, kmax=None):
         else:
             s, i_entries = sums[(k, *key)]
             if s:
-                nonempty.add((k, key))
+                nonempty.add((k, *key))
             n_entries = _apply_each(split.project, s)
         for tables, entries in ((n_tables, n_entries), (i_tables, i_entries)):
             entries = {i: o for i, o in entries.items() if o}
             if entries:
                 tables[(k, *key)] = entries
-    return n_tables, i_tables, nonempty, vertex_keys
+    return n_tables, i_tables, nonempty
 
 
 @st.composite
@@ -691,10 +822,12 @@ def transfer_inputs(draw):
 def test_tree_sums_are_taken_only_where_a_tree_can_land(inputs):
     alg, path, bound = inputs
     kwargs = {path: bound}
-    n_tables, i_tables, nonempty, vertex_keys = probe_every_pair(alg, **kwargs)
-    reachable = _reachable(vertex_keys, bound if path == "kmax" else bound + 1, alg.cutoff)
-    assert nonempty <= reachable
-    model, incl = minimal_model(alg, **kwargs)
+    n_tables, i_tables, nonempty = probe_every_pair(alg, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recording_tree_sums(mp)
+        model, incl = minimal_model(alg, **kwargs)
+    sums, = calls
+    assert set(sums) == nonempty
     assert {key: t.entries for key, t in model.tables.items()} == n_tables
     assert {key: t.entries for key, t in incl.tables.items()} == i_tables
 
@@ -754,7 +887,6 @@ def test_splitting_eliminations_follow_degrees(monkeypatch):
     (["x", "y"], [{"x": F(1), "y": F(1)}, {"x": F(2), "y": F(2)}]),  # singular
 ], ids=["too-few", "too-many", "2x0", "2x1", "2x3", "singular"])
 def test_splitting_that_is_not_a_direct_sum_is_refused(labels, c_vecs):
-    from ainfkit.errors import AinfError
     from ainfkit.transfer import _assemble_splitting
     space = GradedSpace.make([(l, 0) for l in labels])
     with pytest.raises(AinfError, match="not a direct sum"):

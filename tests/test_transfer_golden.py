@@ -182,8 +182,8 @@ def test_transfer_report_is_byte_identical(name):
 
 
 # Keys left out of the Heisenberg geometric data at level 2, and the key the
-# failure names: the first one the tree sums reach, in the order of the
-# output keys and then of the sorted (arity, key) vertex probes.
+# failure names: the first one a walk over the output keys in ascending order
+# meets, at each output key in sorted (arity, key) order.
 MISSING = [
     ({(0, F(1), 0)}, "(k=0, lam=1, mu=0)"),
     ({(1, F(1), 0)}, "(k=1, lam=1, mu=0)"),
@@ -205,6 +205,15 @@ def test_missing_geometric_key_is_named(dropped, named):
     with pytest.raises(MissingDataError) as err:
         ank_from_geometric(geo, 2, ambient_parity=3)
     assert str(err.value) == named
+
+
+def test_key_no_output_energy_reaches_is_not_looked_up():
+    # at level 1 no output key with a tree sum has energy 2, so (0, 2, 0)
+    # is never read and leaving it out is no error
+    alg = heisenberg_algebra(cutoff=F(3))
+    geo = parse_document(_geometric_doc(alg, _flat(alg), 1)).payload
+    geo.declared.remove((0, F(2), 0))
+    assert len(ank_from_geometric(geo, 1, ambient_parity=3).tables) == 2
 
 
 if __name__ == "__main__":
