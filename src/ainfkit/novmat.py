@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -91,9 +92,9 @@ class NovMatrix:
         """
         if set(self.rows) != set(self.cols) and len(self.rows) != len(self.cols):
             raise NotInvertibleError("matrix is not square")
-        scale, pivots, rows = _eliminate(self, inverse=True)
+        scale, pivots, rows = _eliminate(self)
         out = NovMatrix(self.cols, self.rows, self.flavor, self.cutoff)
-        for r0, c0, _ in pivots:
+        for r0, c0 in pivots:
             row = rows[r0]
             for c, p in row.carried.items():
                 out.data[(c0, c)] = NovikovElement.make(
@@ -103,16 +104,18 @@ class NovMatrix:
 
 
 def smith_valuations(matrix: NovMatrix):
-    """Valuation-aware Smith reduction: pivot on entries of minimal valuation,
-    eliminate with ratios that stay in the valuation ring, and return the
-    sorted list of diagonal valuations.  The rank is the list's length.
+    """Valuation-aware Smith reduction: the sorted valuations of the pivots
+    of ``_smith_pivots``.  The rank is the list's length.
 
     Over unit flavors this is plain elimination (every nonzero entry is a
     unit); over 0-flavors the diagonal entries are T^v up to units, and the
-    positive v's are the torsion exponents of the cokernel.
+    positive v's are the torsion exponents of the cokernel.  When every
+    energy is >= 0, as in the differentials ``hf_compute`` hands it, and
+    every pivot's leading level is one monomial, the divisors do not depend
+    on the pivot order.  A negative energy breaks this, because F^{>E} is
+    then no ideal.
     """
-    scale, pivots, _ = _eliminate(matrix)
-    return sorted(as_fraction(Fraction(n, scale)) for _, _, n in pivots)
+    return sorted(v for _, _, v in _smith_pivots(matrix))
 
 
 def _fold(tables, k, flavor, cutoff):
@@ -146,15 +149,17 @@ def _fold(tables, k, flavor, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# the elimination kernel: an entry is {(n, mu): q} with n = lam * scale an
+# the elimination kernels: an entry is {(n, mu): q} with n = lam * scale an
 # integer, and every shift and product drops the terms with n > top =
-# E * scale, as NovikovElement arithmetic at cutoff E does.  A row holds its
-# coefficients as integers over one positive denominator.
+# E * scale, as NovikovElement arithmetic at cutoff E does.  The Smith
+# reduction (``_smith_pivots``) keeps each row's coefficients as integers and
+# never divides; the inverse (``_eliminate``) keeps them as integers over one
+# positive denominator and carries the rows of the identity along.
 
 @dataclass(slots=True)
 class _Row:
     """The rationals entries / den, and the carried row of the identity over
-    the same denominator (empty unless ``inverse``)."""
+    the same denominator (empty until ``_eliminate`` fills it)."""
 
     den: int
     entries: dict  # col -> {(n, mu): int}
@@ -178,66 +183,139 @@ class _Row:
                     part[c] = {key: q // g for key, q in p.items()}
 
 
-def _integer_row(entries):
-    """A row of rational entries {col: {(n, mu): q}} as a ``_Row``, scaled to
-    integers over the least common denominator; nonzero rationals are units,
-    so the scaling changes no pivot."""
-    den = math.lcm(*(q.denominator for p in entries.values() for q in p.values()))
-    scaled = {c: {key: q.numerator * (den // q.denominator) for key, q in p.items()}
-              for c, p in entries.items()}
-    return _Row(den, scaled, {})
-
-
-def _eliminate(matrix: NovMatrix, inverse=False):
-    """Valuation-pivot elimination on sparse integer rows (``_Row``).
-
-    A pivot is the live entry of least valuation v, ties broken by str(row),
-    then str(col); each live row keeps its least (v, str(col)) and recomputes
-    it only when it changes.  The pivot row is multiplied by the inverse of
-    the unit pivot / T^v (``_unit_inverse``, integers W over d), which turns
-    (D0, N0) into (d, N0 W).  Each live row (D, N) with an entry a in the
-    pivot column loses (a / T^v) times it: it becomes (N d - (a / T^v) P) /
-    (D d), reduced by the gcd.  With ``inverse`` a pivot must have v = 0
-    (NotInvertibleError when no live row has one), the identity is carried
-    along, and the pivoted rows are eliminated too (Gauss-Jordan).
-
-    Returns (scale, [(row, col, v * scale)] in pivot order, {pivot row:
-    _Row}), the last empty unless ``inverse``.
-    """
+def _integer_rows(matrix: NovMatrix):
+    """(scale, top, {row: _Row}) for every row label, in ``matrix.rows``
+    order: energies as integers n = lam * scale, with scale the least common
+    multiple of the energy denominators and the cutoff's, and coefficients
+    as integers over the row's least common denominator; nonzero rationals
+    are units, so the scaling changes no pivot."""
     scale = math.lcm(matrix.cutoff.denominator, *(
         lam.denominator for v in matrix.data.values() for _, lam, _ in v.terms))
     top = math.floor(matrix.cutoff * scale)
-    entries = {r: {} for r in matrix.rows}
+    dens = {}
+    for (r, _), v in matrix.data.items():
+        if v.terms:
+            dens[r] = math.lcm(dens.get(r, 1), *(q.denominator for q, _, _ in v.terms))
+    rows = {r: _Row(dens.get(r, 1), {}, {}) for r in (*matrix.rows, *dens)}
     for (r, c), v in matrix.data.items():
         if v.terms:
-            entries.setdefault(r, {})[c] = {
-                (lam.numerator * (scale // lam.denominator), mu): q for q, lam, mu in v.terms}
-    live = {r: _integer_row(row) for r, row in entries.items()}
-    if inverse:
-        for r, row in live.items():
-            row.carried[r] = {(0, 0): row.den}
+            den = dens[r]
+            rows[r].entries[c] = {(lam.numerator * (scale // lam.denominator), mu):
+                                  q.numerator * (den // q.denominator) for q, lam, mu in v.terms}
+    return scale, top, rows
+
+
+def _smith_pivots(matrix: NovMatrix):
+    """[(row, col, v)] in pivot order, v the pivot's valuation: fraction-free
+    valuation elimination on sparse integer rows, with a column index {col:
+    live rows}.
+
+    A pivot is the live entry of least (valuation v, (rows with an entry of
+    valuation v in its column - 1) * (entries of valuation v in its row -
+    1), str(row), str(col)): Markowitz's least-fill rule on the entries of
+    least valuation.  The rule reads only valuations and leading levels,
+    which reduction mod F^{>E/2} keeps below E/2, so with energies >= 0 the
+    pivots at E/2 are the pivots at E of valuation <= E/2, and whether a
+    pivot's leading level fails to be one monomial (NotInvertibleError) is
+    decided alike at both cutoffs.  Otherwise the pivot is T^v times a unit
+    u, and each live row with an entry a in the pivot column becomes u * row
+    - (a / T^v) * (pivot row), divided by the gcd of its integers; u is never
+    inverted.  A step visits only the rows in the pivot column.
+    """
+    scale, top, integer_rows = _integer_rows(matrix)
+    rows = {r: row.entries for r, row in integer_rows.items() if row.entries}
+    vals = {r: {c: min(p)[0] for c, p in row.items()} for r, row in rows.items()}
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    name = {c: str(c) for c in cols}
+    order = sorted(rows, key=str)
+    least = {r: min(row_vals.values()) for r, row_vals in vals.items()}
+    pivots = []
+    while rows:
+        v = min(least.values())
+        level = {r: [c for c, w in vals[r].items() if w == v] for r in order
+                 if least.get(r) == v}
+        in_col = Counter(c for cs in level.values() for c in cs)
+        _, r0, c0 = min((((in_col[c] - 1) * (len(cs) - 1), i, name[c]), r, c)
+                        for i, (r, cs) in enumerate(level.items()) for c in cs)
+        pivot = rows.pop(r0)
+        del vals[r0], least[r0]
+        for c in pivot:
+            cols[c].discard(r0)
+        unit = {(n - v, mu): q for (n, mu), q in pivot.pop(c0).items() if n - v <= top}
+        if sum(n == 0 for n, _ in unit) != 1:
+            raise NotInvertibleError("leading energy level is not a single monomial")
+        for r in cols.pop(c0):
+            row = rows[r]
+            a = row.pop(c0)
+            if not pivot:  # u * row is the row up to a unit: it only loses c0
+                if row:
+                    del vals[r][c0]
+                    least[r] = min(vals[r].values())
+                else:
+                    del rows[r], vals[r], least[r]
+                continue
+            factor = {(n - v, mu): -q for (n, mu), q in a.items() if n - v <= top}
+            new = {c: _mul(unit, p, top) for c, p in row.items()}
+            for c, p in pivot.items():
+                new[c] = _mul(factor, p, top, new.get(c))
+                if not new[c]:
+                    del new[c]
+            for c in row.keys() - new.keys():
+                cols[c].discard(r)
+            for c in new.keys() - row.keys():
+                cols[c].add(r)
+            g = math.gcd(*(q for p in new.values() for q in p.values()))
+            if g > 1:
+                new = {c: {key: q // g for key, q in p.items()} for c, p in new.items()}
+            if new:
+                rows[r], vals[r] = new, {c: min(p)[0] for c, p in new.items()}
+                least[r] = min(vals[r].values())
+            else:
+                del rows[r], vals[r], least[r]
+        pivots.append((r0, c0, as_fraction(Fraction(v, scale))))
+    return pivots
+
+
+def _eliminate(matrix: NovMatrix):
+    """Gauss-Jordan elimination for ``NovMatrix.inverse`` on sparse integer
+    rows (``_Row``) that carry the rows of the identity along.
+
+    A pivot is a live entry of valuation 0: the least str(row), then
+    str(col); NotInvertibleError when no live row has one.  Each live row
+    keeps its least candidate column and recomputes it only when it
+    changes.  The pivot row is multiplied by the inverse of its unit pivot
+    (``_unit_inverse``, integers W over d), which turns (D0, N0) into (d,
+    N0 W).  Every other row (D, N), live or pivoted, with an entry a in the
+    pivot column loses a times it: it becomes (N d - a P) / (D d), reduced
+    by the gcd.
+
+    Returns (scale, [(row, col)] in pivot order, {pivot row: _Row}).
+    """
+    scale, top, live = _integer_rows(matrix)
+    for r, row in live.items():
+        row.carried[r] = {(0, 0): row.den}
     name = {x: str(x) for key in matrix.data for x in key}
 
     def least(row):
-        """The row's candidate (v, col) that sorts first, or None."""
-        return min(((min(p)[0], c) for c, p in row.entries.items()
-                    if not inverse or min(p)[0] == 0),
-                   key=lambda e: (e[0], name[e[1]]), default=None)
+        """The row's valuation-0 column that sorts first, or None."""
+        return min((c for c, p in row.entries.items() if min(p)[0] == 0),
+                   key=name.get, default=None)
 
     keys = {r: least(row) for r, row in live.items()}
     done, pivots = {}, []
     while live:
-        best = min(((k[0], r, k[1]) for r, k in keys.items() if k is not None),
-                   key=lambda e: (e[0], name[e[1]], name[e[2]]), default=None)
+        best = min(((r, c) for r, c in keys.items() if c is not None),
+                   key=lambda e: (name[e[0]], name[e[1]]), default=None)
         if best is None:
-            if inverse:
-                raise NotInvertibleError("energy-0 part is not invertible")
-            break
-        v, r0, c0 = best
+            raise NotInvertibleError("energy-0 part is not invertible")
+        r0, c0 = best
         pivot = live.pop(r0)
         del keys[r0]
-        w, pivot.den = _unit_inverse({(n - v, mu): q for (n, mu), q in
-                                      pivot.entries.pop(c0).items() if n - v <= top}, top)
+        w, pivot.den = _unit_inverse({key: q for key, q in pivot.entries.pop(c0).items()
+                                      if key[0] <= top}, top)
         for part in pivot.parts():
             for c, p in part.items():
                 part[c] = _mul(p, w, top)
@@ -247,7 +325,7 @@ def _eliminate(matrix: NovMatrix, inverse=False):
             a = row.entries.pop(c0, None)
             if a is None:
                 continue
-            factor = {(n - v, mu): -q for (n, mu), q in a.items() if n - v <= top}
+            factor = {key: -q for key, q in a.items() if key[0] <= top}
             row.den *= d
             for part, source in zip(row.parts(), pivot.parts()):
                 if d != 1:
@@ -260,9 +338,8 @@ def _eliminate(matrix: NovMatrix, inverse=False):
             row.reduce()
             if r in keys:
                 keys[r] = least(row)
-        if inverse:
-            done[r0] = pivot
-        pivots.append((r0, c0, v))
+        done[r0] = pivot
+        pivots.append((r0, c0))
     return scale, pivots, done
 
 

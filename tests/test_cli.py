@@ -176,6 +176,46 @@ def test_hf_command_reports_cutoff_and_stability():
     assert data["groups"]["-1"]["free"] == 1
 
 
+def _unit_block_doc(cutoff, n, diagonal):
+    """cy0 with n double-point pairs over G = <1/100>, whose degree-0 -> 1
+    block is all ones plus T^(1/100) at the ``diagonal`` positions.  The
+    pivot 1 + T^(1/100) has a power series inverse with 100 E terms below
+    the cutoff E."""
+    points = [{"p_minus": f"P{i}{a}", "p_plus": f"P{i}{b}", "eta": eta}
+              for i in range(n) for a, b, eta in (("-", "+", 1), ("+", "-", 2))]
+    ones = [{"inputs": [f"P{c}-:P{c}+"], "output": f"P{r}+:P{r}-", "coeff": "1"}
+            for r in range(n) for c in range(n)]
+    ts = [{"inputs": [f"P{i}-:P{i}+"], "output": f"P{i}+:P{i}-", "coeff": "1"}
+          for i in diagonal]
+    return {"kind": "presentation", "flavor": "cy0", "cutoff": str(cutoff),
+            "monoid": [["1/100", 0]], "ambient_dim": 3,
+            "homology_ranks": {"0": 1, "3": 1}, "double_points": points,
+            "tables": [{"k": 1, "lam": "0", "mu": 0, "entries": ones},
+                       {"k": 1, "lam": "1/100", "mu": 0, "entries": ts}],
+            "elements": {"zero": {}}}
+
+
+@pytest.mark.parametrize("n, diagonal, groups", [
+    (2, (0,), {"1": (0, []), "2": (0, ["1/100"])}),
+    (3, (0, 1, 2), {"1": (0, []), "2": (0, ["1/100", "1/100"])}),
+])
+@pytest.mark.parametrize("cutoff", [2000, 10**6])
+def test_hf_cost_does_not_grow_with_the_cutoff(n, diagonal, groups, cutoff):
+    def report(e):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ainfkit.cli", "hf", "--element", "zero", "--machine"],
+            input=json.dumps(_unit_block_doc(e, n, diagonal)), capture_output=True,
+            text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    small, large = report(3), report(cutoff)
+    assert {k: (g["free"], g["torsion"]) for k, g in small["groups"].items()
+            if k in groups} == groups
+    assert large["cutoff"] == str(cutoff)
+    assert {**large, "cutoff": "3"} == small
+
+
 def test_trees_vdim_feasible_commands():
     trees = run_cli(["trees", "--k", "4", "--mode", "strict", "--machine"])
     assert json.loads(trees.stdout)["count"] == 11

@@ -1,19 +1,24 @@
-"""The sparse valuation-elimination kernel against the dense code it replaced.
+"""The sparse valuation-elimination kernels against dense oracles.
 
-``dense_smith_valuations`` and ``dense_inverse`` are the elimination loops
-that ``smith_valuations`` and ``NovMatrix.inverse`` ran before they shared
-``novmat._eliminate``, kept here unchanged as oracles.  They work entry by
-entry through ``NovikovElement`` arithmetic, so they pin the pivot rule, the
-truncation at the cutoff and the errors of the kernel.
+``dense_inverse`` is the elimination loop that ``NovMatrix.inverse`` ran
+before ``novmat._eliminate``, kept unchanged.  ``dense_smith_valuations`` is
+the dense Smith loop with the pivot rule of ``novmat._smith_pivots`` (least
+valuation, then least fill, then names); ``dense_smith_valuations_by_name``
+is the same loop with the earlier rule (least valuation, then names).  They
+work entry by entry through ``NovikovElement`` arithmetic, so they pin the
+pivot rule, the truncation at the cutoff and the errors of the kernels.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ainfkit import novmat
 from ainfkit.errors import NotInvertibleError
 from ainfkit.novikov import (
     NovikovElement,
@@ -22,7 +27,7 @@ from ainfkit.novikov import (
     nov_mul,
     nov_valuation,
 )
-from ainfkit.novmat import NovMatrix, _eliminate, _mul, _unit_inverse, smith_valuations
+from ainfkit.novmat import NovMatrix, _mul, _smith_pivots, _unit_inverse, smith_valuations
 from conftest import is_canonical_rational
 
 
@@ -84,6 +89,20 @@ def dense_inverse(self) -> "NovMatrix":
 
 
 def dense_smith_valuations(matrix: NovMatrix):
+    """Valuation-aware Smith reduction that pivots on the live entry of least
+    (valuation v, (rows with an entry of valuation v in its column - 1) *
+    (entries of valuation v in its row - 1), str(row), str(col)), counted on
+    the live submatrix."""
+    return _dense_smith(matrix, least_fill=True)
+
+
+def dense_smith_valuations_by_name(matrix: NovMatrix):
+    """Valuation-aware Smith reduction that pivots on the live entry of least
+    (valuation, str(row), str(col))."""
+    return _dense_smith(matrix, least_fill=False)
+
+
+def _dense_smith(matrix: NovMatrix, least_fill):
     """Valuation-aware Smith reduction: pivot on entries of minimal valuation,
     eliminate with ratios that stay in the valuation ring, and return the
     sorted list of diagonal valuations.  The rank is the list's length.
@@ -96,16 +115,21 @@ def dense_smith_valuations(matrix: NovMatrix):
     used_rows, used_cols = set(), set()
     divisors = []
     while True:
-        best = None
-        best_val = None
-        for (r, c), v in sorted(work.data.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-            if r in used_rows or c in used_cols or v.is_zero():
-                continue
-            val = nov_valuation(v)
-            if best_val is None or val < best_val:
-                best, best_val = (r, c), val
-        if best is None:
+        live = {(r, c): nov_valuation(v) for (r, c), v in
+                sorted(work.data.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+                if r not in used_rows and c not in used_cols and not v.is_zero()}
+        if not live:
             break
+        least = min(live.values())
+        level = [rc for rc, val in live.items() if val == least]
+        in_col, in_row = Counter(c for _, c in level), Counter(r for r, _ in level)
+
+        def key(rc):
+            fill = (in_col[rc[1]] - 1) * (in_row[rc[0]] - 1) if least_fill else 0
+            return live[rc], fill, str(rc[0]), str(rc[1])
+
+        best = min(live, key=key)
+        best_val = live[best]
         r0, c0 = best
         pivot = work.get(r0, c0)
         # pivot = T^v * u with u a valuation-0 unit: normalize the row by u^{-1}
@@ -234,17 +258,34 @@ def test_divisors_at_half_cutoff_are_the_small_divisors(mat):
         assert smith_valuations(_at(mat, half)) == [v for v in divisors if v <= half]
 
 
+def test_a_two_e_power_pivot_is_met_at_both_cutoffs_or_neither():
+    # At E = 1, (r1, c0) has valuation 1 and puts a second row in column c0;
+    # at E/2 it is gone.  A fill count over every entry would then take
+    # (r0, c1) first at E and (r0, c0), whose leading level has two
+    # e-powers, at E/2.  Counting only the entries of least valuation takes
+    # (r0, c0) at both cutoffs.
+    mat = NovMatrix(("r0", "r1"), ("c0", "c1"), "nov", F(1))
+    for (r, c), terms in ((("r0", "c0"), [(-2, F(1, 2), -1), (-2, F(1, 2), 0)]),
+                          (("r0", "c1"), [(-2, F(1, 2), -1)]),
+                          (("r1", "c0"), [(-2, 1, -1)])):
+        mat.set(r, c, NovikovElement.make(terms, "nov", F(1)))
+    for cutoff in (F(1), F(1, 2)):
+        with pytest.raises(NotInvertibleError):
+            smith_valuations(_at(mat, cutoff))
+
+
 def test_half_cutoff_rule_fails_with_a_negative_energy():
-    # Over cy at E = 1 the first pivot is T^-1 at (v1, u0).  Clearing
-    # (v0, u0) = 2 takes the factor 2 T^1, which the cutoff keeps at E and
-    # drops at E/2, so only at E does (v0, u1) become -2: a divisor 0 <= E/2
-    # that the E/2 reduction never sees.  hf_compute relies on energies >= 0.
+    # Over cy at E = 1 the first pivot is 2 T^-1 at (v0, u0).  Clearing
+    # (v1, u0) = 2 takes the factor 2 T^1, which the cutoff keeps at E and
+    # drops at E/2, so (v1, u1) becomes 4 - 4 = 0 at E and stays 4 at E/2: a
+    # divisor 0 <= E/2 that the E reduction never sees.  hf_compute relies on
+    # energies >= 0.
     mat = NovMatrix(("v0", "v1"), ("u0", "u1"), "cy", F(1))
-    for (r, c), lam, q in ((("v0", "u0"), 0, 2), (("v1", "u0"), -1, 1),
-                           (("v1", "u1"), -1, -1)):
-        mat.set(r, c, NovikovElement.monomial(q, lam, 0, "cy", F(1)))
-    assert smith_valuations(mat) == [-1, 0]
-    assert smith_valuations(_at(mat, F(1, 2))) == [-1]
+    for (r, c), lam in ((("v0", "u0"), -1), (("v0", "u1"), -1),
+                        (("v1", "u0"), 0), (("v1", "u1"), 0)):
+        mat.set(r, c, NovikovElement.monomial(2, lam, 0, "cy", F(1)))
+    assert smith_valuations(mat) == [-1]
+    assert smith_valuations(_at(mat, F(1, 2))) == [-1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +398,69 @@ def test_recurrence_inverse_refuses_a_leading_level_of_two_monomials():
 
 
 def test_pivot_ties_go_to_the_least_column_name_after_a_row_changes():
-    # eliminating (r0, c0) appends c1 to r1 after c2; both have valuation 0,
-    # and the rule takes c1
+    # eliminating (r0, c0) appends c1 to r1 after c2; both have valuation 1
+    # and fill 0, and the rule takes c1
+    mat = NovMatrix(("r0", "r1"), ("c0", "c1", "c2"), "nov0", 2)
+    for (r, c), lam in ((("r0", "c0"), 0), (("r0", "c1"), 1),
+                        (("r1", "c0"), 0), (("r1", "c2"), 1)):
+        mat.set(r, c, NovikovElement.monomial(1, lam, 0, "nov0", 2))
+    assert _smith_pivots(mat) == [("r0", "c0", 0), ("r1", "c1", 1)]
+
+
+def test_pivots_take_the_least_fill_before_the_least_name():
+    # every entry is a unit; (r0, c0) would fill, (r0, c1) and (r1, c2) would not
     mat = NovMatrix(("r0", "r1"), ("c0", "c1", "c2"), "nov0", 2)
     for key in (("r0", "c0"), ("r0", "c1"), ("r1", "c0"), ("r1", "c2")):
         mat.set(*key, NovikovElement.unit("nov0", 2))
-    assert _eliminate(mat)[1] == [("r0", "c0", 0), ("r1", "c1", 0)]
+    assert _smith_pivots(mat) == [("r0", "c1", 0), ("r1", "c0", 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_pivot_order_matters_only_with_a_negative_energy_or_an_e_power_tie(mat):
+    """With energies >= 0 and leading levels that are monomials a Smith form
+    does not depend on the pivot order; a leading level of two e-powers
+    makes some orders raise, and a negative energy breaks the ideal F^{>E}.
+    Over cy and cy0 there are no e-powers, and the orders always agree."""
+    by_fill = _outcome(dense_smith_valuations, mat)
+    by_name = _outcome(dense_smith_valuations_by_name, mat)
+    if mat.flavor in ("cy", "cy0") or (
+            _nonnegative(mat) and "NotInvertibleError" not in (by_fill, by_name)):
+        assert by_fill == by_name
+
+
+def permuted_unit_triangle(seed, n=8, cutoff=F(2)):
+    """Block A of the mc-hf benchmark: an upper-triangular cy0 matrix with a
+    rational unit on the diagonal and c + c' T^lam above it, its rows and
+    columns permuted."""
+    rng = random.Random(seed)
+    row_of, col_of = rng.sample(range(n), n), rng.sample(range(n), n)
+    mat = NovMatrix(tuple(f"r{i}" for i in range(n)), tuple(f"c{j}" for j in range(n)),
+                    "cy0", cutoff)
+    coeffs = [-3, -1, 1, 2, F(1, 2), F(-2, 3)]
+    for i in range(n):
+        for j in range(i, n):
+            terms = [(rng.choice(coeffs), 0, 0)]
+            if j > i:
+                terms.append((rng.choice(coeffs), rng.choice([F(1, 3), F(1, 2), 1]), 0))
+            mat.set(f"r{row_of[i]}", f"c{col_of[j]}", NovikovElement.make(terms, "cy0", cutoff))
+    return mat
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_permuted_unit_triangle_takes_no_product(seed):
+    # least fill pivots on a column or a row of one entry, so no row is updated
+    mat = permuted_unit_triangle(seed)
+    with mock.patch.object(novmat, "_mul", side_effect=novmat._mul) as mul:
+        assert smith_valuations(mat) == [0] * 8
+    assert mul.call_count == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_smith_reduction_never_inverts_a_unit(mat):
+    with mock.patch.object(novmat, "_unit_inverse", side_effect=AssertionError):
+        _outcome(smith_valuations, mat)
 
 
 def dense_nov0(seed, n=24, cutoff=F(3)):
